@@ -203,9 +203,9 @@ def certify_graph(
         local = _locally_biconnected(g, i)
         certs.append(_certificate(g, i, cfg, mode, local, skip_spectral=local))
     if with_oracle:
-        points = articulation_points_oracle(g)
+        points = _articulation_points(g)
         certs = [replace(c, oracle_is_articulation=c.node in points) for c in certs]
-        oracle_flag = len(points) == 0 and g.n >= 3
+        oracle_flag = not points
     else:
         oracle_flag = None
     return BiconnectivityReport(
@@ -220,6 +220,11 @@ def certify_graph(
 def articulation_points_oracle(g: WeightedGraph) -> set[NodeId]:
     """Exact cut vertices via a single DFS low-link pass."""
     _require_connected(g)
+    return _articulation_points(g)
+
+
+def _articulation_points(g: WeightedGraph) -> set[NodeId]:
+    """The DFS of :func:`articulation_points_oracle` on a graph known connected."""
     n = g.n
     if n <= 2:
         return set()
@@ -273,9 +278,7 @@ def articulation_points_bruteforce(g: WeightedGraph) -> set[NodeId]:
 def is_biconnected_oracle(g: WeightedGraph) -> bool:
     """No articulation point; a bare edge (n = 2) does not count as biconnected."""
     _require_connected(g)
-    if g.n < 3:
-        return False
-    return not articulation_points_oracle(g)
+    return g.n >= 3 and not _articulation_points(g)
 
 
 def doubly_connected_oracle(g: WeightedGraph, i: NodeId, j: NodeId) -> bool:

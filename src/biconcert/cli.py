@@ -6,7 +6,9 @@ certificates plus graph verdict), ``oracle`` (exact articulation points),
 (Graphviz DOT), and ``verify`` (the numerical check suite).
 
 Exit codes: 0 success or certified, 2 not certified, 3 precondition failure
-(disconnected input, impossible generation), 4 malformed input or usage.
+(disconnected input, impossible generation), 4 malformed input or usage
+(including non-finite weights, epsilon or epsilon-grid values), 5 numerical
+failure (an eigensolver did not converge).
 Identical invocations (including ``--seed``) produce byte-identical output
 files; randomness comes from numpy's seeded PCG64 generator, which is
 recorded in generated file metadata.
@@ -18,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -25,18 +28,20 @@ import numpy as np
 
 from . import __version__
 from .bicon import (
+    CERTIFY_MARGIN,
     BiconnectivityReport,
     BoundMode,
+    _articulation_points,
+    _locally_biconnected,
+    _require_connected,
     articulation_points_oracle,
     certify_graph,
     exact_norm_bound,
-    is_biconnected_oracle,
-    locally_biconnected,
     report_csv_rows,
     report_to_dict,
     simplified_bound,
 )
-from .errors import GraphInputError, PreconditionError
+from .errors import EigenConvergenceError, GraphInputError, PreconditionError
 from .graph_core import (
     PerturbationConfig,
     ProximityModel,
@@ -59,6 +64,7 @@ EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 2
 EXIT_PRECONDITION = 3
 EXIT_INPUT = 4
+EXIT_NUMERICAL = 5
 
 GEN_MAX_ATTEMPTS = 500
 RNG_NAME = "numpy-pcg64"
@@ -105,8 +111,10 @@ class RunConfig:
             raise GraphInputError(f"--trials must be >= 1, got {self.trials}")
         if self.command == "verify" and self.graphs < 1:
             raise GraphInputError(f"--graphs must be >= 1, got {self.graphs}")
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise GraphInputError(f"--epsilon must be positive, got {self.epsilon}")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise GraphInputError(
+                f"--epsilon must be positive and finite, got {self.epsilon}"
+            )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,8 +137,10 @@ def parse_eps_grid(spec: str) -> list[float]:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise GraphInputError(f"bad grid spec {spec!r}: {exc}") from exc
-        if count < 1 or lo <= 0 or hi <= 0:
-            raise GraphInputError(f"bad grid spec {spec!r}: need positive bounds and count >= 1")
+        if count < 1 or not all(0 < v < math.inf for v in (lo, hi)):
+            raise GraphInputError(
+                f"bad grid spec {spec!r}: need positive finite bounds and count >= 1"
+            )
         return [float(x) for x in np.geomspace(lo, hi, count)]
     try:
         values = [float(tok) for tok in spec.split(",") if tok.strip()]
@@ -138,8 +148,8 @@ def parse_eps_grid(spec: str) -> list[float]:
         raise GraphInputError(f"bad grid value in {spec!r}: {exc}") from exc
     if not values:
         raise GraphInputError("epsilon grid must not be empty")
-    if any(v <= 0 for v in values):
-        raise GraphInputError("epsilon grid values must be positive")
+    if not all(0 < v < math.inf for v in values):
+        raise GraphInputError("epsilon grid values must be positive and finite")
     return values
 
 
@@ -236,7 +246,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     points = sorted(articulation_points_oracle(g))
     doc = {
         "articulation_points": points,
-        "biconnected": is_biconnected_oracle(g),
+        "biconnected": g.n >= 3 and not points,
         "n": g.n,
     }
     _write_text(cfg.output_path, _dump_json(doc))
@@ -249,8 +259,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     g = _load_graph(cfg.input_path)
     if g.n <= 2:
         raise PreconditionError("sweep needs n > 2")
-    if not is_connected_bfs(g):
-        raise PreconditionError("graph must be connected")
+    _require_connected(g)
     rows = [
         [
             "node",
@@ -262,7 +271,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
             "certified_exact",
         ]
     ]
-    margin = 1e-12
     for i in range(g.n):
         a = neighbor_weight_vector(g, i)
         for eps in grid:
@@ -280,8 +288,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     format(lam3, ".6g"),
                     format(simple, ".6g"),
                     format(exact, ".6g"),
-                    "true" if lam3 > simple + margin else "false",
-                    "true" if lam3 > exact + margin else "false",
+                    "true" if lam3 > simple + CERTIFY_MARGIN else "false",
+                    "true" if lam3 > exact + CERTIFY_MARGIN else "false",
                 ]
             )
     _write_text(cfg.output_path, _csv_text(rows))
@@ -297,8 +305,8 @@ def cmd_export(cfg: RunConfig) -> int:
     points: set[int] = set()
     local: set[int] = set()
     if g.n >= 2 and is_connected_bfs(g):
-        points = articulation_points_oracle(g)
-        local = {i for i in range(g.n) if locally_biconnected(g, i)}
+        points = _articulation_points(g)
+        local = {i for i in range(g.n) if _locally_biconnected(g, i)}
     lines = ["graph g {", "  node [shape=circle];"]
     for i in range(g.n):
         attrs = []
@@ -448,6 +456,9 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except EigenConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -6,7 +6,12 @@ scaling, the per-node intermediate matrix whose spectrum mirrors the scaled
 Laplacian, and the disk-based proximity model for planar layouts.
 
 Weights are stored densely; the intended scale is a few hundred nodes, where
-dense O(n^2) storage and O(n^3) eigensolves are cheap.
+dense O(n^2) storage and O(n^3) eigensolves are cheap. Neighbour lists, edge
+lists and the proximity model's candidate pairs come from numpy scans; the
+proximity model then decides and weighs each candidate with ``math.hypot``
+and ``math.exp``, whose results (unlike numpy's, which can differ in the last
+ulp) fix the bytes of generated graph files. Edge weights and epsilon must be
+finite: ``inf`` and ``nan`` are rejected with :class:`GraphInputError`.
 """
 
 from __future__ import annotations
@@ -66,18 +71,14 @@ class WeightedGraph:
             object.__setattr__(self, "positions", _readonly(p))
 
     def neighbors(self, i: NodeId) -> list[NodeId]:
+        """Indices j with ``weights[i, j] > 0``, ascending, as Python ints."""
         _check_node(self, i)
-        return [j for j in range(self.n) if self.weights[i, j] > 0.0]
+        return np.flatnonzero(self.weights[i] > 0.0).tolist()
 
     def edges(self) -> list[tuple[NodeId, NodeId, float]]:
         """Every undirected edge once, as (i, j, w) with i < j, in index order."""
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                w = self.weights[i, j]
-                if w > 0.0:
-                    out.append((i, j, float(w)))
-        return out
+        rows, cols = np.nonzero(np.triu(self.weights, 1) > 0.0)
+        return list(zip(rows.tolist(), cols.tolist(), self.weights[rows, cols].tolist()))
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,10 @@ class PerturbationConfig:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise GraphInputError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise GraphInputError(
+                f"epsilon must be positive and finite, got {self.epsilon}"
+            )
 
 
 @dataclass(frozen=True)
@@ -134,9 +137,9 @@ def from_edge_list(
         key = (min(i, j), max(i, j))
         if key in seen:
             raise GraphInputError(f"duplicate edge ({i}, {j})")
-        if not wt > 0.0:
+        if not 0.0 < wt < math.inf:
             raise GraphInputError(
-                f"edge ({i}, {j}) must have positive weight, got {wt}"
+                f"edge ({i}, {j}) must have positive weight and be finite, got {wt}"
             )
         seen.add(key)
         w[i, j] = w[j, i] = wt
@@ -149,13 +152,19 @@ def proximity_graph(positions, model: ProximityModel) -> WeightedGraph:
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
         raise GraphInputError(f"positions must be an (n, 2) array, got {pts.shape}")
     n = pts.shape[0]
+    rows, cols = np.triu_indices(n, 1)
+    dx = pts[rows, 0] - pts[cols, 0]
+    dy = pts[rows, 1] - pts[cols, 1]
+    # numpy's hypot and exp can differ from libm's in the last ulp, which
+    # would change generated files. numpy only preselects candidate pairs,
+    # with slack far above that ulp; math decides and weighs each candidate.
+    near = np.flatnonzero(np.hypot(dx, dy) <= model.radius * (1.0 + 1e-9))
     w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = pts[i, 0] - pts[j, 0]
-            dy = pts[i, 1] - pts[j, 1]
-            if math.hypot(dx, dy) <= model.radius:
-                w[i, j] = w[j, i] = math.exp(-(dx * dx + dy * dy) / (2.0 * model.sigma))
+    for i, j, x, y in zip(
+        rows[near].tolist(), cols[near].tolist(), dx[near].tolist(), dy[near].tolist()
+    ):
+        if math.hypot(x, y) <= model.radius:
+            w[i, j] = w[j, i] = math.exp(-(x * x + y * y) / (2.0 * model.sigma))
     return WeightedGraph(n=n, weights=w, positions=pts)
 
 
@@ -257,7 +266,10 @@ def graph_from_dict(d: dict) -> WeightedGraph:
         i, j, w = e
         if not isinstance(i, int) or not isinstance(j, int):
             raise GraphInputError(f"edge endpoints must be integers, got {e!r}")
-        triples.append((i, j, float(w)))
+        try:
+            triples.append((i, j, float(w)))
+        except (TypeError, ValueError) as exc:
+            raise GraphInputError(f"edge weight in {e!r} is not a number") from exc
     g = from_edge_list(n, triples)
     pos = d.get("positions")
     if pos is None:

@@ -11,7 +11,6 @@ imaginary part otherwise.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,16 +133,24 @@ def is_connected_spectral(g: WeightedGraph, tol: float = CONNECTIVITY_TOL) -> bo
     return algebraic_connectivity(g) > tol
 
 
+def reachable(adj, start: int) -> np.ndarray:
+    """Boolean mask of the nodes reachable from ``start`` over ``adj``.
+
+    ``adj`` is a square boolean adjacency matrix (for a graph,
+    ``g.weights > 0``). The search expands the whole frontier in one numpy
+    step, so it takes O(diameter) steps and O(n^2) work in total: each node
+    joins the frontier once and contributes its row once.
+    """
+    adj = np.asarray(adj, dtype=bool)
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen
+
+
 def is_connected_bfs(g: WeightedGraph) -> bool:
     """Combinatorial connectivity: every node reachable from node 0."""
-    if g.n == 1:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in range(g.n):
-            if g.weights[u, v] > 0.0 and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == g.n
+    return bool(reachable(g.weights > 0.0, 0).all())

@@ -28,13 +28,13 @@ The checks:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bicon import (
     BoundMode,
+    _require_connected,
     articulation_points_bruteforce,
     articulation_points_oracle,
     spectral_certificate,
@@ -58,6 +58,7 @@ from .spectral import (
     general_eigen,
     is_connected_bfs,
     is_connected_spectral,
+    reachable,
     symmetric_eigen,
 )
 
@@ -109,11 +110,6 @@ class CombinationParams:
     @property
     def eta(self) -> float:
         return self.beta * self.epsilon
-
-
-def _require_connected(g: WeightedGraph) -> None:
-    if not is_connected_bfs(g):
-        raise PreconditionError("graph must be connected")
 
 
 def _witness(g: WeightedGraph, i: NodeId, **params) -> dict:
@@ -216,23 +212,14 @@ def rank_one_update_matrix(
 
 
 def _null_multiplicity(g: WeightedGraph, i: NodeId, lr_eigs: np.ndarray) -> int:
-    """Null multiplicity of the reduced Laplacian, cross-checked against BFS."""
+    """Null multiplicity of the reduced Laplacian, cross-checked by component count."""
     l_spec = int(np.sum(lr_eigs < NULL_TOL))
-    rg = reduced_graph(g, i)
-    seen: set[int] = set()
+    adj = reduced_graph(g, i).weights > 0.0
+    seen = np.zeros(len(adj), dtype=bool)
     components = 0
-    for start in range(rg.n):
-        if start in seen:
-            continue
+    while not seen.all():
         components += 1
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in range(rg.n):
-                if rg.weights[u, v] > 0.0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
+        seen |= reachable(adj, int(np.argmin(seen)))
     if l_spec != components:
         raise RuntimeError(
             f"null multiplicity {l_spec} disagrees with component count {components}"

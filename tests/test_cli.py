@@ -1,13 +1,17 @@
 """CLI behavior: exit codes, file formats, determinism, round trips."""
 
+import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import biconcert.bicon
+import biconcert.cli
 from biconcert import graph_from_dict, is_connected_bfs
-from biconcert.cli import main, parse_eps_grid
-from biconcert.errors import GraphInputError
+from biconcert.cli import EXIT_NUMERICAL, main, parse_eps_grid
+from biconcert.errors import EigenConvergenceError, GraphInputError
 
 
 def run(args):
@@ -272,3 +276,110 @@ class TestUsage:
         assert run(["oracle", "--input", str(g), "--output", str(tmp_path / "o.json")]) == 0
         assert run(["sweep", "--input", str(g), "--output", str(tmp_path / "s.csv")]) == 0
         assert run(["export", "--input", str(g), "--output", str(tmp_path / "g.dot")]) == 0
+
+
+INF_WEIGHT_TEXT = '{"n": 3, "edges": [[0, 1, Infinity], [1, 2, 1.0]]}'
+
+
+class TestNonFiniteInput:
+    def test_infinite_weight_check_exit_four(self, tmp_path, capsys):
+        g = tmp_path / "inf.json"
+        g.write_text(INF_WEIGHT_TEXT)
+        assert run(["check", "--input", str(g)]) == 4
+        assert "finite" in capsys.readouterr().err
+
+    def test_infinite_weight_export_exit_four(self, tmp_path, capsys):
+        g = tmp_path / "inf.json"
+        g.write_text(INF_WEIGHT_TEXT)
+        assert run(["export", "--input", str(g)]) == 4
+        assert 'label="inf"' not in capsys.readouterr().out
+
+    def test_non_numeric_weight_exit_four(self, tmp_path):
+        g = tmp_path / "null.json"
+        write_graph(g, {"n": 3, "edges": [[0, 1, None], [1, 2, 1.0]]})
+        assert run(["check", "--input", str(g)]) == 4
+
+    def test_infinite_epsilon_exit_four(self, tmp_path):
+        g = tmp_path / "p3.json"
+        write_graph(g, P3_DOC)
+        assert run(["check", "--input", str(g), "--epsilon", "inf"]) == 4
+
+    @pytest.mark.parametrize("grid", ["inf", "1e-4,nan", "1e-4:inf:3", "nan:1:3"])
+    def test_non_finite_eps_grid_exit_four(self, tmp_path, grid):
+        g = tmp_path / "p3.json"
+        write_graph(g, P3_DOC)
+        assert run(["sweep", "--input", str(g), "--eps-grid", grid]) == 4
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    def test_eigensolver_failure_exit_five(self, tmp_path, capsys, monkeypatch, command):
+        def failing(m, want_vectors=False):
+            raise EigenConvergenceError("symmetric eigensolve failed: injected")
+
+        for module in (biconcert.bicon, biconcert.cli):
+            monkeypatch.setattr(module, "symmetric_eigen", failing)
+        g = tmp_path / "p3.json"
+        write_graph(g, P3_DOC)
+        assert run([command, "--input", str(g)]) == EXIT_NUMERICAL == 5
+        assert "injected" in capsys.readouterr().err
+
+
+# sha256 of the files `gen --n 200 --radius 0.14 --seed S`, then `oracle` and
+# `export` on that graph, write. They hold no eigenvalue, so their bytes do not
+# depend on the LAPACK build; they pin the generator, edge order, weights and
+# oracle marks across refactors of the graph code.
+GOLDEN_SHA256 = {
+    1: (
+        "37170e0255c1411d53c0b8759425e2967e0f2179a7c36a1253917c2759877b5a",
+        "767abbe3bef1541fccda8050bb79c94211c04f80c19f5bcb2b048e8991127aef",
+        "80d29c2b1c463032b8b0cf58014f4f2e0ca1752d923e86c61424d971ca8c6121",
+    ),
+    2: (
+        "5ffe3cc621d404dd326b86f46d003c998ce3320a3cd28490c3a9698cd9d98596",
+        "8759027bfe9169c66938db760038c0856954b99a5e56c32845772f9b2f41e6af",
+        "da864ea9a58bf64f9cc9bca4ddf3178ad216b8375945457a246dd4fc748aba12",
+    ),
+    3: (
+        "992ec09ffd6ccbae8c019085c377b3f34404e4a71f281d26e5675d041719cd50",
+        "ecee19ce37db934816b88a6954434cf1ccff81156352a502023c8268e4862e88",
+        "0158e1de165e7642e0f28780a5d1a64425fc1968fe232c7bda88d87f747c2b51",
+    ),
+}
+
+
+def gen_disk200(tmp_path, seed):
+    g = tmp_path / f"g{seed}.json"
+    argv = ["gen", "--n", "200", "--seed", str(seed), "--radius", "0.14"]
+    assert run(argv + ["--output", str(g)]) == 0
+    return g
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_SHA256))
+    def test_gen_oracle_export_bytes(self, tmp_path, seed):
+        g = gen_disk200(tmp_path, seed)
+        o, d = tmp_path / "o.json", tmp_path / "g.dot"
+        assert run(["oracle", "--input", str(g), "--output", str(o)]) == 0
+        assert run(["export", "--input", str(g), "--output", str(d)]) == 0
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (g, o, d))
+        assert digests == GOLDEN_SHA256[seed]
+
+    @pytest.mark.parametrize(
+        "argv", [["export"], ["oracle"], ["check", "--oracle"]], ids=" ".join
+    )
+    def test_one_connectivity_search_per_command(self, tmp_path, monkeypatch, argv):
+        g = gen_disk200(tmp_path, 1)
+        calls = []
+        original = is_connected_bfs
+
+        def counted(graph):
+            calls.append(graph.n)
+            return original(graph)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("biconcert") and getattr(module, "is_connected_bfs", None) is original:
+                monkeypatch.setattr(module, "is_connected_bfs", counted)
+        out = tmp_path / "out"
+        assert run(argv + ["--input", str(g), "--output", str(out)]) in (0, 2)
+        assert calls == [200]

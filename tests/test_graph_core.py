@@ -71,6 +71,9 @@ class TestConstruction:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(GraphInputError, match="positive weight"):
             from_edge_list(3, [(0, 1, 0.0)])
+        for bad in (math.inf, math.nan):
+            with pytest.raises(GraphInputError, match="finite"):
+                from_edge_list(3, [(0, 1, bad)])
 
     def test_asymmetric_matrix_rejected(self):
         w = np.zeros((2, 2))
@@ -88,6 +91,9 @@ class TestConstruction:
             PerturbationConfig(0.0)
         with pytest.raises(GraphInputError):
             PerturbationConfig(-0.1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(GraphInputError, match="finite"):
+                PerturbationConfig(bad)
 
 
 class TestProximity:

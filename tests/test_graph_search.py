@@ -1,0 +1,149 @@
+"""The numpy graph scans against the per-element Python loops they replaced.
+
+The reference functions below are the scalar loops the package used before
+its neighbour lists, edge lists, proximity pair selection and connectivity
+searches became numpy scans. The arithmetic is unchanged (the proximity
+model still tests and weighs each pair with ``math``), so every comparison
+is exact equality, including Python types and list order.
+"""
+
+import math
+from collections import deque
+
+import numpy as np
+import pytest
+
+from biconcert import (
+    ProximityModel,
+    WeightedGraph,
+    from_edge_list,
+    is_connected_bfs,
+    laplacian,
+    proximity_graph,
+    reduced_graph,
+    symmetric_eigen,
+)
+from biconcert.spectral import reachable
+from biconcert.verify import _null_multiplicity, suite_corpus
+
+
+def neighbors_loop(g, i):
+    return [j for j in range(g.n) if g.weights[i, j] > 0.0]
+
+
+def edges_loop(g):
+    out = []
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            w = g.weights[i, j]
+            if w > 0.0:
+                out.append((i, j, float(w)))
+    return out
+
+
+def reachable_loop(g, start):
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in range(g.n):
+            if g.weights[u, v] > 0.0 and v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
+
+def components_loop(g):
+    seen = set()
+    components = 0
+    for start in range(g.n):
+        if start not in seen:
+            components += 1
+            seen |= reachable_loop(g, start)
+    return components
+
+
+def proximity_loop(positions, model):
+    pts = np.array(positions, dtype=float)
+    n = pts.shape[0]
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = pts[i, 0] - pts[j, 0]
+            dy = pts[i, 1] - pts[j, 1]
+            if math.hypot(dx, dy) <= model.radius:
+                w[i, j] = w[j, i] = math.exp(-(dx * dx + dy * dy) / (2.0 * model.sigma))
+    return WeightedGraph(n=n, weights=w, positions=pts)
+
+
+def disk_layouts():
+    """(positions, model) pairs: seeded disk layouts plus edge cases."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for n, radius in ((30, 0.35), (200, 0.14), (200, 0.05)):
+        for _ in range(3):
+            cases.append((rng.random((n, 2)), ProximityModel(radius, 0.125)))
+    cases.append((rng.random((1, 2)), ProximityModel(0.5, 0.125)))
+    # 3-4-5 triangle: the pair sits at exactly the radius (inclusive boundary)
+    cases.append(([(0.0, 0.0), (3.0, 4.0), (9.0, 0.0)], ProximityModel(5.0, 2.0)))
+    return cases
+
+
+def graphs():
+    """Corpus graphs, disk graphs (some disconnected), n=1 and a split graph."""
+    out = list(suite_corpus(np.random.default_rng(5), 40))
+    out += [proximity_loop(p, m) for p, m in disk_layouts()]
+    out.append(from_edge_list(5, [(0, 1, 1.0), (1, 2, 0.5), (3, 4, 2.0)]))
+    return out
+
+
+@pytest.mark.parametrize("positions, model", disk_layouts())
+def test_proximity_graph_matches_loop(positions, model):
+    got, want = proximity_graph(positions, model), proximity_loop(positions, model)
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.positions, want.positions)
+
+
+# A pair whose np.hypot distance is one ulp above its math.hypot distance.
+NP_HYPOT_ABOVE = [
+    [0.8600405275554288, 0.7138786034477888],
+    [0.14883130948880796, 0.11025265113634064],
+]
+
+
+def test_proximity_radius_at_pair_distance_is_inclusive():
+    # The radius is set to each pair's own math.hypot distance, so every
+    # decision falls exactly on the boundary the numpy preselection must keep.
+    rng = np.random.default_rng(2)
+    for pts in [np.array(NP_HYPOT_ABOVE)] + [rng.random((2, 2)) for _ in range(200)]:
+        radius = math.hypot(*(pts[0] - pts[1]))
+        got = proximity_graph(pts, ProximityModel(radius, 0.125))
+        want = proximity_loop(pts, ProximityModel(radius, 0.125))
+        assert got.weights[0, 1] > 0.0
+        assert np.array_equal(got.weights, want.weights)
+
+
+def test_neighbors_and_edges_match_loops():
+    for g in graphs():
+        assert g.edges() == edges_loop(g)
+        assert all(type(w) is float for _, _, w in g.edges())
+        for i in range(g.n):
+            assert g.neighbors(i) == neighbors_loop(g, i)
+            assert all(type(j) is int for j in g.neighbors(i))
+
+
+def test_reachable_matches_loop():
+    for g in graphs():
+        adj = g.weights > 0.0
+        for start in range(min(g.n, 6)):
+            mask = reachable(adj, start)
+            assert set(np.flatnonzero(mask).tolist()) == reachable_loop(g, start)
+        assert is_connected_bfs(g) == (len(reachable_loop(g, 0)) == g.n)
+
+
+def test_component_count_matches_loop():
+    for g in suite_corpus(np.random.default_rng(5), 40):
+        for i in range(g.n):
+            rg = reduced_graph(g, i)
+            lr_eigs = symmetric_eigen(laplacian(rg)).eigenvalues
+            assert _null_multiplicity(g, i, lr_eigs) == components_loop(rg)
