@@ -7,8 +7,10 @@ certificates plus graph verdict), ``oracle`` (exact articulation points),
 
 Exit codes: 0 success or certified, 2 not certified, 3 precondition failure
 (disconnected input, impossible generation), 4 malformed input or usage
-(including non-finite weights, epsilon or epsilon-grid values), 5 numerical
-failure (an eigensolver did not converge).
+(including non-finite weights, positions, epsilon or epsilon-grid values, a
+radius or sigma that is not finite and positive, and a ``--tol-*`` value that
+is not finite and >= 0), 5 numerical failure (an eigensolver did not
+converge).
 Identical invocations (including ``--seed``) produce byte-identical output
 files; randomness comes from numpy's seeded PCG64 generator, which is
 recorded in generated file metadata.
@@ -115,6 +117,10 @@ class RunConfig:
             raise GraphInputError(
                 f"--epsilon must be positive and finite, got {self.epsilon}"
             )
+        for name, value in self.tolerances.items():
+            if not 0.0 <= value < math.inf:
+                flag = name.replace("_", "-")
+                raise GraphInputError(f"--tol-{flag} must be finite and >= 0, got {value}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,6 +199,7 @@ def cmd_gen(cfg: RunConfig) -> int:
         raise PreconditionError(
             f"radius {cfg.radius} cannot connect {cfg.n} nodes; increase --radius"
         )
+    model = ProximityModel(radius=cfg.radius, sigma=cfg.sigma)
     rng = np.random.default_rng(cfg.seed)
     meta = {
         "seed": cfg.seed,
@@ -207,7 +214,6 @@ def cmd_gen(cfg: RunConfig) -> int:
         doc["meta"] = meta
         _write_text(cfg.output_path, _dump_json(doc))
         return EXIT_OK
-    model = ProximityModel(radius=cfg.radius, sigma=cfg.sigma)
     for attempt in range(GEN_MAX_ATTEMPTS):
         g = proximity_graph(rng.random((cfg.n, 2)), model)
         if is_connected_bfs(g):

@@ -10,8 +10,9 @@ dense O(n^2) storage and O(n^3) eigensolves are cheap. Neighbour lists, edge
 lists and the proximity model's candidate pairs come from numpy scans; the
 proximity model then decides and weighs each candidate with ``math.hypot``
 and ``math.exp``, whose results (unlike numpy's, which can differ in the last
-ulp) fix the bytes of generated graph files. Edge weights and epsilon must be
-finite: ``inf`` and ``nan`` are rejected with :class:`GraphInputError`.
+ulp) fix the bytes of generated graph files. Edge weights, node positions,
+epsilon and the proximity model's radius and sigma must be finite: ``inf``
+and ``nan`` are rejected with :class:`GraphInputError`.
 """
 
 from __future__ import annotations
@@ -63,11 +64,16 @@ class WeightedGraph:
             raise GraphInputError("weights must be nonnegative")
         object.__setattr__(self, "weights", _readonly(w))
         if self.positions is not None:
-            p = np.array(self.positions, dtype=float)
+            try:
+                p = np.array(self.positions, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise GraphInputError("node positions must be numbers") from exc
             if p.shape != (self.n, 2):
                 raise GraphInputError(
                     f"positions shape {p.shape} does not match ({self.n}, 2)"
                 )
+            if not np.all(np.isfinite(p)):
+                raise GraphInputError("node positions must be finite")
             object.__setattr__(self, "positions", _readonly(p))
 
     def neighbors(self, i: NodeId) -> list[NodeId]:
@@ -106,10 +112,14 @@ class ProximityModel:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.radius > 0.0:
-            raise GraphInputError(f"radius must be positive, got {self.radius}")
-        if not self.sigma > 0.0:
-            raise GraphInputError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.radius < math.inf:
+            raise GraphInputError(
+                f"radius must be positive and finite, got {self.radius}"
+            )
+        if not 0.0 < self.sigma < math.inf:
+            raise GraphInputError(
+                f"sigma must be positive and finite, got {self.sigma}"
+            )
 
 
 def _check_node(g: WeightedGraph, i: NodeId) -> None:
@@ -227,8 +237,12 @@ def intermediate_matrix(
         raise PreconditionError("intermediate matrix needs n >= 2")
     _check_node(g, i)
     a = neighbor_weight_vector(g, i)
-    lr = laplacian(reduced_graph(g, i))
-    return lr + cfg.epsilon * (np.diag(a) + np.outer(a, np.ones(g.n - 1)))
+    return _intermediate(laplacian(reduced_graph(g, i)), a, cfg.epsilon)
+
+
+def _intermediate(lr: np.ndarray, a: np.ndarray, eps: float) -> np.ndarray:
+    """``lr + eps * (diag(a) + outer(a, ones))``: the formula of :func:`intermediate_matrix`."""
+    return lr + eps * (np.diag(a) + np.outer(a, np.ones(len(a))))
 
 
 def coupling_matrix(g: WeightedGraph, i: NodeId) -> np.ndarray:

@@ -1,9 +1,17 @@
 """Numerical verification suite for the identities behind the certificate.
 
-Each check builds the matrices for one (graph, node) case, runs the relevant
-eigensolves, and reports the worst deviation from the claimed identity or
-bound. A failing check carries a JSON-ready witness (full graph plus
-parameters) so the exact case can be replayed.
+Each check runs the relevant eigensolves for one (graph, node) case and
+reports the worst deviation from the claimed identity or bound. A failing
+check carries a JSON-ready witness (full graph plus parameters) so the exact
+case can be replayed.
+
+A case derives each value once, on first use: node i's weight vector, the
+reduced graph, its Laplacian, that Laplacian's spectrum and null
+multiplicity, and per epsilon the intermediate matrix and its spectrum.
+:func:`run_suite` builds one case per (graph, node) and runs every check on
+it, after checking each corpus graph's connectivity once. The public
+``check_*`` functions build a one-off case after checking their
+preconditions (connected input, and n >= 3 or gamma != 0 where stated).
 
 The checks:
 
@@ -29,15 +37,17 @@ The checks:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .bicon import (
     BoundMode,
+    _certificate,
+    _locally_biconnected,
     _require_connected,
     articulation_points_bruteforce,
     articulation_points_oracle,
-    spectral_certificate,
 )
 from .errors import PreconditionError
 from .graph_core import (
@@ -45,9 +55,9 @@ from .graph_core import (
     PerturbationConfig,
     ProximityModel,
     WeightedGraph,
+    _intermediate,
     from_edge_list,
     graph_to_dict,
-    intermediate_matrix,
     laplacian,
     neighbor_weight_vector,
     perturbed_laplacian,
@@ -116,6 +126,96 @@ def _witness(g: WeightedGraph, i: NodeId, **params) -> dict:
     return {"graph": graph_to_dict(g), "node": i, **params}
 
 
+class _NodeCase:
+    """Node i of graph g; each derived value is computed on first use and kept.
+
+    Checks no precondition: callers prove connectivity (and n >= 3 where a
+    check needs it) before they read anything.
+    """
+
+    def __init__(self, g: WeightedGraph, i: NodeId) -> None:
+        self.g = g
+        self.i = i
+        self._eps_cases: dict[float, _EpsCase] = {}
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return neighbor_weight_vector(self.g, self.i)
+
+    @cached_property
+    def reduced(self) -> WeightedGraph:
+        return reduced_graph(self.g, self.i)
+
+    @cached_property
+    def lr(self) -> np.ndarray:
+        return laplacian(self.reduced)
+
+    @cached_property
+    def lr_eigs(self) -> np.ndarray:
+        return symmetric_eigen(self.lr).eigenvalues
+
+    @cached_property
+    def null_multiplicity(self) -> int:
+        """Null multiplicity of the reduced Laplacian, cross-checked by component count."""
+        l_spec = int(np.sum(self.lr_eigs < NULL_TOL))
+        adj = self.reduced.weights > 0.0
+        seen = np.zeros(len(adj), dtype=bool)
+        components = 0
+        while not seen.all():
+            components += 1
+            seen |= reachable(adj, int(np.argmin(seen)))
+        if l_spec != components:
+            raise RuntimeError(
+                f"null multiplicity {l_spec} disagrees with component count {components}"
+            )
+        return l_spec
+
+    def at(self, eps: float) -> _EpsCase:
+        """The case at one epsilon; raises GraphInputError unless eps is positive and finite."""
+        if eps not in self._eps_cases:
+            self._eps_cases[eps] = _EpsCase(self, PerturbationConfig(eps))
+        return self._eps_cases[eps]
+
+
+class _EpsCase:
+    """A node case at one epsilon: the intermediate matrix and its spectrum."""
+
+    def __init__(self, case: _NodeCase, cfg: PerturbationConfig) -> None:
+        self.case = case
+        self.cfg = cfg
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _intermediate(self.case.lr, self.case.a, self.cfg.epsilon)
+
+    @cached_property
+    def eigs(self) -> np.ndarray:
+        return general_eigen(self.matrix).eigenvalues
+
+
+def _rank_one(lr: np.ndarray, a: np.ndarray, gamma: float, eta: float) -> np.ndarray:
+    """``gamma * lr + eta * outer(a, ones)``: the formula of :func:`rank_one_update_matrix`."""
+    return gamma * lr + eta * np.outer(a, np.ones(len(a)))
+
+
+def _intermediate_spectrum(case: _NodeCase, eps: float, tol_factor: float) -> CheckOutcome:
+    at = case.at(eps)
+    p_eigs = at.eigs
+    l_mat = perturbed_laplacian(case.g, case.i, at.cfg)
+    l_eigs = symmetric_eigen(l_mat).eigenvalues
+    real_err = float(np.max(np.abs(np.sort(p_eigs.real) - l_eigs[1:])))
+    imag_err = float(np.max(np.abs(p_eigs.imag)))
+    tol = tol_factor * max(1.0, float(np.linalg.norm(l_mat)))
+    passed = real_err <= tol and imag_err <= IMAG_TOL
+    return CheckOutcome(
+        name="intermediate-spectrum-match",
+        passed=passed,
+        max_error=max(real_err, imag_err),
+        witness=None if passed else _witness(case.g, case.i, epsilon=eps),
+        details={"real_error": real_err, "imag_error": imag_err, "tolerance": tol},
+    )
+
+
 def check_intermediate_spectrum(
     g: WeightedGraph, i: NodeId, eps: float, tol_factor: float = SPECTRUM_TOL_FACTOR
 ) -> CheckOutcome:
@@ -128,34 +228,13 @@ def check_intermediate_spectrum(
     if g.n < 3:
         raise PreconditionError("spectrum comparison needs n >= 3")
     _require_connected(g)
-    cfg = PerturbationConfig(eps)
-    p_eigs = general_eigen(intermediate_matrix(g, i, cfg)).eigenvalues
-    l_mat = perturbed_laplacian(g, i, cfg)
-    l_eigs = symmetric_eigen(l_mat).eigenvalues
-    real_err = float(np.max(np.abs(np.sort(p_eigs.real) - l_eigs[1:])))
-    imag_err = float(np.max(np.abs(p_eigs.imag)))
-    tol = tol_factor * max(1.0, float(np.linalg.norm(l_mat)))
-    passed = real_err <= tol and imag_err <= IMAG_TOL
-    return CheckOutcome(
-        name="intermediate-spectrum-match",
-        passed=passed,
-        max_error=max(real_err, imag_err),
-        witness=None if passed else _witness(g, i, epsilon=eps),
-        details={"real_error": real_err, "imag_error": imag_err, "tolerance": tol},
-    )
+    return _intermediate_spectrum(_NodeCase(g, i), eps, tol_factor)
 
 
-def check_combination_realness(
-    g: WeightedGraph,
-    i: NodeId,
-    params: CombinationParams,
-    tol_factor: float = REALNESS_TOL_FACTOR,
+def _combination_realness(
+    case: _NodeCase, params: CombinationParams, tol_factor: float
 ) -> CheckOutcome:
-    """``alpha * L_reduced + beta * P`` must have a purely real spectrum."""
-    _require_connected(g)
-    cfg = PerturbationConfig(params.epsilon)
-    lr = laplacian(reduced_graph(g, i))
-    f = params.alpha * lr + params.beta * intermediate_matrix(g, i, cfg)
+    f = params.alpha * case.lr + params.beta * case.at(params.epsilon).matrix
     eigs = general_eigen(f).eigenvalues
     err = float(np.max(np.abs(eigs.imag)))
     tol = tol_factor * max(1.0, float(np.linalg.norm(f)))
@@ -167,9 +246,37 @@ def check_combination_realness(
         witness=None
         if passed
         else _witness(
-            g, i, alpha=params.alpha, beta=params.beta, epsilon=params.epsilon
+            case.g, case.i, alpha=params.alpha, beta=params.beta, epsilon=params.epsilon
         ),
         details={"tolerance": tol},
+    )
+
+
+def check_combination_realness(
+    g: WeightedGraph,
+    i: NodeId,
+    params: CombinationParams,
+    tol_factor: float = REALNESS_TOL_FACTOR,
+) -> CheckOutcome:
+    """``alpha * L_reduced + beta * P`` must have a purely real spectrum."""
+    _require_connected(g)
+    return _combination_realness(_NodeCase(g, i), params, tol_factor)
+
+
+def _eigenvalue_gap_bound(case: _NodeCase, eps: float, tol: float) -> CheckOutcome:
+    at = case.at(eps)
+    a_desc = np.sort(at.eigs.real)[::-1]
+    b_desc = np.sort(case.lr_eigs)[::-1]
+    gap = float(np.max(np.abs(a_desc - b_desc)))
+    norm = float(np.linalg.norm(at.matrix - case.lr))
+    err = max(0.0, gap - norm)
+    passed = err <= tol
+    return CheckOutcome(
+        name="eigenvalue-gap-bound",
+        passed=passed,
+        max_error=err,
+        witness=None if passed else _witness(case.g, case.i, epsilon=eps),
+        details={"gap": gap, "frobenius_norm": norm},
     )
 
 
@@ -183,22 +290,7 @@ def check_eigenvalue_gap_bound(
     the matrix difference (plus ``tol`` of slack for roundoff).
     """
     _require_connected(g)
-    cfg = PerturbationConfig(eps)
-    a_mat = intermediate_matrix(g, i, cfg)
-    b_mat = laplacian(reduced_graph(g, i))
-    a_desc = np.sort(general_eigen(a_mat).eigenvalues.real)[::-1]
-    b_desc = np.sort(symmetric_eigen(b_mat).eigenvalues)[::-1]
-    gap = float(np.max(np.abs(a_desc - b_desc)))
-    norm = float(np.linalg.norm(a_mat - b_mat))
-    err = max(0.0, gap - norm)
-    passed = err <= tol
-    return CheckOutcome(
-        name="eigenvalue-gap-bound",
-        passed=passed,
-        max_error=err,
-        witness=None if passed else _witness(g, i, epsilon=eps),
-        details={"gap": gap, "frobenius_norm": norm},
-    )
+    return _eigenvalue_gap_bound(_NodeCase(g, i), eps, tol)
 
 
 def rank_one_update_matrix(
@@ -206,25 +298,35 @@ def rank_one_update_matrix(
 ) -> np.ndarray:
     """``gamma * L_reduced + eta * outer(a, ones)`` for node i."""
     a = neighbor_weight_vector(g, i)
-    return gamma * laplacian(reduced_graph(g, i)) + eta * np.outer(
-        a, np.ones(g.n - 1)
+    return _rank_one(laplacian(reduced_graph(g, i)), a, gamma, eta)
+
+
+def _rank_one_update_spectrum(
+    case: _NodeCase, gamma: float, eta: float, tol: float
+) -> CheckOutcome:
+    lr_eigs = case.lr_eigs
+    l_null = case.null_multiplicity
+    moving = eta * float(np.sum(case.a))
+    expected = np.sort(
+        np.concatenate([gamma * lr_eigs[l_null:], np.zeros(l_null - 1), [moving]])
     )
-
-
-def _null_multiplicity(g: WeightedGraph, i: NodeId, lr_eigs: np.ndarray) -> int:
-    """Null multiplicity of the reduced Laplacian, cross-checked by component count."""
-    l_spec = int(np.sum(lr_eigs < NULL_TOL))
-    adj = reduced_graph(g, i).weights > 0.0
-    seen = np.zeros(len(adj), dtype=bool)
-    components = 0
-    while not seen.all():
-        components += 1
-        seen |= reachable(adj, int(np.argmin(seen)))
-    if l_spec != components:
-        raise RuntimeError(
-            f"null multiplicity {l_spec} disagrees with component count {components}"
-        )
-    return l_spec
+    q_eigs = general_eigen(_rank_one(case.lr, case.a, gamma, eta)).eigenvalues
+    real_err = float(np.max(np.abs(np.sort(q_eigs.real) - expected)))
+    imag_err = float(np.max(np.abs(q_eigs.imag)))
+    err = max(real_err, imag_err)
+    passed = err <= tol
+    return CheckOutcome(
+        name="rank-one-update-spectrum",
+        passed=passed,
+        max_error=err,
+        witness=None if passed else _witness(case.g, case.i, gamma=gamma, eta=eta),
+        details={
+            "null_multiplicity": l_null,
+            "moving_eigenvalue": moving,
+            "real_error": real_err,
+            "imag_error": imag_err,
+        },
+    )
 
 
 def check_rank_one_update_spectrum(
@@ -247,30 +349,7 @@ def check_rank_one_update_spectrum(
         raise PreconditionError("gamma must be nonzero")
     if g.n < 3:
         raise PreconditionError("rank-one spectrum check needs n >= 3")
-    a = neighbor_weight_vector(g, i)
-    lr_eigs = symmetric_eigen(laplacian(reduced_graph(g, i))).eigenvalues
-    l_null = _null_multiplicity(g, i, lr_eigs)
-    moving = eta * float(np.sum(a))
-    expected = np.sort(
-        np.concatenate([gamma * lr_eigs[l_null:], np.zeros(l_null - 1), [moving]])
-    )
-    q_eigs = general_eigen(rank_one_update_matrix(g, i, gamma, eta)).eigenvalues
-    real_err = float(np.max(np.abs(np.sort(q_eigs.real) - expected)))
-    imag_err = float(np.max(np.abs(q_eigs.imag)))
-    err = max(real_err, imag_err)
-    passed = err <= tol
-    return CheckOutcome(
-        name="rank-one-update-spectrum",
-        passed=passed,
-        max_error=err,
-        witness=None if passed else _witness(g, i, gamma=gamma, eta=eta),
-        details={
-            "null_multiplicity": l_null,
-            "moving_eigenvalue": moving,
-            "real_error": real_err,
-            "imag_error": imag_err,
-        },
-    )
+    return _rank_one_update_spectrum(_NodeCase(g, i), gamma, eta, tol)
 
 
 def _match_moving_eigenvalue(
@@ -294,6 +373,50 @@ def _match_moving_eigenvalue(
     return pool[0], matched
 
 
+def _null_drift_derivative(case: _NodeCase, step: float, tol: float) -> CheckOutcome:
+    lr_eigs = case.lr_eigs
+    l_null = case.null_multiplicity
+    stationary = np.concatenate([np.zeros(l_null - 1), lr_eigs[l_null:]])
+
+    def eigs_at(eta: float) -> np.ndarray:
+        return general_eigen(_rank_one(case.lr, case.a, 1.0, eta)).eigenvalues.real
+
+    mover_plus, matched_plus = _match_moving_eigenvalue(eigs_at(step), stationary)
+    mover_minus, matched_minus = _match_moving_eigenvalue(eigs_at(-step), stationary)
+    derivative = (mover_plus - mover_minus) / (2.0 * step)
+    null_drift = 0.0
+    for k in range(l_null - 1):
+        null_drift = max(
+            null_drift, abs((matched_plus[k] - matched_minus[k]) / (2.0 * step))
+        )
+    trace_candidate = float(np.sum(case.a))
+    scaled_candidate = (case.g.n - 1) * trace_candidate
+    err_trace = abs(derivative - trace_candidate) / max(1e-300, abs(trace_candidate))
+    err_scaled = abs(derivative - scaled_candidate) / max(
+        1e-300, abs(scaled_candidate)
+    )
+    matched = "none"
+    if err_trace <= tol:
+        matched = "trace"
+    elif err_scaled <= tol:
+        matched = "scaled"
+    err = max(min(err_trace, err_scaled), null_drift)
+    passed = err <= tol
+    return CheckOutcome(
+        name="null-drift-derivative",
+        passed=passed,
+        max_error=err,
+        witness=None if passed else _witness(case.g, case.i, step=step),
+        details={
+            "fd_derivative": derivative,
+            "trace_candidate": trace_candidate,
+            "scaled_candidate": scaled_candidate,
+            "matched_candidate": matched,
+            "null_drift": null_drift,
+        },
+    )
+
+
 def check_null_drift_derivative(
     g: WeightedGraph,
     i: NodeId,
@@ -315,48 +438,7 @@ def check_null_drift_derivative(
     _require_connected(g)
     if g.n < 3:
         raise PreconditionError("null-drift check needs n >= 3")
-    a = neighbor_weight_vector(g, i)
-    lr_eigs = symmetric_eigen(laplacian(reduced_graph(g, i))).eigenvalues
-    l_null = _null_multiplicity(g, i, lr_eigs)
-    stationary = np.concatenate([np.zeros(l_null - 1), lr_eigs[l_null:]])
-
-    def eigs_at(eta: float) -> np.ndarray:
-        return general_eigen(rank_one_update_matrix(g, i, 1.0, eta)).eigenvalues.real
-
-    mover_plus, matched_plus = _match_moving_eigenvalue(eigs_at(step), stationary)
-    mover_minus, matched_minus = _match_moving_eigenvalue(eigs_at(-step), stationary)
-    derivative = (mover_plus - mover_minus) / (2.0 * step)
-    null_drift = 0.0
-    for k in range(l_null - 1):
-        null_drift = max(
-            null_drift, abs((matched_plus[k] - matched_minus[k]) / (2.0 * step))
-        )
-    trace_candidate = float(np.sum(a))
-    scaled_candidate = (g.n - 1) * trace_candidate
-    err_trace = abs(derivative - trace_candidate) / max(1e-300, abs(trace_candidate))
-    err_scaled = abs(derivative - scaled_candidate) / max(
-        1e-300, abs(scaled_candidate)
-    )
-    matched = "none"
-    if err_trace <= tol:
-        matched = "trace"
-    elif err_scaled <= tol:
-        matched = "scaled"
-    err = max(min(err_trace, err_scaled), null_drift)
-    passed = err <= tol
-    return CheckOutcome(
-        name="null-drift-derivative",
-        passed=passed,
-        max_error=err,
-        witness=None if passed else _witness(g, i, step=step),
-        details={
-            "fd_derivative": derivative,
-            "trace_candidate": trace_candidate,
-            "scaled_candidate": scaled_candidate,
-            "matched_candidate": matched,
-            "null_drift": null_drift,
-        },
-    )
+    return _null_drift_derivative(_NodeCase(g, i), step, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +470,7 @@ def random_connected_graph(
     elif style == "er":
         p = float(rng.uniform(0.15, 0.9))
         for _ in range(40):
-            w = np.zeros((n, n))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.random() < p:
-                        w[i, j] = w[j, i] = 1.0 - rng.random()
-            g = WeightedGraph(n=n, weights=w)
+            g = _er_graph(rng, n, p)
             if is_connected_bfs(g):
                 return g
     else:
@@ -415,6 +492,15 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> WeightedGraph:
     """Uniform edge-probability graph, possibly disconnected, weights in (0, 1]."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    return _er_graph(rng, n, p)
+
+
+def _er_graph(rng: np.random.Generator, n: int, p: float) -> WeightedGraph:
+    """Erdos-Renyi sampler behind :func:`random_graph` and :func:`random_connected_graph`.
+
+    Each pair i < j, in row-major order, draws one uniform; below p, a second
+    draw gives the edge its weight. The seeded corpora depend on this order.
+    """
     w = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -467,9 +553,11 @@ def counterexample_search(
             g = random_connected_graph(rng, int(rng.integers(3, 13)), style=style)
         eps = float(rng.choice(eps_choices))
         cfg = PerturbationConfig(eps)
-        points = articulation_points_oracle(g)
+        points = articulation_points_oracle(g)  # also proves g connected
+        if g.n <= 2:
+            raise PreconditionError("the spectral certificate needs n > 2")
         for i in range(g.n):
-            cert = spectral_certificate(g, i, cfg, mode)
+            cert = _certificate(g, i, cfg, mode, _locally_biconnected(g, i))
             if cert.certified and i in points:
                 bound = (
                     cert.simplified_bound
@@ -567,35 +655,30 @@ def run_suite(
     oracle_cases: list[CheckOutcome] = []
 
     for g in graphs:
+        _require_connected(g)  # suite_corpus graphs have n >= 3
         ab = rng.uniform(-2.0, 2.0, size=(draws, 2))
         for i in range(g.n):
+            case = _NodeCase(g, i)
             for eps in _SUITE_EPS:
                 spectrum_cases.append(
-                    check_intermediate_spectrum(g, i, eps, tol_factor=tol["spectrum"])
+                    _intermediate_spectrum(case, eps, tol["spectrum"])
                 )
-                gap_cases.append(
-                    check_eigenvalue_gap_bound(g, i, eps, tol=tol["gap"])
-                )
+                gap_cases.append(_eigenvalue_gap_bound(case, eps, tol["gap"]))
             for alpha, beta in ab:
                 if alpha == 0.0 and beta == 0.0:
                     continue
                 realness_cases.append(
-                    check_combination_realness(
-                        g,
-                        i,
+                    _combination_realness(
+                        case,
                         CombinationParams(float(alpha), float(beta), 0.1),
-                        tol_factor=tol["realness"],
+                        tol["realness"],
                     )
                 )
             for gamma in _SUITE_GAMMAS:
                 rank_one_cases.append(
-                    check_rank_one_update_spectrum(
-                        g, i, gamma, _SUITE_ETA, tol=tol["rank_one"]
-                    )
+                    _rank_one_update_spectrum(case, gamma, _SUITE_ETA, tol["rank_one"])
                 )
-            drift_cases.append(
-                check_null_drift_derivative(g, i, tol=tol["derivative"])
-            )
+            drift_cases.append(_null_drift_derivative(case, FD_STEP, tol["derivative"]))
 
         # Laplacian eigenvectors above the null space must be orthogonal to ones.
         spec = symmetric_eigen(laplacian(g), want_vectors=True)

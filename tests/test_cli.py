@@ -310,6 +310,32 @@ class TestNonFiniteInput:
         write_graph(g, P3_DOC)
         assert run(["sweep", "--input", str(g), "--eps-grid", grid]) == 4
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("name", biconcert.cli._TOL_NAMES)
+    def test_bad_tolerance_exit_four(self, capsys, name, value):
+        argv = ["verify", "--seed", "3", "--graphs", "5", "--trials", "5"]
+        assert run(argv + [f"--tol-{name}", value]) == 4
+        assert f"--tol-{name} must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["1", "5"])
+    @pytest.mark.parametrize("flag", ["--radius", "--sigma"])
+    def test_infinite_model_gen_exit_four(self, tmp_path, capsys, flag, n):
+        out = tmp_path / "g.json"
+        argv = ["gen", "--n", n, "--seed", "1", "--radius", "0.9", flag, "inf"]
+        assert run(argv + ["--output", str(out)]) == 4
+        assert f"{flag[2:]} must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x", [float("nan"), "a"])
+    @pytest.mark.parametrize("command", ["export", "check"])
+    def test_bad_position_exit_four(self, tmp_path, capsys, command, x):
+        g = tmp_path / "bad.json"
+        write_graph(g, {**P3_DOC, "positions": [[x, 0.0], [1.0, 0.0], [2.0, 0.0]]})
+        assert run([command, "--input", str(g)]) == 4
+        captured = capsys.readouterr()
+        assert "node positions must be" in captured.err
+        assert captured.out == ""
+
 
 class TestNumericalFailure:
     @pytest.mark.parametrize("command", ["check", "sweep"])

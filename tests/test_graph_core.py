@@ -95,6 +95,12 @@ class TestConstruction:
             with pytest.raises(GraphInputError, match="finite"):
                 PerturbationConfig(bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_positions_rejected(self, bad):
+        pts = [[0.0, 0.0], [1.0, bad], [2.0, 0.0]]
+        with pytest.raises(GraphInputError, match="positions must be finite"):
+            WeightedGraph(n=3, weights=path3().weights, positions=pts)
+
 
 class TestProximity:
     MODEL = ProximityModel(radius=0.5, sigma=0.125)
@@ -130,6 +136,13 @@ class TestProximity:
             ProximityModel(radius=0.0, sigma=0.125)
         with pytest.raises(GraphInputError):
             ProximityModel(radius=0.5, sigma=0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_model_rejected(self, bad):
+        with pytest.raises(GraphInputError, match="finite"):
+            ProximityModel(radius=bad, sigma=0.125)
+        with pytest.raises(GraphInputError, match="finite"):
+            ProximityModel(radius=0.5, sigma=bad)
 
 
 class TestLaplacian:

@@ -4,7 +4,10 @@ The reference functions below are the scalar loops the package used before
 its neighbour lists, edge lists, proximity pair selection and connectivity
 searches became numpy scans. The arithmetic is unchanged (the proximity
 model still tests and weighs each pair with ``math``), so every comparison
-is exact equality, including Python types and list order.
+is exact equality, including Python types and list order. The random-graph
+references are the two Erdos-Renyi loops that ``random_graph`` and
+``random_connected_graph`` each carried before they shared one sampler; the
+seeded corpora must not move, so their weights must be bit-equal.
 """
 
 import math
@@ -18,13 +21,11 @@ from biconcert import (
     WeightedGraph,
     from_edge_list,
     is_connected_bfs,
-    laplacian,
     proximity_graph,
     reduced_graph,
-    symmetric_eigen,
 )
 from biconcert.spectral import reachable
-from biconcert.verify import _null_multiplicity, suite_corpus
+from biconcert.verify import _NodeCase, random_graph, seed_graphs, suite_corpus
 
 
 def neighbors_loop(g, i):
@@ -144,6 +145,75 @@ def test_reachable_matches_loop():
 def test_component_count_matches_loop():
     for g in suite_corpus(np.random.default_rng(5), 40):
         for i in range(g.n):
-            rg = reduced_graph(g, i)
-            lr_eigs = symmetric_eigen(laplacian(rg)).eigenvalues
-            assert _null_multiplicity(g, i, lr_eigs) == components_loop(rg)
+            assert _NodeCase(g, i).null_multiplicity == components_loop(reduced_graph(g, i))
+
+
+def random_graph_loop(rng, n, p):
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                w[i, j] = w[j, i] = 1.0 - rng.random()
+    return WeightedGraph(n=n, weights=w)
+
+
+def random_connected_graph_loop(rng, n, style):
+    if n == 1:
+        return WeightedGraph(n=1, weights=np.zeros((1, 1)))
+    if style == "geometric":
+        for _ in range(40):
+            pts = rng.random((n, 2))
+            radius = float(rng.uniform(0.35, 0.8))
+            g = proximity_graph(pts, ProximityModel(radius=radius, sigma=radius**2 / 2.0))
+            if is_connected_bfs(g):
+                return g
+    else:
+        p = float(rng.uniform(0.15, 0.9))
+        for _ in range(40):
+            w = np.zeros((n, n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < p:
+                        w[i, j] = w[j, i] = 1.0 - rng.random()
+            g = WeightedGraph(n=n, weights=w)
+            if is_connected_bfs(g):
+                return g
+    w = np.zeros((n, n))
+    for k in range(1, n):
+        j = int(rng.integers(0, k))
+        w[k, j] = w[j, k] = 1.0 - rng.random()
+    p = float(rng.uniform(0.05, 0.4))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if w[i, j] == 0.0 and rng.random() < p:
+                w[i, j] = w[j, i] = 1.0 - rng.random()
+    return WeightedGraph(n=n, weights=w)
+
+
+def suite_corpus_loop(rng, n_graphs, n_range=(3, 17)):
+    graphs = list(seed_graphs())
+    for t in range(max(0, n_graphs - len(graphs))):
+        style = "geometric" if t % 2 else "er"
+        n = int(rng.integers(n_range[0], n_range[1]))
+        graphs.append(random_connected_graph_loop(rng, n, style))
+    return graphs[:n_graphs]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 19, 101])
+def test_suite_corpus_matches_loop(seed):
+    # (2, 6): small graphs, where many ER draws are disconnected and redrawn.
+    for n_range in ((3, 17), (2, 6)):
+        got = suite_corpus(np.random.default_rng(seed), 40, n_range)
+        want = suite_corpus_loop(np.random.default_rng(seed), 40, n_range)
+        assert len(got) == len(want) == 40
+        for a, b in zip(got, want):
+            assert np.array_equal(a.weights, b.weights)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 19, 101])
+def test_random_graph_matches_loop(seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n, p in [(1, 0.5), (2, 0.0), (5, 1.0)] + [(k, k / 40.0) for k in range(3, 24)]:
+        assert np.array_equal(random_graph(rng, n, p).weights, random_graph_loop(ref, n, p).weights)
+    # both generators must end in the same state, so later draws agree too
+    assert rng.random() == ref.random()

@@ -1,10 +1,13 @@
 """Numerical checks: closed-form cases, determinism, and witness plumbing."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import biconcert.bicon
+import biconcert.verify as verify
 from biconcert import (
     BoundMode,
     CombinationParams,
@@ -17,11 +20,15 @@ from biconcert import (
     counterexample_search,
     from_edge_list,
     graph_from_dict,
+    is_connected_bfs,
+    laplacian,
     random_connected_graph,
+    reduced_graph,
     run_suite,
     suite_passed,
+    symmetric_eigen,
 )
-from biconcert.verify import outcome_to_dict, rank_one_update_matrix
+from biconcert.verify import _aggregate, outcome_to_dict, rank_one_update_matrix, suite_corpus
 
 
 def path3():
@@ -214,3 +221,137 @@ class TestSuite:
         assert by_name["certificate-search-exact"].details["witnesses"] == 0
         drift = by_name["null-drift-derivative"]
         assert drift.details["candidate_matches"]["none"] == 0
+
+
+PER_NODE_CHECKS = (
+    "intermediate-spectrum-match",
+    "combination-realness",
+    "eigenvalue-gap-bound",
+    "rank-one-update-spectrum",
+    "null-drift-derivative",
+)
+
+
+def per_node_checks_by_public_api(seed, n_graphs, draws=5, tolerances=None):
+    """run_suite's per-node outcomes, rebuilt from one public check_* call per case."""
+    tol = {
+        "spectrum": verify.SPECTRUM_TOL_FACTOR,
+        "realness": verify.REALNESS_TOL_FACTOR,
+        "gap": verify.GAP_TOL,
+        "rank_one": verify.RANK_ONE_TOL,
+        "derivative": verify.DERIVATIVE_TOL,
+    }
+    tol.update(tolerances or {})
+    rng = np.random.default_rng(seed)
+    cases = {name: [] for name in PER_NODE_CHECKS}
+    for g in suite_corpus(rng, n_graphs):
+        ab = rng.uniform(-2.0, 2.0, size=(draws, 2))
+        for i in range(g.n):
+            for eps in verify._SUITE_EPS:
+                cases["intermediate-spectrum-match"].append(
+                    check_intermediate_spectrum(g, i, eps, tol_factor=tol["spectrum"])
+                )
+                cases["eigenvalue-gap-bound"].append(
+                    check_eigenvalue_gap_bound(g, i, eps, tol=tol["gap"])
+                )
+            for alpha, beta in ab:
+                params = CombinationParams(float(alpha), float(beta), 0.1)
+                cases["combination-realness"].append(
+                    check_combination_realness(g, i, params, tol_factor=tol["realness"])
+                )
+            for gamma in verify._SUITE_GAMMAS:
+                cases["rank-one-update-spectrum"].append(
+                    check_rank_one_update_spectrum(
+                        g, i, gamma, verify._SUITE_ETA, tol=tol["rank_one"]
+                    )
+                )
+            cases["null-drift-derivative"].append(
+                check_null_drift_derivative(g, i, tol=tol["derivative"])
+            )
+    out = {name: outcome_to_dict(_aggregate(name, c)) for name, c in cases.items()}
+    matches = Counter({"trace": 0, "scaled": 0, "none": 0})
+    matches.update(c.details["matched_candidate"] for c in cases["null-drift-derivative"])
+    out["null-drift-derivative"]["details"]["candidate_matches"] = dict(matches)
+    return out
+
+
+# Zero or negative tolerances make cases fail, so the witnesses and failure
+# counts are compared as well.
+@pytest.mark.parametrize(
+    "tolerances",
+    [None, {"spectrum": 0.0, "realness": -1.0, "gap": -1.0, "rank_one": 0.0, "derivative": 0.0}],
+    ids=["default", "failing"],
+)
+@pytest.mark.parametrize("seed", [2, 13])
+def test_suite_matches_public_checks(seed, tolerances):
+    outcomes = run_suite(seed, n_graphs=8, trials=5, tolerances=tolerances)
+    got = {o.name: outcome_to_dict(o) for o in outcomes}
+    want = per_node_checks_by_public_api(seed, 8, tolerances=tolerances)
+    for name in PER_NODE_CHECKS:
+        assert got[name] == want[name], name
+    if tolerances:
+        assert not any(got[name]["passed"] for name in PER_NODE_CHECKS)
+
+
+def test_each_case_derived_once(monkeypatch):
+    corpus, keep, origin = [], [], {}
+    counts = Counter()
+
+    def corpus_spy(*args, **kwargs):
+        graphs = suite_corpus(*args, **kwargs)
+        corpus.extend(graphs)
+        counts.clear()  # drop the rejection sampler's searches
+        return graphs
+
+    def reduced_spy(g, i):
+        r = reduced_graph(g, i)
+        keep.append(r)
+        origin[id(r)] = (id(g), i)
+        counts["reduced", id(g), i] += 1
+        return r
+
+    def laplacian_spy(h):
+        m = laplacian(h)
+        if id(h) in origin:
+            keep.append(m)
+            origin[id(m)] = origin[id(h)]
+        return m
+
+    def eigen_spy(m, *args, **kwargs):
+        if id(m) in origin:
+            counts[("eigen", *origin[id(m)])] += 1
+        return symmetric_eigen(m, *args, **kwargs)
+
+    def connected_spy(g):
+        counts["connected", id(g)] += 1
+        return is_connected_bfs(g)
+
+    monkeypatch.setattr(verify, "suite_corpus", corpus_spy)
+    monkeypatch.setattr(verify, "reduced_graph", reduced_spy)
+    monkeypatch.setattr(verify, "laplacian", laplacian_spy)
+    monkeypatch.setattr(verify, "symmetric_eigen", eigen_spy)
+    for module in (biconcert.bicon, verify):
+        monkeypatch.setattr(module, "is_connected_bfs", connected_spy)
+    assert suite_passed(run_suite(seed=5, n_graphs=8, trials=5))
+    assert len(corpus) == 8
+    for g in corpus:
+        # one search before the per-node checks, one in each oracle the
+        # articulation-oracle-agreement check compares
+        assert counts["connected", id(g)] == 3
+        for i in range(g.n):
+            assert counts["reduced", id(g), i] == 1
+            assert counts["eigen", id(g), i] == 1
+
+
+def test_counterexample_search_skips_per_node_connectivity(monkeypatch):
+    counts = Counter()
+
+    def connected_spy(g):
+        counts[id(g)] += 1
+        return is_connected_bfs(g)
+
+    graphs = verify.seed_graphs()
+    monkeypatch.setattr(verify, "seed_graphs", lambda: graphs)
+    monkeypatch.setattr(biconcert.bicon, "is_connected_bfs", connected_spy)
+    counterexample_search(len(graphs), BoundMode.SIMPLIFIED, seed=5)
+    assert [counts[id(g)] for g in graphs] == [1] * len(graphs)
