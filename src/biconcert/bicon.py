@@ -10,13 +10,23 @@ Two bound variants exist:
 
 * ``EXACT_NORM``: epsilon times the Frobenius norm of the actual coupling
   matrix ``diag(a) + a 1^T``, which is the quantity the gap inequality
-  bounds. This mode is sound and is the default.
+  bounds, computed in its closed form ``eps * sqrt((n + 2) * sum a_k^2)``.
+  This mode is sound and is the default.
 * ``SIMPLIFIED``: ``epsilon * sqrt(n) * sqrt(sum a_k^2)``, a closed form that
   treats the coupling matrix as if its rows were constant. It evaluates below
   the true Frobenius norm ``sqrt((n + 2) * sum a_k^2)``, so it can certify a
   node that *is* an articulation point (the unit-weight path on three nodes
   is the standard counterexample). It is kept for comparison and for the
   counterexample search in :mod:`biconcert.verify`.
+
+:func:`spectral_tests` is the one certificate function: ``check``, ``sweep``
+and the counterexample search hand it all their (node, epsilon) problems,
+and it returns lambda3, both bounds and the one comparison
+``lambda3 > bound + CERTIFY_MARGIN`` for each. Past a measured crossover it
+takes lambda3 from one eigendecomposition of the Laplacian per call
+(:func:`biconcert.spectral._lambda3_batched`) and solves densely again any
+problem whose lambda3 lies within the batched error bound of a threshold,
+so its verdicts are the dense path's.
 
 The combinatorial oracles (DFS low-link articulation points, brute-force
 remove-and-check, vertex-capacity max flow for internally disjoint paths)
@@ -36,16 +46,21 @@ from .graph_core import (
     NodeId,
     PerturbationConfig,
     WeightedGraph,
-    coupling_matrix,
     neighbor_weight_vector,
     perturbed_laplacian,
     reduced_graph,
 )
-from .spectral import is_connected_bfs, symmetric_eigen
+from .spectral import _lambda3_batched, is_connected_bfs, symmetric_eigen
 
 # Strictness guard: the certificate requires lambda3 > bound + this margin,
 # so ties produced by roundoff never certify.
 CERTIFY_MARGIN = 1e-12
+
+# The crossover of :func:`_batched_pays`, measured on unit grids and disk
+# graphs (n = 64 to 400) with 2 cores and OpenBLAS.
+BATCH_MIN_ORDER = 64
+BATCH_MIN_WORK = 1024
+BATCH_DEGREE_RATIO = 10
 
 
 class BoundMode(Enum):
@@ -90,10 +105,85 @@ def simplified_bound(eps: float, n: int, a: np.ndarray) -> float:
 
 
 def exact_norm_bound(eps: float, a: np.ndarray) -> float:
-    """Frobenius norm of the actual coupling matrix, scaled by epsilon."""
+    """``eps * ||diag(a) + a 1^T||_F`` in closed form.
+
+    Row k of the coupling matrix holds ``2 a_k`` once and ``a_k`` m - 1
+    times (m = len(a)), so the norm is ``sqrt((m + 3) * sum a_k^2)``: with
+    node i's m = n - 1 weights, ``eps * sqrt((n + 2) * sum a_k^2)``.
+    """
     a = np.asarray(a, dtype=float)
-    m = np.diag(a) + np.outer(a, np.ones(a.shape[0]))
-    return eps * float(np.linalg.norm(m))
+    return eps * float(np.sqrt((a.shape[0] + 3) * np.sum(a * a)))
+
+
+@dataclass(frozen=True)
+class SpectralTest:
+    """lambda3 of ``L_i(eps)`` and both bounds, for one node at one epsilon."""
+
+    node: NodeId
+    epsilon: float
+    lambda3: float
+    simplified_bound: float
+    exact_norm_bound: float
+
+    def bound(self, mode: BoundMode) -> float:
+        if mode is BoundMode.SIMPLIFIED:
+            return self.simplified_bound
+        return self.exact_norm_bound
+
+    def certified(self, mode: BoundMode) -> bool:
+        """The certificate comparison: lambda3 > bound + ``CERTIFY_MARGIN``."""
+        return self.lambda3 > self.bound(mode) + CERTIFY_MARGIN
+
+
+def _batched_pays(g: WeightedGraph, nodes: list[NodeId], problems: int) -> bool:
+    """Whether :func:`biconcert.spectral._lambda3_batched` beats one dense solve per problem.
+
+    The batched solver pays one eigendecomposition with vectors per call,
+    then some 40 bisection steps per problem whose cost grows with
+    n * deg^2 for the largest degree deg among ``nodes``; a dense solve costs
+    O(n^3) per problem. The measured crossover: the batched solver wins when
+    n >= BATCH_MIN_ORDER, problems * n >= BATCH_MIN_WORK and
+    deg <= n / BATCH_DEGREE_RATIO.
+    """
+    if g.n < BATCH_MIN_ORDER or problems * g.n < BATCH_MIN_WORK:
+        return False
+    degree = int(np.count_nonzero(g.weights[nodes] > 0.0, axis=1).max())
+    return degree * BATCH_DEGREE_RATIO <= g.n
+
+
+def spectral_tests(g: WeightedGraph, nodes, epsilons) -> list[SpectralTest]:
+    """The spectral test of every node in ``nodes`` at every epsilon, node-major.
+
+    ``g`` must be connected with n > 2; callers check that once. Past the
+    crossover of :func:`_batched_pays`, lambda3 comes from one
+    eigendecomposition of L for the whole call
+    (:func:`biconcert.spectral._lambda3_batched`), and a problem whose
+    batched lambda3 lies within its error bound tau of either threshold
+    ``bound + CERTIFY_MARGIN`` is solved again densely, so every verdict is
+    the dense path's. Below it every problem takes the dense path,
+    ``symmetric_eigen(perturbed_laplacian(g, i, eps))``.
+    """
+    nodes = list(nodes)
+    cfgs = [PerturbationConfig(eps) for eps in epsilons]
+    batched = _batched_pays(g, nodes, len(nodes) * len(cfgs))
+    if batched:
+        lam3, tau = _lambda3_batched(
+            g,
+            np.repeat(nodes, len(cfgs)),
+            np.tile([c.epsilon for c in cfgs], len(nodes)),
+        )
+    tests = []
+    for i in nodes:
+        a = neighbor_weight_vector(g, i)
+        for cfg in cfgs:
+            k = len(tests)
+            simple = simplified_bound(cfg.epsilon, g.n, a)
+            exact = exact_norm_bound(cfg.epsilon, a)
+            lam = float(lam3[k]) if batched else None
+            if lam is None or min(abs(lam - b - CERTIFY_MARGIN) for b in (simple, exact)) <= tau[k]:
+                lam = float(symmetric_eigen(perturbed_laplacian(g, i, cfg)).eigenvalues[2])
+            tests.append(SpectralTest(i, cfg.epsilon, lam, simple, exact))
+    return tests
 
 
 def _require_connected(g: WeightedGraph) -> None:
@@ -133,35 +223,18 @@ def locally_biconnected(g: WeightedGraph, i: NodeId) -> bool:
     return _locally_biconnected(g, i)
 
 
-def _certificate(
-    g: WeightedGraph,
-    i: NodeId,
-    cfg: PerturbationConfig,
-    mode: BoundMode,
-    local: bool,
-    skip_spectral: bool = False,
+def _node_certificate(
+    i: NodeId, local: bool, test: SpectralTest | None, mode: BoundMode
 ) -> NodeCertificate:
-    if skip_spectral:
-        return NodeCertificate(
-            node=i,
-            locally_biconnected=local,
-            lambda3_perturbed=None,
-            simplified_bound=None,
-            exact_norm_bound=None,
-            certified=False,
-        )
-    a = neighbor_weight_vector(g, i)
-    lam3 = float(symmetric_eigen(perturbed_laplacian(g, i, cfg)).eigenvalues[2])
-    simple = simplified_bound(cfg.epsilon, g.n, a)
-    exact = exact_norm_bound(cfg.epsilon, a)
-    bound = simple if mode is BoundMode.SIMPLIFIED else exact
+    if test is None:
+        return NodeCertificate(i, local, None, None, None, certified=False)
     return NodeCertificate(
         node=i,
         locally_biconnected=local,
-        lambda3_perturbed=lam3,
-        simplified_bound=simple,
-        exact_norm_bound=exact,
-        certified=lam3 > bound + CERTIFY_MARGIN,
+        lambda3_perturbed=test.lambda3,
+        simplified_bound=test.simplified_bound,
+        exact_norm_bound=test.exact_norm_bound,
+        certified=test.certified(mode),
     )
 
 
@@ -179,7 +252,8 @@ def spectral_certificate(
     if g.n <= 2:
         raise PreconditionError("the spectral certificate needs n > 2")
     _require_connected(g)
-    return _certificate(g, i, cfg, mode, _locally_biconnected(g, i))
+    (test,) = spectral_tests(g, [i], [cfg.epsilon])
+    return _node_certificate(i, _locally_biconnected(g, i), test, mode)
 
 
 def certify_graph(
@@ -198,10 +272,10 @@ def certify_graph(
     if g.n <= 2:
         raise PreconditionError("graph certification needs n > 2")
     _require_connected(g)
-    certs = []
-    for i in range(g.n):
-        local = _locally_biconnected(g, i)
-        certs.append(_certificate(g, i, cfg, mode, local, skip_spectral=local))
+    local = [_locally_biconnected(g, i) for i in range(g.n)]
+    tests = spectral_tests(g, [i for i in range(g.n) if not local[i]], [cfg.epsilon])
+    by_node = {t.node: t for t in tests}
+    certs = [_node_certificate(i, local[i], by_node.get(i), mode) for i in range(g.n)]
     if with_oracle:
         points = _articulation_points(g)
         certs = [replace(c, oracle_is_articulation=c.node in points) for c in certs]

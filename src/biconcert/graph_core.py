@@ -4,6 +4,10 @@ Everything here is a pure function over an immutable :class:`WeightedGraph`:
 adjacency, degree and Laplacian matrices, node removal, per-node edge
 scaling, the per-node intermediate matrix whose spectrum mirrors the scaled
 Laplacian, and the disk-based proximity model for planar layouts.
+:func:`perturbed_laplacian` builds ``L_i(eps)`` densely: it is the reference
+path of the certificate, which large batches of (node, epsilon) problems
+replace by one eigendecomposition of :func:`laplacian` (see
+:mod:`biconcert.spectral`).
 
 Weights are stored densely; the intended scale is a few hundred nodes, where
 dense O(n^2) storage and O(n^3) eigensolves are cheap. Neighbour lists, edge

@@ -6,6 +6,12 @@ general square matrices through the real-Schur based solver
 the ordering guarantees the rest of the package relies on: ascending real
 eigenvalues for symmetric input, complex eigenvalues sorted by real then
 imaginary part otherwise.
+
+:func:`_lambda3_batched` gets lambda3 of many perturbed Laplacians
+``L_i(eps)`` of one graph from a single eigendecomposition of ``L``, by
+bisection on exact eigenvalue counts (Sylvester inertia of small Schur
+complements); its error bound scales with ``||L||``, not with
+``||L_i(eps)||`` alone. numpy only: no scipy import.
 """
 
 from __future__ import annotations
@@ -21,6 +27,17 @@ from .graph_core import WeightedGraph, laplacian
 SYMMETRY_RTOL = 1e-10
 CONNECTIVITY_TOL = 1e-9
 MULTIPLICITY_TOL = 1e-8
+
+# Error bound of the batched lambda3: tau = LAMBDA3_TAU_FACTOR * n * u *
+# max(||L||_1, ||L_i(eps)||_1), u the unit roundoff.
+LAMBDA3_TAU_FACTOR = 64.0
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
+# Bytes of the batched solver's three per-problem n x deg arrays, per chunk.
+_BATCH_BYTES = 1 << 20
+# Each bisection step halves a bracket of width at most about ||L_i(eps)||
+# down to n u ||L||, so some 60 steps suffice; the cap only stops a loop
+# that no longer shrinks.
+_MAX_BISECTIONS = 200
 
 
 class MultiplicityWarning(UserWarning):
@@ -131,6 +148,90 @@ def is_connected_spectral(g: WeightedGraph, tol: float = CONNECTIVITY_TOL) -> bo
     if g.n == 1:
         return True
     return algebraic_connectivity(g) > tol
+
+
+def _lambda3_batched(
+    g: WeightedGraph, nodes: np.ndarray, eps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """lambda3 of every ``L_i(eps)`` from one eigendecomposition of ``L``.
+
+    ``nodes`` and ``eps`` are equal-length arrays, one problem ``(i, eps)``
+    per entry, on a graph with n >= 3. Returns lambda3 per problem and its
+    error bound ``tau`` (``inf`` where bisection did not converge).
+
+    With ``L = Q diag(lam) Q^T`` and ``B_i`` the columns ``sqrt(w_ij) (e_i -
+    e_j)`` over the neighbours j of i, ``L_i(eps) = L - rho B_i B_i^T`` with
+    ``rho = 1 - eps``. Inertia additivity on ``[[diag(lam) - mu, U],
+    [U^T, I / rho]]`` with ``U = Q^T B_i`` gives the exact count
+
+        #{eig of L_i(eps) < mu} = #{lam_k < mu} + neg(S) - [rho < 0] d,
+        S = I / rho - U^T (diag(lam) - mu)^-1 U,
+
+    where neg counts negative eigenvalues of S and d is its order: the
+    largest degree among ``nodes``, since every ``U`` is padded with zero
+    columns to that width. Bisection on mu then brackets lambda3 of every
+    problem at once. Brackets come from interlacing: lambda3 lies in
+    ``[0, lam_3]`` for eps < 1 and in ``[lam_3, lam_{3+deg(i)}]`` for
+    eps > 1; eps = 1 is ``lam_3`` itself.
+    """
+    n = g.n
+    w = g.weights
+    spec = symmetric_eigen(laplacian(g), want_vectors=True)
+    lam, q = spec.eigenvalues, spec.eigenvectors
+    strength = w.sum(axis=1)
+    norm_l = 2.0 * float(strength.max())  # ||L||_1
+    nodes = np.asarray(nodes, dtype=np.intp)
+    eps = np.asarray(eps, dtype=float)
+    adj = w > 0.0
+    deg = adj.sum(axis=1)[nodes]
+    width = max(int(deg.max(initial=0)), 1)
+    eye = np.eye(width)
+    lam3 = np.empty(len(nodes))
+    tau = np.empty(len(nodes))
+    per = max(1, _BATCH_BYTES // (3 * 8 * n * width))
+    for s in range(0, len(nodes), per):
+        c = slice(s, s + per)
+        i, rho, d = nodes[c], 1.0 - eps[c], deg[c]
+        # Neighbours of i first; the padding's weights are 0.
+        nbr = np.argsort(~adj[i], axis=1, kind="stable")[:, :width]
+        wn = np.take_along_axis(w[i], nbr, axis=1)
+        ut = (q[i][:, None, :] - q[nbr]) * np.sqrt(wn)[:, :, None]  # U^T per problem
+        # n u max(||L||_1, ||L_i(eps)||_1): column j of L_i(eps) sums to
+        # 2 (s_j - rho w_ij), column i to 2 eps s_i.
+        cols = 2.0 * np.maximum((strength[nbr] - rho[:, None] * wn).max(axis=1), eps[c] * strength[i])
+        scale = n * _UNIT_ROUNDOFF * np.maximum(cols, norm_l)
+        tau[c] = LAMBDA3_TAU_FACTOR * scale
+        neg = rho < 0.0
+        shift = np.where(neg, width, 0)
+        inv_rho = 1.0 / np.where(rho == 0.0, 1.0, rho)
+        top = np.where(2 + d < n, lam[np.minimum(2 + d, n - 1)], lam[2] - 2.0 * rho * strength[i])
+        lo = np.where(rho == 0.0, lam[2], np.where(neg, lam[2], 0.0) - tau[c])
+        hi = np.where(rho == 0.0, lam[2], np.where(neg, top, lam[2]) + tau[c])
+        for _ in range(_MAX_BISECTIONS):
+            wide = hi - lo > scale
+            if not wide.any():
+                break
+            mu = 0.5 * (lo + hi)
+            while True:  # mu = lam_k would divide by zero: step off it
+                below = np.searchsorted(lam, mu)
+                tie = lam[np.minimum(below, n - 1)] == mu
+                if not tie.any():
+                    break
+                mu[tie] = np.nextafter(mu[tie], np.inf)
+            schur = inv_rho[:, None, None] * eye - (
+                ut / (lam - mu[:, None])[:, None, :]
+            ) @ ut.transpose(0, 2, 1)
+            try:
+                negative = (np.linalg.eigvalsh(schur) < 0.0).sum(axis=1)
+            except np.linalg.LinAlgError as exc:
+                raise EigenConvergenceError(f"batched inertia count failed: {exc}") from exc
+            above = below + negative - shift >= 3
+            hi = np.where(wide & above, mu, hi)
+            lo = np.where(wide & ~above, mu, lo)
+        lam3[c] = 0.5 * (lo + hi)
+        # A bracket still wider than its scale has no error bound.
+        tau[c][hi - lo > scale] = np.inf
+    return lam3, tau
 
 
 def reachable(adj, start: int) -> np.ndarray:

@@ -43,11 +43,10 @@ import numpy as np
 
 from .bicon import (
     BoundMode,
-    _certificate,
-    _locally_biconnected,
+    _articulation_points,
     _require_connected,
-    articulation_points_bruteforce,
     articulation_points_oracle,
+    spectral_tests,
 )
 from .errors import PreconditionError
 from .graph_core import (
@@ -552,27 +551,20 @@ def counterexample_search(
             style = "geometric" if t % 3 == 2 else "er"
             g = random_connected_graph(rng, int(rng.integers(3, 13)), style=style)
         eps = float(rng.choice(eps_choices))
-        cfg = PerturbationConfig(eps)
         points = articulation_points_oracle(g)  # also proves g connected
         if g.n <= 2:
             raise PreconditionError("the spectral certificate needs n > 2")
-        for i in range(g.n):
-            cert = _certificate(g, i, cfg, mode, _locally_biconnected(g, i))
-            if cert.certified and i in points:
-                bound = (
-                    cert.simplified_bound
-                    if mode is BoundMode.SIMPLIFIED
-                    else cert.exact_norm_bound
-                )
+        for test in spectral_tests(g, range(g.n), [eps]):
+            if test.certified(mode) and test.node in points:
                 witnesses.append(
                     _witness(
                         g,
-                        i,
+                        test.node,
                         trial=t,
                         epsilon=eps,
                         mode=mode.value,
-                        lambda3=cert.lambda3_perturbed,
-                        bound=bound,
+                        lambda3=test.lambda3,
+                        bound=test.bound(mode),
                     )
                 )
     return witnesses
@@ -657,8 +649,11 @@ def run_suite(
     for g in graphs:
         _require_connected(g)  # suite_corpus graphs have n >= 3
         ab = rng.uniform(-2.0, 2.0, size=(draws, 2))
+        cut_vertices = set()  # brute force: removing i disconnects g
         for i in range(g.n):
             case = _NodeCase(g, i)
+            if not is_connected_bfs(case.reduced):
+                cut_vertices.add(i)
             for eps in _SUITE_EPS:
                 spectrum_cases.append(
                     _intermediate_spectrum(case, eps, tol["spectrum"])
@@ -696,7 +691,7 @@ def run_suite(
                 witness=None if ortho <= 1e-8 else _witness(g, 0),
             )
         )
-        agree = articulation_points_oracle(g) == articulation_points_bruteforce(g)
+        agree = _articulation_points(g) == cut_vertices
         oracle_cases.append(
             CheckOutcome(
                 name="articulation-oracle-agreement",

@@ -1,0 +1,231 @@
+"""The batched lambda3 solver against the dense path it replaces.
+
+The dense path, ``eigvalsh(perturbed_laplacian(g, i, eps))``, is the
+reference throughout: the batched lambda3 must lie within its error bound tau
+of it, and every verdict :func:`biconcert.bicon.spectral_tests` returns must
+be the dense path's.
+"""
+
+import json
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import biconcert.bicon as bicon
+import biconcert.spectral as spectral
+from biconcert import (
+    BoundMode,
+    PerturbationConfig,
+    ProximityModel,
+    WeightedGraph,
+    exact_norm_bound,
+    from_edge_list,
+    is_connected_bfs,
+    perturbed_laplacian,
+    proximity_graph,
+)
+from biconcert.bicon import CERTIFY_MARGIN, spectral_tests
+from biconcert.cli import EXIT_NUMERICAL, main
+from biconcert.spectral import _lambda3_batched
+from biconcert.verify import random_connected_graph
+
+EPSILONS = (1e-16, 1e-9, 1e-4, 0.05, 0.5, 1.0, 3.0)
+
+
+def grid(k, seed=0):
+    """k x k unit grid with node labels shuffled by ``seed``."""
+    perm = np.random.default_rng(seed).permutation(k * k)
+    edges = []
+    for r in range(k):
+        for c in range(k):
+            u = r * k + c
+            for v in ([u + 1] if c + 1 < k else []) + ([u + k] if r + 1 < k else []):
+                edges.append((int(perm[u]), int(perm[v]), 1.0))
+    return from_edge_list(k * k, edges)
+
+
+def disk_graph(seed, n=200, radius=0.14):
+    rng = np.random.default_rng(seed)
+    while True:
+        g = proximity_graph(rng.random((n, 2)), ProximityModel(radius, 0.125))
+        if is_connected_bfs(g):
+            return g
+
+
+def dense_lambda3(g, i, eps):
+    return float(np.linalg.eigvalsh(perturbed_laplacian(g, i, PerturbationConfig(eps)))[2])
+
+
+def verdicts(g, i, eps, lam3):
+    a = np.delete(g.weights[i], i)
+    bounds = (bicon.simplified_bound(eps, g.n, a), exact_norm_bound(eps, a))
+    return [lam3 > b + CERTIFY_MARGIN for b in bounds], bounds
+
+
+def assert_matches_dense(g, nodes):
+    nodes = np.asarray(nodes)
+    probe_nodes = np.repeat(nodes, len(EPSILONS))
+    probe_eps = np.tile(EPSILONS, len(nodes))
+    lam3, tau = _lambda3_batched(g, probe_nodes, probe_eps)
+    assert np.all(np.isfinite(tau)) and np.all(tau > 0.0)
+    for got, t, i, eps in zip(lam3, tau, probe_nodes, probe_eps):
+        want = dense_lambda3(g, int(i), float(eps))
+        assert abs(got - want) <= t, (int(i), float(eps), got, want, t)
+        got_flags, bounds = verdicts(g, int(i), float(eps), got)
+        want_flags, _ = verdicts(g, int(i), float(eps), want)
+        near = [abs(got - b - CERTIFY_MARGIN) <= t for b in bounds]
+        # away from a threshold the batched verdict is the dense one; near
+        # it, spectral_tests solves again densely
+        for g_flag, w_flag, close in zip(got_flags, want_flags, near):
+            assert close or g_flag == w_flag
+
+
+@pytest.mark.parametrize("k", [8, 9, 12])
+def test_grids_match_dense(k):
+    # grids have highly repeated Laplacian eigenvalues, which bisection
+    # midpoints hit exactly
+    assert_matches_dense(grid(k, seed=k), range(k * k))
+
+
+def test_large_grid_matches_dense():
+    g = grid(16, seed=16)
+    nodes = np.random.default_rng(16).choice(g.n, 24, replace=False)
+    assert_matches_dense(g, nodes)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_disk_graphs_match_dense(seed):
+    g = disk_graph(seed)
+    nodes = np.random.default_rng(seed).choice(g.n, 16, replace=False)
+    assert_matches_dense(g, nodes)
+
+
+@pytest.mark.parametrize("power", [-12, -6, 0, 4, 8])
+def test_scaled_random_graphs_match_dense(power):
+    rng = np.random.default_rng(300 + power)
+    for _ in range(12):
+        g = random_connected_graph(rng, int(rng.integers(3, 30)))
+        g = WeightedGraph(n=g.n, weights=g.weights * 10.0**power)
+        assert_matches_dense(g, range(g.n))
+
+
+def force_batched(monkeypatch):
+    monkeypatch.setattr(bicon, "BATCH_MIN_ORDER", 0)
+    monkeypatch.setattr(bicon, "BATCH_MIN_WORK", 0)
+    monkeypatch.setattr(bicon, "BATCH_DEGREE_RATIO", 0)
+
+
+def force_dense(monkeypatch):
+    monkeypatch.setattr(bicon, "BATCH_MIN_ORDER", math.inf)
+
+
+@pytest.mark.parametrize("power", [-12, 0, 8])
+def test_spectral_tests_verdicts_equal_dense_path(monkeypatch, power):
+    rng = np.random.default_rng(40 + power)
+    graphs = [random_connected_graph(rng, int(rng.integers(3, 20))) for _ in range(10)]
+    graphs = [WeightedGraph(n=g.n, weights=g.weights * 10.0**power) for g in graphs]
+    for g in graphs:
+        force_batched(monkeypatch)
+        fast = spectral_tests(g, range(g.n), EPSILONS)
+        force_dense(monkeypatch)
+        slow = spectral_tests(g, range(g.n), EPSILONS)
+        for f, s in zip(fast, slow):
+            assert (f.node, f.epsilon) == (s.node, s.epsilon)
+            assert (f.simplified_bound, f.exact_norm_bound) == (s.simplified_bound, s.exact_norm_bound)
+            for mode in BoundMode:
+                assert f.certified(mode) == s.certified(mode)
+
+
+def test_sweep_strings_equal_dense_path(monkeypatch):
+    g = grid(9, seed=3)
+    grid_eps = [float(x) for x in np.geomspace(1e-4, 1.0, 13)]
+    rows = []
+    for force in (force_batched, force_dense):
+        force(monkeypatch)
+        rows.append(
+            [
+                (format(t.lambda3, ".6g"), t.certified(BoundMode.SIMPLIFIED), t.certified(BoundMode.EXACT_NORM))
+                for t in spectral_tests(g, range(g.n), grid_eps)
+            ]
+        )
+    assert rows[0] == rows[1]
+
+
+def test_near_threshold_falls_back_to_dense(monkeypatch):
+    g = grid(8)
+    eps = 1e-4
+    a = np.delete(g.weights[5], 5)
+    threshold = exact_norm_bound(eps, a) + CERTIFY_MARGIN
+
+    def on_the_threshold(graph, nodes, epsilons):
+        return np.full(len(nodes), threshold), np.full(len(nodes), 1e-3)
+
+    force_batched(monkeypatch)
+    monkeypatch.setattr(bicon, "_lambda3_batched", on_the_threshold)
+    (test,) = spectral_tests(g, [5], [eps])
+    assert test.lambda3 == dense_lambda3(g, 5, eps)
+
+
+def count_calls(monkeypatch, module, name):
+    counts = Counter()
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return counts
+
+
+def grid_file(tmp_path, k):
+    g = grid(k, seed=1)
+    path = tmp_path / f"grid{k}.json"
+    edges = [[i, j, w] for i, j, w in g.edges()]
+    path.write_text(json.dumps({"n": g.n, "edges": edges, "positions": None}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--epsilon", "1e-4"], ["sweep"]],
+    ids=["check", "sweep"],
+)
+def test_one_eigendecomposition_per_command(tmp_path, monkeypatch, argv):
+    path = grid_file(tmp_path, 12)
+    eigen = count_calls(monkeypatch, spectral, "symmetric_eigen")
+    monkeypatch.setattr(bicon, "symmetric_eigen", spectral.symmetric_eigen)
+    build = count_calls(monkeypatch, bicon, "perturbed_laplacian")
+    out = tmp_path / "out"
+    assert main([argv[0], "--input", str(path), *argv[1:], "--output", str(out)]) == 0
+    # 144 and 1,872 dense solves on the dense path
+    assert eigen["symmetric_eigen"] == 1
+    assert build["perturbed_laplacian"] == 0
+
+
+def test_small_or_dense_graphs_stay_on_the_dense_path(monkeypatch):
+    def fail(*args):
+        raise AssertionError("batched solver called")
+
+    monkeypatch.setattr(bicon, "_lambda3_batched", fail)
+    spectral_tests(grid(7), range(49), EPSILONS)  # n below the crossover
+    spectral_tests(grid(12), range(4), [0.05])  # too few problems
+    hub = from_edge_list(80, [(0, j, 1.0) for j in range(1, 80)] + [(j, j + 1, 1.0) for j in range(1, 79)])
+    spectral_tests(hub, range(80), [0.05])  # degree 79 > n / 10
+
+
+def test_inertia_failure_exits_numerical(tmp_path, monkeypatch, capsys):
+    path = grid_file(tmp_path, 12)
+    original = np.linalg.eigvalsh
+
+    def failing(m, *args, **kwargs):
+        if np.ndim(m) == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    assert main(["check", "--input", str(path), "--epsilon", "1e-4"]) == EXIT_NUMERICAL == 5
+    assert "batched inertia count failed" in capsys.readouterr().err
+

@@ -121,6 +121,16 @@ class TestSpectralCertificate:
         m = np.diag(a) + np.outer(a, np.ones(3))
         manual = math.sqrt(float(np.sum(m * m)))
         assert exact_norm_bound(2.0, a) == pytest.approx(2.0 * manual, abs=1e-15)
+        # the closed form stays within 4 ulp of the explicit norm at any size
+        # and weight scale
+        rng = np.random.default_rng(9)
+        for size in (1, 2, 5, 40, 199):
+            for scale in (1e-12, 1.0, 1e8):
+                a = rng.random(size) * scale
+                m = np.diag(a) + np.outer(a, np.ones(size))
+                assert exact_norm_bound(0.05, a) == pytest.approx(
+                    0.05 * float(np.linalg.norm(m)), rel=4 * np.finfo(float).eps, abs=0.0
+                )
 
     def test_small_graph_rejected(self):
         g = from_edge_list(2, [(0, 1, 1.0)])

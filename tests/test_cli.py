@@ -53,12 +53,16 @@ class TestGen:
         g = graph_from_dict(json.loads(out.read_text()))
         assert g.n == 1
 
-    def test_zero_radius_fails_with_precondition(self, tmp_path):
+    def test_zero_radius_fails_as_bad_input(self, tmp_path, capsys):
         out = tmp_path / "g.json"
-        code = run(
-            ["gen", "--n", "5", "--seed", "1", "--radius", "0", "--output", str(out)]
-        )
-        assert code == 3
+        for n in ("1", "2", "5"):
+            for radius in ("0", "-0.5"):
+                code = run(
+                    ["gen", "--n", n, "--seed", "1", "--radius", radius, "--output", str(out)]
+                )
+                assert code == 4
+                assert "radius must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_retry_exhaustion(self, tmp_path, capsys):
         out = tmp_path / "g.json"
@@ -343,8 +347,7 @@ class TestNumericalFailure:
         def failing(m, want_vectors=False):
             raise EigenConvergenceError("symmetric eigensolve failed: injected")
 
-        for module in (biconcert.bicon, biconcert.cli):
-            monkeypatch.setattr(module, "symmetric_eigen", failing)
+        monkeypatch.setattr(biconcert.bicon, "symmetric_eigen", failing)
         g = tmp_path / "p3.json"
         write_graph(g, P3_DOC)
         assert run([command, "--input", str(g)]) == EXIT_NUMERICAL == 5

@@ -323,11 +323,12 @@ def test_each_case_derived_once(monkeypatch):
         return symmetric_eigen(m, *args, **kwargs)
 
     def connected_spy(g):
-        counts["connected", id(g)] += 1
+        counts[("connected", *origin.get(id(g), (id(g),)))] += 1
         return is_connected_bfs(g)
 
     monkeypatch.setattr(verify, "suite_corpus", corpus_spy)
-    monkeypatch.setattr(verify, "reduced_graph", reduced_spy)
+    for module in (biconcert.bicon, verify):
+        monkeypatch.setattr(module, "reduced_graph", reduced_spy)
     monkeypatch.setattr(verify, "laplacian", laplacian_spy)
     monkeypatch.setattr(verify, "symmetric_eigen", eigen_spy)
     for module in (biconcert.bicon, verify):
@@ -335,12 +336,14 @@ def test_each_case_derived_once(monkeypatch):
     assert suite_passed(run_suite(seed=5, n_graphs=8, trials=5))
     assert len(corpus) == 8
     for g in corpus:
-        # one search before the per-node checks, one in each oracle the
-        # articulation-oracle-agreement check compares
-        assert counts["connected", id(g)] == 3
+        # one search before the per-node checks; the brute-force side of the
+        # articulation-oracle-agreement check searches each node's reduced
+        # graph once, and the DFS side searches nothing
+        assert counts["connected", id(g)] == 1
         for i in range(g.n):
             assert counts["reduced", id(g), i] == 1
             assert counts["eigen", id(g), i] == 1
+            assert counts["connected", id(g), i] == 1
 
 
 def test_counterexample_search_skips_per_node_connectivity(monkeypatch):
