@@ -98,21 +98,29 @@ class BiconnectivityReport:
     oracle_biconnected: bool | None = None
 
 
-def simplified_bound(eps: float, n: int, a: np.ndarray) -> float:
-    """Closed-form threshold ``eps * sqrt(n) * sqrt(sum a_k^2)``."""
+def simplified_bound(eps: float | np.ndarray, n: int, a: np.ndarray) -> float | np.ndarray:
+    """Closed-form threshold ``eps * sqrt(n) * sqrt(sum a_k^2)``.
+
+    A float for a scalar ``eps``; for an array of epsilons, the array of
+    bounds, each bit-identical to its scalar call.
+    """
     a = np.asarray(a, dtype=float)
-    return float(eps * np.sqrt(n) * np.sqrt(np.sum(a * a)))
+    bound = eps * np.sqrt(n) * np.sqrt(np.sum(a * a))
+    return bound if isinstance(bound, np.ndarray) else float(bound)
 
 
-def exact_norm_bound(eps: float, a: np.ndarray) -> float:
+def exact_norm_bound(eps: float | np.ndarray, a: np.ndarray) -> float | np.ndarray:
     """``eps * ||diag(a) + a 1^T||_F`` in closed form.
 
     Row k of the coupling matrix holds ``2 a_k`` once and ``a_k`` m - 1
     times (m = len(a)), so the norm is ``sqrt((m + 3) * sum a_k^2)``: with
-    node i's m = n - 1 weights, ``eps * sqrt((n + 2) * sum a_k^2)``.
+    node i's m = n - 1 weights, ``eps * sqrt((n + 2) * sum a_k^2)``. Like
+    :func:`simplified_bound`, a float for a scalar ``eps`` and an array of
+    bit-identical bounds for an array.
     """
     a = np.asarray(a, dtype=float)
-    return eps * float(np.sqrt((a.shape[0] + 3) * np.sum(a * a)))
+    bound = eps * np.sqrt((a.shape[0] + 3) * np.sum(a * a))
+    return bound if isinstance(bound, np.ndarray) else float(bound)
 
 
 @dataclass(frozen=True)
@@ -139,7 +147,7 @@ def _batched_pays(g: WeightedGraph, nodes: list[NodeId], problems: int) -> bool:
     """Whether :func:`biconcert.spectral._lambda3_batched` beats one dense solve per problem.
 
     The batched solver pays one eigendecomposition with vectors per call,
-    then some 40 bisection steps per problem whose cost grows with
+    then some 10 to 20 count evaluations per problem whose cost grows with
     n * deg^2 for the largest degree deg among ``nodes``; a dense solve costs
     O(n^3) per problem. The measured crossover: the batched solver wins when
     n >= BATCH_MIN_ORDER, problems * n >= BATCH_MIN_WORK and
@@ -165,25 +173,28 @@ def spectral_tests(g: WeightedGraph, nodes, epsilons) -> list[SpectralTest]:
     """
     nodes = list(nodes)
     cfgs = [PerturbationConfig(eps) for eps in epsilons]
-    batched = _batched_pays(g, nodes, len(nodes) * len(cfgs))
-    if batched:
-        lam3, tau = _lambda3_batched(
-            g,
-            np.repeat(nodes, len(cfgs)),
-            np.tile([c.epsilon for c in cfgs], len(nodes)),
-        )
-    tests = []
-    for i in nodes:
-        a = neighbor_weight_vector(g, i)
-        for cfg in cfgs:
-            k = len(tests)
-            simple = simplified_bound(cfg.epsilon, g.n, a)
-            exact = exact_norm_bound(cfg.epsilon, a)
-            lam = float(lam3[k]) if batched else None
-            if lam is None or min(abs(lam - b - CERTIFY_MARGIN) for b in (simple, exact)) <= tau[k]:
-                lam = float(symmetric_eigen(perturbed_laplacian(g, i, cfg)).eigenvalues[2])
-            tests.append(SpectralTest(i, cfg.epsilon, lam, simple, exact))
-    return tests
+    problems = [(i, cfg) for i in nodes for cfg in cfgs]
+    # One epsilon (check, verify) stays a scalar: numpy arithmetic on a
+    # 1-element array costs more than the bounds themselves.
+    eps = cfgs[0].epsilon if len(cfgs) == 1 else np.array([c.epsilon for c in cfgs])
+    vectors = [neighbor_weight_vector(g, i) for i in nodes]
+    simple = np.ravel([simplified_bound(eps, g.n, a) for a in vectors])
+    exact = np.ravel([exact_norm_bound(eps, a) for a in vectors])
+    if _batched_pays(g, nodes, len(problems)):
+        lam3, tau = _lambda3_batched(g, np.repeat(nodes, len(cfgs)), np.tile(eps, len(nodes)))
+        near = np.minimum(
+            np.abs(lam3 - simple - CERTIFY_MARGIN), np.abs(lam3 - exact - CERTIFY_MARGIN)
+        ) <= tau
+        dense = np.flatnonzero(near).tolist()
+    else:
+        lam3, dense = np.empty(len(problems)), range(len(problems))
+    for k in dense:
+        i, cfg = problems[k]
+        lam3[k] = symmetric_eigen(perturbed_laplacian(g, i, cfg)).eigenvalues[2]
+    return [
+        SpectralTest(i, cfg.epsilon, lam, s, e)
+        for (i, cfg), lam, s, e in zip(problems, lam3.tolist(), simple.tolist(), exact.tolist())
+    ]
 
 
 def _require_connected(g: WeightedGraph) -> None:

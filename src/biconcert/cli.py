@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -437,10 +438,16 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call of main, not at import, then reused: parsing
+    # leaves no state behind in the parser.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = config_from_args(args)
         return _COMMANDS[cfg.command](cfg)
     except GraphInputError as exc:

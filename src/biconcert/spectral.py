@@ -8,10 +8,12 @@ eigenvalues for symmetric input, complex eigenvalues sorted by real then
 imaginary part otherwise.
 
 :func:`_lambda3_batched` gets lambda3 of many perturbed Laplacians
-``L_i(eps)`` of one graph from a single eigendecomposition of ``L``, by
-bisection on exact eigenvalue counts (Sylvester inertia of small Schur
-complements); its error bound scales with ``||L||``, not with
-``||L_i(eps)||`` alone. numpy only: no scipy import.
+``L_i(eps)`` of one graph from a single eigendecomposition of ``L``. It
+narrows a bracket per problem whose ends move only by exact eigenvalue
+counts (Sylvester inertia of small Schur complements); secant steps place
+the trial points, and the bracket, not the step rule, carries the error
+bound. That bound scales with ``||L||``, not with ``||L_i(eps)||`` alone.
+numpy only: no scipy import.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ LAMBDA3_TAU_FACTOR = 64.0
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
 # Bytes of the batched solver's three per-problem n x deg arrays, per chunk.
 _BATCH_BYTES = 1 << 20
-# Each bisection step halves a bracket of width at most about ||L_i(eps)||
-# down to n u ||L||, so some 60 steps suffice; the cap only stops a loop
-# that no longer shrinks.
-_MAX_BISECTIONS = 200
+# A bracket of width at most about ||L_i(eps)|| shrinks to n u ||L|| in some
+# 60 halvings, and secant steps need fewer; the cap only stops a loop that
+# no longer shrinks.
+_MAX_STEPS = 200
 
 
 class MultiplicityWarning(UserWarning):
@@ -157,7 +159,7 @@ def _lambda3_batched(
 
     ``nodes`` and ``eps`` are equal-length arrays, one problem ``(i, eps)``
     per entry, on a graph with n >= 3. Returns lambda3 per problem and its
-    error bound ``tau`` (``inf`` where bisection did not converge).
+    error bound ``tau`` (``inf`` where the bracket did not converge).
 
     With ``L = Q diag(lam) Q^T`` and ``B_i`` the columns ``sqrt(w_ij) (e_i -
     e_j)`` over the neighbours j of i, ``L_i(eps) = L - rho B_i B_i^T`` with
@@ -169,10 +171,10 @@ def _lambda3_batched(
 
     where neg counts negative eigenvalues of S and d is its order: the
     largest degree among ``nodes``, since every ``U`` is padded with zero
-    columns to that width. Bisection on mu then brackets lambda3 of every
-    problem at once. Brackets come from interlacing: lambda3 lies in
+    columns to that width. Brackets come from interlacing: lambda3 lies in
     ``[0, lam_3]`` for eps < 1 and in ``[lam_3, lam_{3+deg(i)}]`` for
-    eps > 1; eps = 1 is ``lam_3`` itself.
+    eps > 1; eps = 1 is ``lam_3`` itself. :func:`_shrink_brackets` then
+    narrows every bracket at once, moving its ends only by that count.
     """
     n = g.n
     w = g.weights
@@ -185,7 +187,6 @@ def _lambda3_batched(
     adj = w > 0.0
     deg = adj.sum(axis=1)[nodes]
     width = max(int(deg.max(initial=0)), 1)
-    eye = np.eye(width)
     lam3 = np.empty(len(nodes))
     tau = np.empty(len(nodes))
     per = max(1, _BATCH_BYTES // (3 * 8 * n * width))
@@ -207,31 +208,84 @@ def _lambda3_batched(
         top = np.where(2 + d < n, lam[np.minimum(2 + d, n - 1)], lam[2] - 2.0 * rho * strength[i])
         lo = np.where(rho == 0.0, lam[2], np.where(neg, lam[2], 0.0) - tau[c])
         hi = np.where(rho == 0.0, lam[2], np.where(neg, top, lam[2]) + tau[c])
-        for _ in range(_MAX_BISECTIONS):
-            wide = hi - lo > scale
-            if not wide.any():
-                break
-            mu = 0.5 * (lo + hi)
-            while True:  # mu = lam_k would divide by zero: step off it
-                below = np.searchsorted(lam, mu)
-                tie = lam[np.minimum(below, n - 1)] == mu
-                if not tie.any():
-                    break
-                mu[tie] = np.nextafter(mu[tie], np.inf)
-            schur = inv_rho[:, None, None] * eye - (
-                ut / (lam - mu[:, None])[:, None, :]
-            ) @ ut.transpose(0, 2, 1)
-            try:
-                negative = (np.linalg.eigvalsh(schur) < 0.0).sum(axis=1)
-            except np.linalg.LinAlgError as exc:
-                raise EigenConvergenceError(f"batched inertia count failed: {exc}") from exc
-            above = below + negative - shift >= 3
-            hi = np.where(wide & above, mu, hi)
-            lo = np.where(wide & ~above, mu, lo)
-        lam3[c] = 0.5 * (lo + hi)
+        lam3[c], converged = _shrink_brackets(lam, ut, inv_rho, shift, lo, hi, scale)
         # A bracket still wider than its scale has no error bound.
-        tau[c][hi - lo > scale] = np.inf
+        tau[c][~converged] = np.inf
     return lam3, tau
+
+
+def _shrink_brackets(lam, ut, inv_rho, shift, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
+    """Narrow every bracket ``[lo, hi]`` around lambda3 to width ``scale``.
+
+    One row per problem of :func:`_lambda3_batched`. Each step evaluates the
+    count at one mu per problem and moves ``hi`` to mu if at least three
+    eigenvalues lie below it, ``lo`` otherwise, so every bracket holds
+    lambda3 whatever mu is. Only the choice of mu is heuristic: an
+    Anderson-Bjorck regula falsi step on ``f(mu) = sigma_k(S(mu))``,
+    ``k = 2 - #{lam_j < mu} + shift``, the eigenvalue of S whose sign decides
+    the count (``f < 0`` exactly when the count reaches 3). ``f`` decreases
+    over the whole bracket, across the poles at ``lam`` too, where k drops
+    by one as one eigenvalue of S passes from -inf to +inf. An end whose f
+    is unknown or infinite (k outside S's order) gets the midpoint instead,
+    and mu keeps ``scale / 2`` from both ends. Only problems still wider
+    than ``scale`` are evaluated. Returns the bracket midpoints and which
+    brackets converged within ``_MAX_STEPS`` steps.
+    """
+    n, width = len(lam), ut.shape[1]
+    eye = np.eye(width)
+    mid = np.empty(len(lo))
+    converged = np.zeros(len(lo), dtype=bool)
+    idx = np.arange(len(lo))
+    f_lo = np.full(len(lo), np.nan)
+    f_hi = np.full(len(lo), np.nan)
+    last = np.zeros(len(lo))  # end the last step moved: -1 lo, +1 hi
+    for _ in range(_MAX_STEPS):
+        wide = hi - lo > scale
+        if not wide.all():
+            done = idx[~wide]
+            mid[done] = 0.5 * (lo[~wide] + hi[~wide])
+            converged[done] = True
+            idx, lo, hi, f_lo, f_hi, last, ut, inv_rho, shift, scale = (
+                x[wide] for x in (idx, lo, hi, f_lo, f_hi, last, ut, inv_rho, shift, scale)
+            )
+            if not idx.size:
+                break
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            mu = lo + f_lo / (f_lo - f_hi) * (hi - lo)
+        known = np.isfinite(f_lo) & np.isfinite(f_hi) & np.isfinite(mu)
+        mu = np.where(known, mu, 0.5 * (lo + hi))
+        mu = np.clip(mu, lo + 0.5 * scale, hi - 0.5 * scale)
+        while True:  # mu = lam_k would divide by zero: step off it
+            below = np.searchsorted(lam, mu)
+            tie = lam[np.minimum(below, n - 1)] == mu
+            if not tie.any():
+                break
+            mu[tie] = np.nextafter(mu[tie], np.inf)
+        schur = inv_rho[:, None, None] * eye - (
+            ut / (lam - mu[:, None])[:, None, :]
+        ) @ ut.transpose(0, 2, 1)
+        try:
+            sigma = np.linalg.eigvalsh(schur)
+        except np.linalg.LinAlgError as exc:
+            raise EigenConvergenceError(f"batched inertia count failed: {exc}") from exc
+        above = below + (sigma < 0.0).sum(axis=1) - shift >= 3
+        k = 2 - below + shift
+        f = np.take_along_axis(sigma, np.clip(k, 0, width - 1)[:, None], axis=1)[:, 0]
+        f = np.where(k < 0, -np.inf, np.where(k >= width, np.inf, f))
+        # Anderson-Bjorck: an end that stays put twice running has its f
+        # scaled by 1 - f(mu) / f(moved end), or halved if that is not > 0.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            m = 1.0 - f / np.where(above, f_hi, f_lo)
+        m = np.where(m > 0.0, m, 0.5)
+        side = np.where(above, 1.0, -1.0)
+        f_lo = np.where(above, np.where(last == side, m * f_lo, f_lo), f)
+        f_hi = np.where(above, f, np.where(last == side, m * f_hi, f_hi))
+        lo = np.where(above, lo, mu)
+        hi = np.where(above, mu, hi)
+        last = side
+    mid[idx] = 0.5 * (lo + hi)
+    converged[idx] = hi - lo <= scale
+    return mid, converged
 
 
 def reachable(adj, start: int) -> np.ndarray:

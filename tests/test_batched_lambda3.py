@@ -111,6 +111,31 @@ def test_scaled_random_graphs_match_dense(power):
         assert_matches_dense(g, range(g.n))
 
 
+def complete_graph(n):
+    return from_edge_list(n, [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
+
+
+def cycle_graph(n):
+    return from_edge_list(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+
+
+def star_graph(n):
+    return from_edge_list(n, [(0, j, 1.0) for j in range(1, n)])
+
+
+def path_graph(n):
+    return from_edge_list(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+
+
+@pytest.mark.parametrize("family", [complete_graph, cycle_graph, star_graph, path_graph])
+@pytest.mark.parametrize("n", range(5, 13))
+def test_repeated_eigenvalues_and_poles_match_dense(family, n):
+    # Laplacian eigenvalues of multiplicity up to n - 1, nodes whose U rows
+    # vanish on whole eigenspaces (removable poles of S(mu)), and degree-1
+    # nodes padded to the call's width; EPSILONS includes rho = 0 and rho < 0
+    assert_matches_dense(family(n), range(n))
+
+
 def force_batched(monkeypatch):
     monkeypatch.setattr(bicon, "BATCH_MIN_ORDER", 0)
     monkeypatch.setattr(bicon, "BATCH_MIN_WORK", 0)
@@ -203,6 +228,22 @@ def test_one_eigendecomposition_per_command(tmp_path, monkeypatch, argv):
     # 144 and 1,872 dense solves on the dense path
     assert eigen["symmetric_eigen"] == 1
     assert build["perturbed_laplacian"] == 0
+
+
+def test_sweep_needs_at_most_20_inertia_counts_per_problem(tmp_path, monkeypatch):
+    path = grid_file(tmp_path, 12)
+    original = np.linalg.eigvalsh
+    counted = Counter()
+
+    def spy(m, *args, **kwargs):
+        if np.ndim(m) == 3:
+            counted["matrices"] += len(m)
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    assert main(["sweep", "--input", str(path), "--output", str(tmp_path / "s.csv")]) == 0
+    # 144 nodes x 13 epsilons; pure bisection needs 39 counts per problem
+    assert counted["matrices"] <= 20 * 144 * 13
 
 
 def test_small_or_dense_graphs_stay_on_the_dense_path(monkeypatch):

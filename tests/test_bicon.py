@@ -30,6 +30,7 @@ from biconcert import (
     report_to_dict,
     simplified_bound,
     spectral_certificate,
+    spectral_tests,
 )
 from biconcert.verify import random_connected_graph
 
@@ -131,6 +132,37 @@ class TestSpectralCertificate:
                 assert exact_norm_bound(0.05, a) == pytest.approx(
                     0.05 * float(np.linalg.norm(m)), rel=4 * np.finfo(float).eps, abs=0.0
                 )
+
+    def test_bounds_of_an_epsilon_array_equal_scalar_calls(self):
+        # spectral_tests takes every bound of a node from one call per bound
+        # function with all its epsilons; each value must be bit-identical to
+        # the scalar closed forms (eps sqrt(n)) sqrt(sum a^2) and
+        # eps sqrt((m + 3) sum a^2)
+        eps = np.concatenate([[1e-16, 1e-9, 1e-4, 0.05, 0.5, 1.0, 3.0], np.geomspace(1e-16, 3.0, 41)])
+        rng = np.random.default_rng(17)
+        for size in (1, 2, 5, 40, 199):
+            for scale in 10.0 ** np.arange(-12, 9):
+                a = rng.random(size) * scale
+                n = size + 1
+                simple, exact = simplified_bound(eps, n, a), exact_norm_bound(eps, a)
+                assert simple.shape == exact.shape == eps.shape
+                for e, s, x in zip(eps.tolist(), simple.tolist(), exact.tolist()):
+                    assert s == simplified_bound(e, n, a) == float(e * np.sqrt(n) * np.sqrt(np.sum(a * a)))
+                    assert x == exact_norm_bound(e, a) == e * float(np.sqrt((size + 3) * np.sum(a * a)))
+        assert type(simplified_bound(0.05, 4, a)) is float
+        assert type(exact_norm_bound(0.05, a)) is float
+
+    def test_spectral_tests_bounds_equal_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        g = random_connected_graph(rng, 12)
+        eps = [1e-16, 1e-4, 0.05, 1.0, 3.0]
+        tests = spectral_tests(g, range(g.n), eps)
+        assert [(t.node, t.epsilon) for t in tests] == [(i, e) for i in range(g.n) for e in eps]
+        for t in tests:
+            a = np.delete(g.weights[t.node], t.node)
+            assert type(t.simplified_bound) is float and type(t.exact_norm_bound) is float
+            assert t.simplified_bound == simplified_bound(t.epsilon, g.n, a)
+            assert t.exact_norm_bound == exact_norm_bound(t.epsilon, a)
 
     def test_small_graph_rejected(self):
         g = from_edge_list(2, [(0, 1, 1.0)])
