@@ -174,9 +174,7 @@ def spectral_tests(g: WeightedGraph, nodes, epsilons) -> list[SpectralTest]:
     nodes = list(nodes)
     cfgs = [PerturbationConfig(eps) for eps in epsilons]
     problems = [(i, cfg) for i in nodes for cfg in cfgs]
-    # One epsilon (check, verify) stays a scalar: numpy arithmetic on a
-    # 1-element array costs more than the bounds themselves.
-    eps = cfgs[0].epsilon if len(cfgs) == 1 else np.array([c.epsilon for c in cfgs])
+    eps = np.array([c.epsilon for c in cfgs])
     vectors = [neighbor_weight_vector(g, i) for i in nodes]
     simple = np.ravel([simplified_bound(eps, g.n, a) for a in vectors])
     exact = np.ravel([exact_norm_bound(eps, a) for a in vectors])

@@ -224,8 +224,14 @@ def _shrink_brackets(lam, ut, inv_rho, shift, lo, hi, scale) -> tuple[np.ndarray
     Anderson-Bjorck regula falsi step on ``f(mu) = sigma_k(S(mu))``,
     ``k = 2 - #{lam_j < mu} + shift``, the eigenvalue of S whose sign decides
     the count (``f < 0`` exactly when the count reaches 3). ``f`` decreases
-    over the whole bracket, across the poles at ``lam`` too, where k drops
-    by one as one eigenvalue of S passes from -inf to +inf. An end whose f
+    between the eigenvalues of L, and across a simple pole at ``lam`` too,
+    where k drops by one as one eigenvalue of S passes from -inf to +inf.
+    At an eigenvalue of L of multiplicity m, or one whose rows of ``ut``
+    vanish or nearly vanish (a removable pole), k drops by up to m while S
+    stays bounded, so f jumps there. The bracket stays sound, since it moves
+    only by counts, but the secant model is wrong at such a point, and
+    convergence near it rests on the Anderson-Bjorck scaling and the
+    midpoint fallback alone. An end whose f
     is unknown or infinite (k outside S's order) gets the midpoint instead,
     and mu keeps ``scale / 2`` from both ends. Only problems still wider
     than ``scale`` are evaluated. Returns the bracket midpoints and which

@@ -282,45 +282,23 @@ class TestUsage:
         assert run(["export", "--input", str(g), "--output", str(tmp_path / "g.dot")]) == 0
 
     def test_parser_built_once_and_reused(self, tmp_path, monkeypatch, capsys):
-        graph, report = tmp_path / "g.json", tmp_path / "r.json"
-        calls = [
-            ["gen", "--n", "12", "--seed", "5", "--radius", "0.6", "--output", str(graph)],
-            ["check", "--input", str(graph), "--output", str(report)],
-            ["check", "--input", str(graph), "--epsilon", "not-a-number"],
-            ["--version"],
-        ]
-
-        def outcome(argv):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = ("SystemExit", exc.code)
-            out, err = capsys.readouterr()
-            return code, out, err, {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
-
+        # Repeated main() calls in one process share one parser; a usage
+        # error after a successful call still exits 4.
         built = []
         original = biconcert.cli.build_parser
-
-        def counting_build():
-            built.append(1)
-            return original()
-
-        monkeypatch.setattr(biconcert.cli, "build_parser", counting_build)
-        fresh = []  # a new parser for every call, as main built one per call before
-        for argv in calls:
-            biconcert.cli._parser.cache_clear()
-            fresh.append(outcome(argv))
-        assert len(built) == len(calls)
-        for path in tmp_path.iterdir():
-            path.unlink()
+        monkeypatch.setattr(biconcert.cli, "build_parser", lambda: built.append(1) or original())
         biconcert.cli._parser.cache_clear()
-        built.clear()
-        reused = [outcome(argv) for argv in calls]
+        graph = str(tmp_path / "g.json")
+        assert main(["gen", "--n", "12", "--seed", "5", "--radius", "0.6", "--output", graph]) == 0
+        assert main(["check", "--input", graph, "--output", str(tmp_path / "r.json")]) in (0, 2)
+        capsys.readouterr()
+        assert main(["check", "--input", graph, "--epsilon", "not-a-number"]) == 4
+        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("biconcert ")
         assert len(built) == 1
-        assert reused == fresh
-        assert [r[0] for r in reused][2:] == [4, ("SystemExit", 0)]
-        assert reused[0][0] == 0 and reused[1][0] in (0, 2)
-        assert reused[3][1].startswith("biconcert ")
 
 
 INF_WEIGHT_TEXT = '{"n": 3, "edges": [[0, 1, Infinity], [1, 2, 1.0]]}'
