@@ -26,7 +26,9 @@ and it returns lambda3, both bounds and the one comparison
 takes lambda3 from one eigendecomposition of the Laplacian per call
 (:func:`biconcert.spectral._lambda3_batched`) and solves densely again any
 problem whose lambda3 lies within the batched error bound of a threshold,
-so its verdicts are the dense path's.
+so its verdicts are the dense path's. The dense path solves its problems
+as stacks of perturbed Laplacians, one eigensolve call per chunk of at most
+``spectral._BATCH_BYTES`` of matrices.
 
 The combinatorial oracles (DFS low-link articulation points, brute-force
 remove-and-check, vertex-capacity max flow for internally disjoint paths)
@@ -47,9 +49,10 @@ from .graph_core import (
     PerturbationConfig,
     WeightedGraph,
     neighbor_weight_vector,
-    perturbed_laplacian,
+    perturbed_laplacians,
     reduced_graph,
 )
+from . import spectral
 from .spectral import _lambda3_batched, is_connected_bfs, symmetric_eigen
 
 # Strictness guard: the certificate requires lambda3 > bound + this margin,
@@ -169,7 +172,10 @@ def spectral_tests(g: WeightedGraph, nodes, epsilons) -> list[SpectralTest]:
     batched lambda3 lies within its error bound tau of either threshold
     ``bound + CERTIFY_MARGIN`` is solved again densely, so every verdict is
     the dense path's. Below it every problem takes the dense path,
-    ``symmetric_eigen(perturbed_laplacian(g, i, eps))``.
+    ``symmetric_eigen(perturbed_laplacian(g, i, eps))``, solved as stacks
+    (:func:`biconcert.graph_core.perturbed_laplacians`) of at most
+    ``spectral._BATCH_BYTES`` each; each member's spectrum equals its
+    one-matrix solve bit for bit.
     """
     nodes = list(nodes)
     cfgs = [PerturbationConfig(eps) for eps in epsilons]
@@ -185,10 +191,14 @@ def spectral_tests(g: WeightedGraph, nodes, epsilons) -> list[SpectralTest]:
         ) <= tau
         dense = np.flatnonzero(near).tolist()
     else:
-        lam3, dense = np.empty(len(problems)), range(len(problems))
-    for k in dense:
-        i, cfg = problems[k]
-        lam3[k] = symmetric_eigen(perturbed_laplacian(g, i, cfg)).eigenvalues[2]
+        lam3, dense = np.empty(len(problems)), list(range(len(problems)))
+    per = max(1, spectral._BATCH_BYTES // (8 * g.n * g.n))
+    for start in range(0, len(dense), per):
+        chunk = dense[start : start + per]
+        stack = perturbed_laplacians(
+            g, [problems[k][0] for k in chunk], [problems[k][1] for k in chunk]
+        )
+        lam3[chunk] = symmetric_eigen(stack).eigenvalues[:, 2]
     return [
         SpectralTest(i, cfg.epsilon, lam, s, e)
         for (i, cfg), lam, s, e in zip(problems, lam3.tolist(), simple.tolist(), exact.tolist())

@@ -7,7 +7,10 @@ Laplacian, and the disk-based proximity model for planar layouts.
 :func:`perturbed_laplacian` builds ``L_i(eps)`` densely: it is the reference
 path of the certificate, which large batches of (node, epsilon) problems
 replace by one eigendecomposition of :func:`laplacian` (see
-:mod:`biconcert.spectral`).
+:mod:`biconcert.spectral`). :func:`perturbed_laplacians` and
+:func:`reduced_laplacians` build many such matrices of one graph as one
+``(count, k, k)`` stack for a stacked eigensolve; each member equals its
+one-matrix definition bit for bit.
 
 Weights are stored densely; the intended scale is a few hundred nodes, where
 dense O(n^2) storage and O(n^3) eigensolves are cheap. Neighbour lists, edge
@@ -225,6 +228,38 @@ def perturbed_laplacian(
     w[i, :] *= cfg.epsilon
     w[:, i] *= cfg.epsilon
     return np.diag(w.sum(axis=1)) - w
+
+
+def reduced_laplacians(g: WeightedGraph, nodes) -> np.ndarray:
+    """``laplacian(reduced_graph(g, i))`` for every i in ``nodes``: a ``(len(nodes), n - 1, n - 1)`` stack.
+
+    Built as a diagonal matrix minus W, like :func:`laplacian`. Negating W
+    and filling in its diagonal would leave -0.0 off the diagonal, and
+    LAPACK's Householder reflections see that sign.
+    """
+    if g.n < 2:
+        raise PreconditionError("cannot remove a node from a single-node graph")
+    nodes = np.asarray(nodes, dtype=np.intp)
+    for i in nodes.tolist():
+        _check_node(g, i)
+    j = np.arange(g.n - 1)
+    keep = j + (j >= nodes[:, None])  # every node but i, in order
+    w = g.weights[keep[:, :, None], keep[:, None, :]]
+    d = np.zeros(w.shape)
+    d.reshape(len(nodes), (g.n - 1) ** 2)[:, :: g.n] = w.sum(axis=-1)
+    return d - w
+
+
+def perturbed_laplacians(g: WeightedGraph, nodes, cfgs) -> np.ndarray:
+    """``perturbed_laplacian(g, i, cfg)`` for every pair of ``zip(nodes, cfgs)``: a ``(len(nodes), n, n)`` stack.
+
+    Each member comes from :func:`perturbed_laplacian` itself; building it
+    costs little next to solving it.
+    """
+    if len(nodes) != len(cfgs):
+        raise ValueError(f"{len(nodes)} nodes but {len(cfgs)} perturbations")
+    stack = [perturbed_laplacian(g, i, cfg) for i, cfg in zip(nodes, cfgs)]
+    return np.array(stack).reshape(len(nodes), g.n, g.n)
 
 
 def intermediate_matrix(

@@ -2,10 +2,14 @@
 
 Symmetric matrices go through LAPACK's symmetric solver (``numpy.linalg.eigh``),
 general square matrices through the real-Schur based solver
-(``numpy.linalg.eigvals``). Results come back in small value types that carry
+(``numpy.linalg.eigvals``). Both accept one ``(k, k)`` matrix or a stack
+``(..., k, k)`` of them: a stack is solved by one numpy gufunc call, which
+runs the same LAPACK routine on each member, so row ``r`` of a stack's result
+equals the one-matrix call on member ``r`` bit for bit while the per-call
+overhead is paid once. Results come back in small value types that carry
 the ordering guarantees the rest of the package relies on: ascending real
 eigenvalues for symmetric input, complex eigenvalues sorted by real then
-imaginary part otherwise.
+imaginary part otherwise, per row for a stack.
 
 :func:`_lambda3_batched` gets lambda3 of many perturbed Laplacians
 ``L_i(eps)`` of one graph from a single eigendecomposition of ``L``. It
@@ -34,7 +38,8 @@ MULTIPLICITY_TOL = 1e-8
 # max(||L||_1, ||L_i(eps)||_1), u the unit roundoff.
 LAMBDA3_TAU_FACTOR = 64.0
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
-# Bytes of the batched solver's three per-problem n x deg arrays, per chunk.
+# Bytes per chunk: of the batched solver's three per-problem n x deg arrays,
+# and of the n x n matrices of one stacked dense solve in bicon.spectral_tests.
 _BATCH_BYTES = 1 << 20
 # A bracket of width at most about ||L_i(eps)|| shrinks to n u ||L|| in some
 # 60 halvings, and secant steps need fewer; the cap only stops a loop that
@@ -50,7 +55,8 @@ class MultiplicityWarning(UserWarning):
 class Spectrum:
     """Ascending real eigenvalues, optionally with orthonormal eigenvectors.
 
-    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``.
+    ``eigenvectors[..., :, k]`` belongs to ``eigenvalues[..., k]``; for a
+    stack, the leading axes index its members.
     """
 
     eigenvalues: np.ndarray
@@ -59,27 +65,38 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class GeneralSpectrum:
-    """Complex eigenvalues sorted by real part, ties broken by imaginary part."""
+    """Complex eigenvalues sorted by real part, ties broken by imaginary part, per row."""
 
     eigenvalues: np.ndarray
 
 
-def symmetric_eigen(m, want_vectors: bool = False) -> Spectrum:
-    """Full spectrum of a real symmetric matrix, ascending.
-
-    Input must be symmetric to within ``SYMMETRY_RTOL`` relative to its
-    largest entry; anything worse is rejected with the measured asymmetry.
-    """
+def _square_stack(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    if asym > SYMMETRY_RTOL * scale:
-        raise ValueError(
-            f"matrix is not symmetric: max |M - M^T| = {asym:.3e} "
-            f"exceeds {SYMMETRY_RTOL:.0e} * {scale:.3e}"
-        )
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    return m
+
+
+def symmetric_eigen(m, want_vectors: bool = False) -> Spectrum:
+    """Full spectrum of a real symmetric matrix, or of each one in a stack, ascending.
+
+    Every member must be symmetric to within ``SYMMETRY_RTOL`` relative to
+    its largest entry; the first one worse than that is rejected with its
+    measured asymmetry.
+    """
+    m = _square_stack(m)
+    if m.size:
+        flat = m.shape[:-2] + (-1,)
+        asym = np.abs(m - m.swapaxes(-1, -2)).reshape(flat).max(axis=-1)
+        scale = np.maximum(1.0, np.abs(m).reshape(flat).max(axis=-1))
+        bad = asym > SYMMETRY_RTOL * scale
+        if bad.any():
+            at = tuple(np.argwhere(bad)[0].tolist())
+            member = f"stack member {at}" if at else "matrix"
+            raise ValueError(
+                f"{member} is not symmetric: max |M - M^T| = {float(asym[at]):.3e} "
+                f"exceeds {SYMMETRY_RTOL:.0e} * {float(scale[at]):.3e}"
+            )
     try:
         if want_vectors:
             vals, vecs = np.linalg.eigh(m)
@@ -90,16 +107,19 @@ def symmetric_eigen(m, want_vectors: bool = False) -> Spectrum:
 
 
 def general_eigen(m) -> GeneralSpectrum:
-    """Complex spectrum of any real square matrix."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    """Complex spectrum of any real square matrix, or of each one in a stack.
+
+    numpy returns a real array when every eigenvalue of the call is real, so
+    a stack's row can be complex with zero imaginary parts where the
+    one-matrix call is real; the values are the same.
+    """
+    m = _square_stack(m)
     try:
         vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise EigenConvergenceError(f"general eigensolve failed: {exc}") from exc
-    order = np.lexsort((vals.imag, vals.real))
-    return GeneralSpectrum(eigenvalues=vals[order])
+    order = np.lexsort((vals.imag, vals.real), axis=-1)
+    return GeneralSpectrum(eigenvalues=np.take_along_axis(vals, order, axis=-1))
 
 
 def algebraic_connectivity(g: WeightedGraph) -> float:

@@ -1,17 +1,24 @@
 """Numerical verification suite for the identities behind the certificate.
 
-Each check runs the relevant eigensolves for one (graph, node) case and
-reports the worst deviation from the claimed identity or bound. A failing
-check carries a JSON-ready witness (full graph plus parameters) so the exact
-case can be replayed.
+Each check compares eigenvalues against a claimed identity or bound for
+one (graph, node, parameters) case and reports the worst deviation. A
+failing check carries a JSON-ready witness (full graph plus parameters) so
+the exact case can be replayed.
 
-A case derives each value once, on first use: node i's weight vector, the
-reduced graph, its Laplacian, that Laplacian's spectrum and null
-multiplicity, and per epsilon the intermediate matrix and its spectrum.
-:func:`run_suite` builds one case per (graph, node) and runs every check on
-it, after checking each corpus graph's connectivity once. The public
-``check_*`` functions build a one-off case after checking their
-preconditions (connected input, and n >= 3 or gamma != 0 where stated).
+A case covers one graph and a set of its nodes. It derives each value
+once, on first use, for all of its nodes together: the weight vectors, the
+reduced Laplacians, their spectra and null multiplicities, and per tuple of
+epsilons the intermediate matrices and their spectra. Within one graph all
+these matrices share one order, so each check family builds its matrices
+as one ``(nodes, params, k, k)`` stack and solves it with one call of
+:func:`biconcert.spectral.symmetric_eigen` or
+:func:`biconcert.spectral.general_eigen`; every member equals its
+one-matrix definition bit for bit, so the results are those of one solve
+per matrix, in node-major order. :func:`run_suite` builds one case per
+corpus graph over all of its nodes, after checking the graph's connectivity
+once. The public ``check_*`` functions run the same check on a one-node
+case after checking their preconditions (connected input, and n >= 3 or
+gamma != 0 where stated).
 
 The checks:
 
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -54,14 +62,14 @@ from .graph_core import (
     PerturbationConfig,
     ProximityModel,
     WeightedGraph,
-    _intermediate,
     from_edge_list,
     graph_to_dict,
     laplacian,
     neighbor_weight_vector,
-    perturbed_laplacian,
+    perturbed_laplacians,
     proximity_graph,
     reduced_graph,
+    reduced_laplacians,
 )
 from .spectral import (
     general_eigen,
@@ -125,71 +133,95 @@ def _witness(g: WeightedGraph, i: NodeId, **params) -> dict:
     return {"graph": graph_to_dict(g), "node": i, **params}
 
 
-class _NodeCase:
-    """Node i of graph g; each derived value is computed on first use and kept.
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix of a stack.
 
-    Checks no precondition: callers prove connectivity (and n >= 3 where a
-    check needs it) before they read anything.
+    Taken as ``f @ f`` of each flattened matrix, which numpy computes with
+    BLAS ``ddot`` as ``np.linalg.norm`` does for one matrix;
+    ``np.linalg.norm(m, axis=(-2, -1))`` can differ from that in the last ulp.
+    """
+    f = m.reshape(m.shape[:-2] + (1, m.shape[-2] * m.shape[-1]))
+    return np.sqrt(f @ f.swapaxes(-1, -2))[..., 0, 0]
+
+
+class _GraphCase:
+    """Nodes of graph g; each derived stack is computed on first use and kept.
+
+    Row r of every stack belongs to ``nodes[r]``, and the next axis, where
+    there is one, to a check's parameters. Checks no precondition: callers
+    prove connectivity (and n >= 3 where a check needs it) before they read
+    anything.
     """
 
-    def __init__(self, g: WeightedGraph, i: NodeId) -> None:
+    def __init__(self, g: WeightedGraph, nodes) -> None:
         self.g = g
-        self.i = i
-        self._eps_cases: dict[float, _EpsCase] = {}
+        self.nodes = list(nodes)
+        self._intermediate_eigs: dict[tuple[float, ...], np.ndarray] = {}
 
     @cached_property
     def a(self) -> np.ndarray:
-        return neighbor_weight_vector(self.g, self.i)
-
-    @cached_property
-    def reduced(self) -> WeightedGraph:
-        return reduced_graph(self.g, self.i)
+        return np.array([neighbor_weight_vector(self.g, i) for i in self.nodes])
 
     @cached_property
     def lr(self) -> np.ndarray:
-        return laplacian(self.reduced)
+        return reduced_laplacians(self.g, self.nodes)
 
     @cached_property
     def lr_eigs(self) -> np.ndarray:
         return symmetric_eigen(self.lr).eigenvalues
 
     @cached_property
-    def null_multiplicity(self) -> int:
-        """Null multiplicity of the reduced Laplacian, cross-checked by component count."""
-        l_spec = int(np.sum(self.lr_eigs < NULL_TOL))
-        adj = self.reduced.weights > 0.0
-        seen = np.zeros(len(adj), dtype=bool)
-        components = 0
-        while not seen.all():
-            components += 1
-            seen |= reachable(adj, int(np.argmin(seen)))
-        if l_spec != components:
-            raise RuntimeError(
-                f"null multiplicity {l_spec} disagrees with component count {components}"
-            )
-        return l_spec
+    def null_multiplicity(self) -> list[int]:
+        """Null multiplicity of each reduced Laplacian, cross-checked by component count.
 
-    def at(self, eps: float) -> _EpsCase:
-        """The case at one epsilon; raises GraphInputError unless eps is positive and finite."""
-        if eps not in self._eps_cases:
-            self._eps_cases[eps] = _EpsCase(self, PerturbationConfig(eps))
-        return self._eps_cases[eps]
+        The reduced graph's edges are its Laplacian's negative entries.
+        """
+        counts = np.sum(self.lr_eigs < NULL_TOL, axis=1).tolist()
+        for l_spec, adj in zip(counts, self.lr < 0.0):
+            seen = np.zeros(len(adj), dtype=bool)
+            components = 0
+            while not seen.all():
+                components += 1
+                seen |= reachable(adj, int(np.argmin(seen)))
+            if l_spec != components:
+                raise RuntimeError(
+                    f"null multiplicity {l_spec} disagrees with component count {components}"
+                )
+        return counts
 
+    def intermediate(self, eps: tuple[float, ...]) -> np.ndarray:
+        """:func:`~biconcert.graph_core.intermediate_matrix` of every node at every epsilon.
 
-class _EpsCase:
-    """A node case at one epsilon: the intermediate matrix and its spectrum."""
+        Raises GraphInputError unless every epsilon is positive and finite.
+        """
+        e = np.array([PerturbationConfig(x).epsilon for x in eps])
+        m = self.a.shape[1]
+        coupling = np.zeros(self.a.shape + (m,))  # diag(a) + outer(a, ones)
+        coupling[:, np.arange(m), np.arange(m)] = self.a
+        coupling += self.a[:, :, None]
+        return self.lr[:, None] + e[:, None, None] * coupling[:, None]
 
-    def __init__(self, case: _NodeCase, cfg: PerturbationConfig) -> None:
-        self.case = case
-        self.cfg = cfg
+    def intermediate_eigs(self, eps: tuple[float, ...]) -> np.ndarray:
+        if eps not in self._intermediate_eigs:
+            self._intermediate_eigs[eps] = general_eigen(self.intermediate(eps)).eigenvalues
+        return self._intermediate_eigs[eps]
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return _intermediate(self.case.lr, self.case.a, self.cfg.epsilon)
+    def perturbed(self, eps: tuple[float, ...]) -> np.ndarray:
+        """:func:`perturbed_laplacian` of every node at every epsilon."""
+        n, count = self.g.n, len(self.nodes)
+        cfgs = [PerturbationConfig(x) for x in eps] * count
+        stack = perturbed_laplacians(self.g, np.repeat(self.nodes, len(eps)), cfgs)
+        return stack.reshape(count, len(eps), n, n)
 
-    @cached_property
-    def eigs(self) -> np.ndarray:
-        return general_eigen(self.matrix).eigenvalues
+    def combination(self, params: list[CombinationParams]) -> np.ndarray:
+        """``alpha * L_reduced + beta * P`` of every node for every entry of ``params``."""
+        alpha = np.array([p.alpha for p in params])[:, None, None]
+        beta = np.array([p.beta for p in params])[:, None, None]
+        return alpha * self.lr[:, None] + beta * self.intermediate(tuple(p.epsilon for p in params))
+
+    def rank_one(self, gamma: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """:func:`_rank_one` of every node at every ``(gamma, eta)`` pair of the two arrays."""
+        return gamma[:, None, None] * self.lr[:, None] + eta[:, None, None] * self.a[:, None, :, None]
 
 
 def _rank_one(lr: np.ndarray, a: np.ndarray, gamma: float, eta: float) -> np.ndarray:
@@ -197,22 +229,33 @@ def _rank_one(lr: np.ndarray, a: np.ndarray, gamma: float, eta: float) -> np.nda
     return gamma * lr + eta * np.outer(a, np.ones(len(a)))
 
 
-def _intermediate_spectrum(case: _NodeCase, eps: float, tol_factor: float) -> CheckOutcome:
-    at = case.at(eps)
-    p_eigs = at.eigs
-    l_mat = perturbed_laplacian(case.g, case.i, at.cfg)
+def _intermediate_spectrum(
+    case: _GraphCase, eps: tuple[float, ...], tol_factor: float
+) -> list[CheckOutcome]:
+    p_eigs = case.intermediate_eigs(eps)
+    l_mat = case.perturbed(eps)
     l_eigs = symmetric_eigen(l_mat).eigenvalues
-    real_err = float(np.max(np.abs(np.sort(p_eigs.real) - l_eigs[1:])))
-    imag_err = float(np.max(np.abs(p_eigs.imag)))
-    tol = tol_factor * max(1.0, float(np.linalg.norm(l_mat)))
-    passed = real_err <= tol and imag_err <= IMAG_TOL
-    return CheckOutcome(
-        name="intermediate-spectrum-match",
-        passed=passed,
-        max_error=max(real_err, imag_err),
-        witness=None if passed else _witness(case.g, case.i, epsilon=eps),
-        details={"real_error": real_err, "imag_error": imag_err, "tolerance": tol},
-    )
+    real_err = np.abs(np.sort(p_eigs.real, axis=-1) - l_eigs[..., 1:]).max(axis=-1)
+    imag_err = np.abs(p_eigs.imag).max(axis=-1)
+    outcomes = []
+    for (i, x), real, imag, norm in zip(
+        product(case.nodes, eps),
+        real_err.ravel().tolist(),
+        imag_err.ravel().tolist(),
+        _frobenius(l_mat).ravel().tolist(),
+    ):
+        tol = tol_factor * max(1.0, norm)
+        passed = real <= tol and imag <= IMAG_TOL
+        outcomes.append(
+            CheckOutcome(
+                name="intermediate-spectrum-match",
+                passed=passed,
+                max_error=max(real, imag),
+                witness=None if passed else _witness(case.g, i, epsilon=x),
+                details={"real_error": real, "imag_error": imag, "tolerance": tol},
+            )
+        )
+    return outcomes
 
 
 def check_intermediate_spectrum(
@@ -227,28 +270,33 @@ def check_intermediate_spectrum(
     if g.n < 3:
         raise PreconditionError("spectrum comparison needs n >= 3")
     _require_connected(g)
-    return _intermediate_spectrum(_NodeCase(g, i), eps, tol_factor)
+    (outcome,) = _intermediate_spectrum(_GraphCase(g, [i]), (eps,), tol_factor)
+    return outcome
 
 
 def _combination_realness(
-    case: _NodeCase, params: CombinationParams, tol_factor: float
-) -> CheckOutcome:
-    f = params.alpha * case.lr + params.beta * case.at(params.epsilon).matrix
-    eigs = general_eigen(f).eigenvalues
-    err = float(np.max(np.abs(eigs.imag)))
-    tol = tol_factor * max(1.0, float(np.linalg.norm(f)))
-    passed = err <= tol
-    return CheckOutcome(
-        name="combination-realness",
-        passed=passed,
-        max_error=err,
-        witness=None
-        if passed
-        else _witness(
-            case.g, case.i, alpha=params.alpha, beta=params.beta, epsilon=params.epsilon
-        ),
-        details={"tolerance": tol},
-    )
+    case: _GraphCase, params: list[CombinationParams], tol_factor: float
+) -> list[CheckOutcome]:
+    f = case.combination(params)
+    err = np.abs(general_eigen(f).eigenvalues.imag).max(axis=-1)
+    outcomes = []
+    for (i, p), e, norm in zip(
+        product(case.nodes, params), err.ravel().tolist(), _frobenius(f).ravel().tolist()
+    ):
+        tol = tol_factor * max(1.0, norm)
+        passed = e <= tol
+        outcomes.append(
+            CheckOutcome(
+                name="combination-realness",
+                passed=passed,
+                max_error=e,
+                witness=None
+                if passed
+                else _witness(case.g, i, alpha=p.alpha, beta=p.beta, epsilon=p.epsilon),
+                details={"tolerance": tol},
+            )
+        )
+    return outcomes
 
 
 def check_combination_realness(
@@ -259,24 +307,31 @@ def check_combination_realness(
 ) -> CheckOutcome:
     """``alpha * L_reduced + beta * P`` must have a purely real spectrum."""
     _require_connected(g)
-    return _combination_realness(_NodeCase(g, i), params, tol_factor)
+    (outcome,) = _combination_realness(_GraphCase(g, [i]), [params], tol_factor)
+    return outcome
 
 
-def _eigenvalue_gap_bound(case: _NodeCase, eps: float, tol: float) -> CheckOutcome:
-    at = case.at(eps)
-    a_desc = np.sort(at.eigs.real)[::-1]
-    b_desc = np.sort(case.lr_eigs)[::-1]
-    gap = float(np.max(np.abs(a_desc - b_desc)))
-    norm = float(np.linalg.norm(at.matrix - case.lr))
-    err = max(0.0, gap - norm)
-    passed = err <= tol
-    return CheckOutcome(
-        name="eigenvalue-gap-bound",
-        passed=passed,
-        max_error=err,
-        witness=None if passed else _witness(case.g, case.i, epsilon=eps),
-        details={"gap": gap, "frobenius_norm": norm},
-    )
+def _eigenvalue_gap_bound(
+    case: _GraphCase, eps: tuple[float, ...], tol: float
+) -> list[CheckOutcome]:
+    a_desc = np.sort(case.intermediate_eigs(eps).real, axis=-1)[..., ::-1]
+    b_desc = np.sort(case.lr_eigs, axis=-1)[:, None, ::-1]
+    gap = np.abs(a_desc - b_desc).max(axis=-1)
+    norm = _frobenius(case.intermediate(eps) - case.lr[:, None])
+    outcomes = []
+    for (i, x), gp, nm in zip(product(case.nodes, eps), gap.ravel().tolist(), norm.ravel().tolist()):
+        err = max(0.0, gp - nm)
+        passed = err <= tol
+        outcomes.append(
+            CheckOutcome(
+                name="eigenvalue-gap-bound",
+                passed=passed,
+                max_error=err,
+                witness=None if passed else _witness(case.g, i, epsilon=x),
+                details={"gap": gp, "frobenius_norm": nm},
+            )
+        )
+    return outcomes
 
 
 def check_eigenvalue_gap_bound(
@@ -289,7 +344,8 @@ def check_eigenvalue_gap_bound(
     the matrix difference (plus ``tol`` of slack for roundoff).
     """
     _require_connected(g)
-    return _eigenvalue_gap_bound(_NodeCase(g, i), eps, tol)
+    (outcome,) = _eigenvalue_gap_bound(_GraphCase(g, [i]), (eps,), tol)
+    return outcome
 
 
 def rank_one_update_matrix(
@@ -301,31 +357,41 @@ def rank_one_update_matrix(
 
 
 def _rank_one_update_spectrum(
-    case: _NodeCase, gamma: float, eta: float, tol: float
-) -> CheckOutcome:
-    lr_eigs = case.lr_eigs
-    l_null = case.null_multiplicity
-    moving = eta * float(np.sum(case.a))
-    expected = np.sort(
-        np.concatenate([gamma * lr_eigs[l_null:], np.zeros(l_null - 1), [moving]])
-    )
-    q_eigs = general_eigen(_rank_one(case.lr, case.a, gamma, eta)).eigenvalues
-    real_err = float(np.max(np.abs(np.sort(q_eigs.real) - expected)))
-    imag_err = float(np.max(np.abs(q_eigs.imag)))
-    err = max(real_err, imag_err)
-    passed = err <= tol
-    return CheckOutcome(
-        name="rank-one-update-spectrum",
-        passed=passed,
-        max_error=err,
-        witness=None if passed else _witness(case.g, case.i, gamma=gamma, eta=eta),
-        details={
-            "null_multiplicity": l_null,
-            "moving_eigenvalue": moving,
-            "real_error": real_err,
-            "imag_error": imag_err,
-        },
-    )
+    case: _GraphCase, params: list[tuple[float, float]], tol: float
+) -> list[CheckOutcome]:
+    """One outcome per node and ``(gamma, eta)`` pair of ``params``."""
+    gamma = np.array([p[0] for p in params])
+    eta = np.array([p[1] for p in params])
+    q_eigs = general_eigen(case.rank_one(gamma, eta)).eigenvalues
+    outcomes = []
+    for r, i in enumerate(case.nodes):
+        lr_eigs = case.lr_eigs[r]
+        l_null = case.null_multiplicity[r]
+        total = float(np.sum(case.a[r]))
+        for q, (gm, et) in zip(q_eigs[r], params):
+            moving = et * total
+            expected = np.sort(
+                np.concatenate([gm * lr_eigs[l_null:], np.zeros(l_null - 1), [moving]])
+            )
+            real_err = float(np.max(np.abs(np.sort(q.real) - expected)))
+            imag_err = float(np.max(np.abs(q.imag)))
+            err = max(real_err, imag_err)
+            passed = err <= tol
+            outcomes.append(
+                CheckOutcome(
+                    name="rank-one-update-spectrum",
+                    passed=passed,
+                    max_error=err,
+                    witness=None if passed else _witness(case.g, i, gamma=gm, eta=et),
+                    details={
+                        "null_multiplicity": l_null,
+                        "moving_eigenvalue": moving,
+                        "real_error": real_err,
+                        "imag_error": imag_err,
+                    },
+                )
+            )
+    return outcomes
 
 
 def check_rank_one_update_spectrum(
@@ -348,7 +414,8 @@ def check_rank_one_update_spectrum(
         raise PreconditionError("gamma must be nonzero")
     if g.n < 3:
         raise PreconditionError("rank-one spectrum check needs n >= 3")
-    return _rank_one_update_spectrum(_NodeCase(g, i), gamma, eta, tol)
+    (outcome,) = _rank_one_update_spectrum(_GraphCase(g, [i]), [(gamma, eta)], tol)
+    return outcome
 
 
 def _match_moving_eigenvalue(
@@ -372,48 +439,50 @@ def _match_moving_eigenvalue(
     return pool[0], matched
 
 
-def _null_drift_derivative(case: _NodeCase, step: float, tol: float) -> CheckOutcome:
-    lr_eigs = case.lr_eigs
-    l_null = case.null_multiplicity
-    stationary = np.concatenate([np.zeros(l_null - 1), lr_eigs[l_null:]])
-
-    def eigs_at(eta: float) -> np.ndarray:
-        return general_eigen(_rank_one(case.lr, case.a, 1.0, eta)).eigenvalues.real
-
-    mover_plus, matched_plus = _match_moving_eigenvalue(eigs_at(step), stationary)
-    mover_minus, matched_minus = _match_moving_eigenvalue(eigs_at(-step), stationary)
-    derivative = (mover_plus - mover_minus) / (2.0 * step)
-    null_drift = 0.0
-    for k in range(l_null - 1):
-        null_drift = max(
-            null_drift, abs((matched_plus[k] - matched_minus[k]) / (2.0 * step))
+def _null_drift_derivative(case: _GraphCase, step: float, tol: float) -> list[CheckOutcome]:
+    # gamma = 1 at eta = +step and eta = -step
+    eigs = general_eigen(case.rank_one(np.ones(2), np.array([step, -step]))).eigenvalues.real
+    outcomes = []
+    for r, i in enumerate(case.nodes):
+        l_null = case.null_multiplicity[r]
+        stationary = np.concatenate([np.zeros(l_null - 1), case.lr_eigs[r][l_null:]])
+        mover_plus, matched_plus = _match_moving_eigenvalue(eigs[r, 0], stationary)
+        mover_minus, matched_minus = _match_moving_eigenvalue(eigs[r, 1], stationary)
+        derivative = (mover_plus - mover_minus) / (2.0 * step)
+        null_drift = 0.0
+        for k in range(l_null - 1):
+            null_drift = max(
+                null_drift, abs((matched_plus[k] - matched_minus[k]) / (2.0 * step))
+            )
+        trace_candidate = float(np.sum(case.a[r]))
+        scaled_candidate = (case.g.n - 1) * trace_candidate
+        err_trace = abs(derivative - trace_candidate) / max(1e-300, abs(trace_candidate))
+        err_scaled = abs(derivative - scaled_candidate) / max(
+            1e-300, abs(scaled_candidate)
         )
-    trace_candidate = float(np.sum(case.a))
-    scaled_candidate = (case.g.n - 1) * trace_candidate
-    err_trace = abs(derivative - trace_candidate) / max(1e-300, abs(trace_candidate))
-    err_scaled = abs(derivative - scaled_candidate) / max(
-        1e-300, abs(scaled_candidate)
-    )
-    matched = "none"
-    if err_trace <= tol:
-        matched = "trace"
-    elif err_scaled <= tol:
-        matched = "scaled"
-    err = max(min(err_trace, err_scaled), null_drift)
-    passed = err <= tol
-    return CheckOutcome(
-        name="null-drift-derivative",
-        passed=passed,
-        max_error=err,
-        witness=None if passed else _witness(case.g, case.i, step=step),
-        details={
-            "fd_derivative": derivative,
-            "trace_candidate": trace_candidate,
-            "scaled_candidate": scaled_candidate,
-            "matched_candidate": matched,
-            "null_drift": null_drift,
-        },
-    )
+        matched = "none"
+        if err_trace <= tol:
+            matched = "trace"
+        elif err_scaled <= tol:
+            matched = "scaled"
+        err = max(min(err_trace, err_scaled), null_drift)
+        passed = err <= tol
+        outcomes.append(
+            CheckOutcome(
+                name="null-drift-derivative",
+                passed=passed,
+                max_error=err,
+                witness=None if passed else _witness(case.g, i, step=step),
+                details={
+                    "fd_derivative": derivative,
+                    "trace_candidate": trace_candidate,
+                    "scaled_candidate": scaled_candidate,
+                    "matched_candidate": matched,
+                    "null_drift": null_drift,
+                },
+            )
+        )
+    return outcomes
 
 
 def check_null_drift_derivative(
@@ -437,7 +506,8 @@ def check_null_drift_derivative(
     _require_connected(g)
     if g.n < 3:
         raise PreconditionError("null-drift check needs n >= 3")
-    return _null_drift_derivative(_NodeCase(g, i), step, tol)
+    (outcome,) = _null_drift_derivative(_GraphCase(g, [i]), step, tol)
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -649,31 +719,21 @@ def run_suite(
     for g in graphs:
         _require_connected(g)  # suite_corpus graphs have n >= 3
         ab = rng.uniform(-2.0, 2.0, size=(draws, 2))
-        cut_vertices = set()  # brute force: removing i disconnects g
-        for i in range(g.n):
-            case = _NodeCase(g, i)
-            if not is_connected_bfs(case.reduced):
-                cut_vertices.add(i)
-            for eps in _SUITE_EPS:
-                spectrum_cases.append(
-                    _intermediate_spectrum(case, eps, tol["spectrum"])
-                )
-                gap_cases.append(_eigenvalue_gap_bound(case, eps, tol["gap"]))
-            for alpha, beta in ab:
-                if alpha == 0.0 and beta == 0.0:
-                    continue
-                realness_cases.append(
-                    _combination_realness(
-                        case,
-                        CombinationParams(float(alpha), float(beta), 0.1),
-                        tol["realness"],
-                    )
-                )
-            for gamma in _SUITE_GAMMAS:
-                rank_one_cases.append(
-                    _rank_one_update_spectrum(case, gamma, _SUITE_ETA, tol["rank_one"])
-                )
-            drift_cases.append(_null_drift_derivative(case, FD_STEP, tol["derivative"]))
+        case = _GraphCase(g, range(g.n))
+        # brute force: removing i disconnects g
+        cut_vertices = {i for i in case.nodes if not is_connected_bfs(reduced_graph(g, i))}
+        spectrum_cases += _intermediate_spectrum(case, _SUITE_EPS, tol["spectrum"])
+        gap_cases += _eigenvalue_gap_bound(case, _SUITE_EPS, tol["gap"])
+        params = [
+            CombinationParams(float(alpha), float(beta), 0.1)
+            for alpha, beta in ab
+            if not (alpha == 0.0 and beta == 0.0)
+        ]
+        realness_cases += _combination_realness(case, params, tol["realness"])
+        rank_one_cases += _rank_one_update_spectrum(
+            case, [(gamma, _SUITE_ETA) for gamma in _SUITE_GAMMAS], tol["rank_one"]
+        )
+        drift_cases += _null_drift_derivative(case, FD_STEP, tol["derivative"])
 
         # Laplacian eigenvectors above the null space must be orthogonal to ones.
         spec = symmetric_eigen(laplacian(g), want_vectors=True)

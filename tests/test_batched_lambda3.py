@@ -222,12 +222,12 @@ def test_one_eigendecomposition_per_command(tmp_path, monkeypatch, argv):
     path = grid_file(tmp_path, 12)
     eigen = count_calls(monkeypatch, spectral, "symmetric_eigen")
     monkeypatch.setattr(bicon, "symmetric_eigen", spectral.symmetric_eigen)
-    build = count_calls(monkeypatch, bicon, "perturbed_laplacian")
+    build = count_calls(monkeypatch, bicon, "perturbed_laplacians")
     out = tmp_path / "out"
     assert main([argv[0], "--input", str(path), *argv[1:], "--output", str(out)]) == 0
     # 144 and 1,872 dense solves on the dense path
     assert eigen["symmetric_eigen"] == 1
-    assert build["perturbed_laplacian"] == 0
+    assert build["perturbed_laplacians"] == 0
 
 
 def test_sweep_needs_at_most_20_inertia_counts_per_problem(tmp_path, monkeypatch):
@@ -255,6 +255,26 @@ def test_small_or_dense_graphs_stay_on_the_dense_path(monkeypatch):
     spectral_tests(grid(12), range(4), [0.05])  # too few problems
     hub = from_edge_list(80, [(0, j, 1.0) for j in range(1, 80)] + [(j, j + 1, 1.0) for j in range(1, 79)])
     spectral_tests(hub, range(80), [0.05])  # degree 79 > n / 10
+
+
+@pytest.mark.parametrize("per_chunk", [1, 5])
+def test_dense_chunks_match_one_stack(monkeypatch, per_chunk):
+    g = grid(7, seed=3)  # n below the crossover: every problem is dense
+    monkeypatch.setattr(spectral, "_BATCH_BYTES", 1 << 40)
+    whole = spectral_tests(g, range(g.n), EPSILONS)
+    original = np.linalg.eigvalsh
+    stacks = []
+
+    def spy(m, *args, **kwargs):
+        stacks.append(len(m))
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(spectral, "_BATCH_BYTES", per_chunk * 8 * g.n * g.n)
+    chunked = spectral_tests(g, range(g.n), EPSILONS)
+    problems = g.n * len(EPSILONS)
+    assert stacks == [min(per_chunk, problems - s) for s in range(0, problems, per_chunk)]
+    assert chunked == whole  # every lambda3 bit for bit
 
 
 def test_inertia_failure_exits_numerical(tmp_path, monkeypatch, capsys):

@@ -25,7 +25,7 @@ from biconcert import (
     reduced_graph,
 )
 from biconcert.spectral import reachable
-from biconcert.verify import _NodeCase, random_graph, seed_graphs, suite_corpus
+from biconcert.verify import _GraphCase, random_graph, seed_graphs, suite_corpus
 
 
 def neighbors_loop(g, i):
@@ -144,8 +144,8 @@ def test_reachable_matches_loop():
 
 def test_component_count_matches_loop():
     for g in suite_corpus(np.random.default_rng(5), 40):
-        for i in range(g.n):
-            assert _NodeCase(g, i).null_multiplicity == components_loop(reduced_graph(g, i))
+        want = [components_loop(reduced_graph(g, i)) for i in range(g.n)]
+        assert _GraphCase(g, range(g.n)).null_multiplicity == want
 
 
 def random_graph_loop(rng, n, p):

@@ -119,6 +119,59 @@ class TestGeneralEigen:
                 assert res <= 1e-7 * norm**n
 
 
+class TestStacks:
+    """Both solvers take a stack (..., k, k); each row equals the one-matrix call."""
+
+    def symmetric_stack(self, rng, shape, k):
+        m = rng.normal(size=shape + (k, k))
+        return m + m.swapaxes(-1, -2)
+
+    def test_symmetric_rows_equal_single_calls(self):
+        stack = self.symmetric_stack(np.random.default_rng(16), (3, 4), 7)
+        spec = symmetric_eigen(stack, want_vectors=True)
+        assert spec.eigenvalues.shape == (3, 4, 7)
+        for idx in np.ndindex(3, 4):
+            one = symmetric_eigen(stack[idx], want_vectors=True)
+            assert np.array_equal(spec.eigenvalues[idx], one.eigenvalues)
+            assert np.array_equal(spec.eigenvectors[idx], one.eigenvectors)
+
+    def test_asymmetric_member_rejected_with_its_asymmetry(self):
+        stack = self.symmetric_stack(np.random.default_rng(17), (2, 3), 4)
+        stack[1, 2, 0, 3] += 0.25
+        with pytest.raises(ValueError, match=r"stack member \(1, 2\) .* = 2\.500e-01"):
+            symmetric_eigen(stack)
+
+    def test_general_rows_sorted_like_single_calls(self):
+        rng = np.random.default_rng(18)
+        stack = rng.normal(size=(6, 5, 5))
+        stack[0] = stack[0] + stack[0].T  # a real spectrum beside complex ones
+        stack[1] = np.array(  # a complex pair tied in real part: sorted by imaginary part
+            [[0.0, 1.0, 0, 0, 0], [-1.0, 0.0, 0, 0, 0], [0, 0, 2.0, 0, 0], [0, 0, 0, 2.0, 0], [0, 0, 0, 0, -1.0]]
+        )
+        eigs = general_eigen(stack).eigenvalues
+        for r in range(len(stack)):
+            one = general_eigen(stack[r]).eigenvalues
+            assert np.array_equal(eigs[r].real, one.real)
+            assert np.array_equal(eigs[r].imag, np.imag(one))
+        assert np.array_equal(eigs[1], [-1.0, -1j, 1j, 2.0, 2.0])
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_empty_and_one_member_stacks(self, count):
+        stack = self.symmetric_stack(np.random.default_rng(19), (count,), 4)
+        sym = symmetric_eigen(stack).eigenvalues
+        gen = general_eigen(stack).eigenvalues
+        assert sym.shape == gen.shape == (count, 4)
+        if count:
+            assert np.array_equal(sym[0], symmetric_eigen(stack[0]).eigenvalues)
+            assert np.array_equal(gen[0], general_eigen(stack[0]).eigenvalues)
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            symmetric_eigen(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="square"):
+            general_eigen(np.zeros(3))
+
+
 class TestConnectivity:
     def test_algebraic_connectivity_values(self):
         assert algebraic_connectivity(k3()) == pytest.approx(3.0, abs=1e-12)

@@ -28,6 +28,14 @@ from biconcert import (
     suite_passed,
     symmetric_eigen,
 )
+from biconcert.graph_core import (
+    PerturbationConfig,
+    _intermediate,
+    neighbor_weight_vector,
+    perturbed_laplacian,
+    reduced_laplacians,
+)
+from biconcert.spectral import general_eigen
 from biconcert.verify import _aggregate, outcome_to_dict, rank_one_update_matrix, suite_corpus
 
 
@@ -296,6 +304,7 @@ def test_suite_matches_public_checks(seed, tolerances):
 def test_each_case_derived_once(monkeypatch):
     corpus, keep, origin = [], [], {}
     counts = Counter()
+    covered = {}
 
     def corpus_spy(*args, **kwargs):
         graphs = suite_corpus(*args, **kwargs)
@@ -310,16 +319,17 @@ def test_each_case_derived_once(monkeypatch):
         counts["reduced", id(g), i] += 1
         return r
 
-    def laplacian_spy(h):
-        m = laplacian(h)
-        if id(h) in origin:
-            keep.append(m)
-            origin[id(m)] = origin[id(h)]
+    def stack_spy(g, nodes):
+        m = reduced_laplacians(g, nodes)
+        keep.append(m)
+        origin[id(m)] = (id(g), tuple(nodes))
         return m
 
     def eigen_spy(m, *args, **kwargs):
         if id(m) in origin:
-            counts[("eigen", *origin[id(m)])] += 1
+            g_id, nodes = origin[id(m)]
+            counts["eigen", g_id] += 1
+            covered[g_id] = nodes
         return symmetric_eigen(m, *args, **kwargs)
 
     def connected_spy(g):
@@ -329,7 +339,7 @@ def test_each_case_derived_once(monkeypatch):
     monkeypatch.setattr(verify, "suite_corpus", corpus_spy)
     for module in (biconcert.bicon, verify):
         monkeypatch.setattr(module, "reduced_graph", reduced_spy)
-    monkeypatch.setattr(verify, "laplacian", laplacian_spy)
+    monkeypatch.setattr(verify, "reduced_laplacians", stack_spy)
     monkeypatch.setattr(verify, "symmetric_eigen", eigen_spy)
     for module in (biconcert.bicon, verify):
         monkeypatch.setattr(module, "is_connected_bfs", connected_spy)
@@ -340,10 +350,67 @@ def test_each_case_derived_once(monkeypatch):
         # articulation-oracle-agreement check searches each node's reduced
         # graph once, and the DFS side searches nothing
         assert counts["connected", id(g)] == 1
+        # one stacked eigensolve of the reduced Laplacians, covering every node
+        assert counts["eigen", id(g)] == 1
+        assert covered[id(g)] == tuple(range(g.n))
         for i in range(g.n):
             assert counts["reduced", id(g), i] == 1
-            assert counts["eigen", id(g), i] == 1
             assert counts["connected", id(g), i] == 1
+
+
+def bits_equal(got, want):
+    """Equal values, dtypes aside, and equal signs of zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (
+        got.shape == want.shape
+        and np.array_equal(got.real, want.real)
+        and np.array_equal(got.imag, want.imag)
+        and np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_stacks_match_one_matrix_definitions(seed):
+    """Every stacked matrix, norm and spectrum of run_suite, bit for bit against its one-matrix form."""
+    rng = np.random.default_rng(seed)
+    eps = verify._SUITE_EPS
+    rank_one = [(gamma, verify._SUITE_ETA) for gamma in verify._SUITE_GAMMAS]
+    rank_one += [(1.0, verify.FD_STEP), (1.0, -verify.FD_STEP)]
+    gamma, eta = (np.array(x) for x in zip(*rank_one))
+    for g in suite_corpus(rng, 20):
+        params = [CombinationParams(*ab, 0.1) for ab in rng.uniform(-2.0, 2.0, size=(5, 2))]
+        case = verify._GraphCase(g, range(g.n))
+        stacks = {
+            "perturbed": case.perturbed(eps),
+            "intermediate": case.intermediate(eps),
+            "combination": case.combination(params),
+            "rank_one": case.rank_one(gamma, eta),
+        }
+        eigs = {name: general_eigen(m).eigenvalues for name, m in stacks.items()}
+        eigs["perturbed"] = symmetric_eigen(stacks["perturbed"]).eigenvalues
+        norms = {name: verify._frobenius(m) for name, m in stacks.items()}
+        norms["gap"] = verify._frobenius(stacks["intermediate"] - case.lr[:, None])
+        for r, i in enumerate(case.nodes):
+            lr = laplacian(reduced_graph(g, i))
+            a = neighbor_weight_vector(g, i)
+            assert bits_equal(case.lr[r], lr)
+            assert bits_equal(case.lr_eigs[r], symmetric_eigen(lr).eigenvalues)
+            want = {
+                "perturbed": [perturbed_laplacian(g, i, PerturbationConfig(x)) for x in eps],
+                "intermediate": [_intermediate(lr, a, x) for x in eps],
+                "combination": [
+                    p.alpha * lr + p.beta * _intermediate(lr, a, p.epsilon) for p in params
+                ],
+                "rank_one": [verify._rank_one(lr, a, gm, et) for gm, et in rank_one],
+            }
+            for name, matrices in want.items():
+                solve = symmetric_eigen if name == "perturbed" else general_eigen
+                for k, m in enumerate(matrices):
+                    assert bits_equal(stacks[name][r, k], m), (name, i, k)
+                    assert bits_equal(eigs[name][r, k], solve(m).eigenvalues), (name, i, k)
+                    assert norms[name][r, k] == np.linalg.norm(m), (name, i, k)
+            for k, m in enumerate(want["intermediate"]):
+                assert norms["gap"][r, k] == np.linalg.norm(m - lr)
 
 
 def test_counterexample_search_skips_per_node_connectivity(monkeypatch):
