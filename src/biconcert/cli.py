@@ -12,8 +12,9 @@ differ from a direct dense eigensolve in its last digits, never in a verdict.
 Exit codes: 0 success or certified, 2 not certified, 3 precondition failure
 (disconnected input, impossible generation), 4 malformed input or usage
 (including non-finite weights, positions, epsilon or epsilon-grid values, a
-radius or sigma that is not finite and positive, and a ``--tol-*`` value that
-is not finite and >= 0), 5 numerical failure (an eigensolver, or the batched
+radius or sigma that is not finite and positive, a ``--n``, ``--graphs`` or
+``--trials`` below 1, a ``--seed`` below 0, and a ``--tol-*`` value that is
+not finite and >= 0), 5 numerical failure (an eigensolver, or the batched
 lambda3 solver's inertia count, did not converge).
 Identical invocations (including ``--seed``) produce byte-identical output
 files; randomness comes from numpy's seeded PCG64 generator, which is
@@ -29,7 +30,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .graph_core import (
 from .spectral import is_connected_bfs
 from .verify import (
     INFORMATIONAL_CHECKS,
+    SUITE_TOLERANCES,
     outcome_to_dict,
     run_suite,
     suite_passed,
@@ -73,62 +74,34 @@ GEN_MAX_ATTEMPTS = 500
 RNG_NAME = "numpy-pcg64"
 DEFAULT_EPS_GRID = "1e-4:1:13"
 
-_TOL_NAMES = ("spectrum", "realness", "gap", "rank-one", "derivative", "connectivity")
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation: one command plus everything it needs."""
-
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    epsilon: float = 0.05
-    mode: BoundMode = BoundMode.EXACT_NORM
-    oracle: bool = False
-    seed: int | None = None
-    n: int | None = None
-    radius: float = 0.5
-    sigma: float = 0.125
-    eps_grid: str = DEFAULT_EPS_GRID
-    trials: int = 200
-    graphs: int = 60
-    tolerances: dict[str, float] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        required = {
-            "gen": ("seed", "n"),
-            "verify": ("seed",),
-            "check": ("input_path",),
-            "oracle": ("input_path",),
-            "sweep": ("input_path",),
-            "export": ("input_path",),
-        }
-        for name in required[self.command]:
-            if getattr(self, name) is None:
-                flag = name.removesuffix("_path")
-                raise GraphInputError(f"'{self.command}' requires --{flag}")
-        if self.command == "gen" and self.n < 1:
-            raise GraphInputError(f"--n must be >= 1, got {self.n}")
-        if self.command == "verify" and self.trials < 1:
-            raise GraphInputError(f"--trials must be >= 1, got {self.trials}")
-        if self.command == "verify" and self.graphs < 1:
-            raise GraphInputError(f"--graphs must be >= 1, got {self.graphs}")
-        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
-            raise GraphInputError(
-                f"--epsilon must be positive and finite, got {self.epsilon}"
-            )
-        for name, value in self.tolerances.items():
-            if not 0.0 <= value < math.inf:
-                flag = name.replace("_", "-")
-                raise GraphInputError(f"--tol-{flag} must be finite and >= 0, got {value}")
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors, which collides with the
     # not-certified exit code; surface them as input errors instead.
     def error(self, message: str) -> None:
         raise GraphInputError(message)
+
+
+def _at_least(convert, low: float, rule: str):
+    """An argparse ``type=``: ``convert(text)``, which must lie in [low, inf).
+
+    Counts, seeds and tolerances are checked here, as they are parsed;
+    epsilon, radius, sigma and the epsilon grid by the types that use them.
+    """
+
+    def parse(text: str):
+        value = convert(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse says "invalid int value: ..."
+    return parse
+
+
+_count = _at_least(int, 1, ">= 1")
+_seed = _at_least(int, 0, ">= 0")
+_tolerance = _at_least(float, 0.0, "finite and >= 0")
 
 
 def parse_eps_grid(spec: str) -> list[float]:
@@ -194,72 +167,72 @@ def _csv_sibling(path: str) -> str:
     return path[: -len(".json")] + ".csv" if path.endswith(".json") else path + ".csv"
 
 
-def cmd_gen(cfg: RunConfig) -> int:
+def cmd_gen(args: argparse.Namespace) -> int:
     """Random connected disk-model graph in the unit square."""
-    model = ProximityModel(radius=cfg.radius, sigma=cfg.sigma)
-    rng = np.random.default_rng(cfg.seed)
+    model = ProximityModel(radius=args.radius, sigma=args.sigma)
+    rng = np.random.default_rng(args.seed)
     meta = {
-        "seed": cfg.seed,
+        "seed": args.seed,
         "rng": RNG_NAME,
-        "radius": cfg.radius,
-        "sigma": cfg.sigma,
+        "radius": args.radius,
+        "sigma": args.sigma,
     }
-    if cfg.n == 1:
+    if args.n == 1:
         doc = graph_to_dict(
             WeightedGraph(n=1, weights=np.zeros((1, 1)), positions=rng.random((1, 2)))
         )
         doc["meta"] = meta
-        _write_text(cfg.output_path, _dump_json(doc))
+        _write_text(args.output_path, _dump_json(doc))
         return EXIT_OK
     for attempt in range(GEN_MAX_ATTEMPTS):
-        g = proximity_graph(rng.random((cfg.n, 2)), model)
+        g = proximity_graph(rng.random((args.n, 2)), model)
         if is_connected_bfs(g):
             doc = graph_to_dict(g)
             doc["meta"] = {**meta, "attempt": attempt}
-            _write_text(cfg.output_path, _dump_json(doc))
+            _write_text(args.output_path, _dump_json(doc))
             return EXIT_OK
     raise PreconditionError(
-        f"no connected layout in {GEN_MAX_ATTEMPTS} attempts for n={cfg.n}, "
-        f"radius={cfg.radius}; increase --radius or lower --n"
+        f"no connected layout in {GEN_MAX_ATTEMPTS} attempts for n={args.n}, "
+        f"radius={args.radius}; increase --radius or lower --n"
     )
 
 
-def cmd_check(cfg: RunConfig) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
     """Certify a graph file; writes the JSON report (and CSV next to it)."""
-    g = _load_graph(cfg.input_path)
+    g = _load_graph(args.input_path)
     report = certify_graph(
-        g, PerturbationConfig(cfg.epsilon), cfg.mode, with_oracle=cfg.oracle
+        g, PerturbationConfig(args.epsilon), BoundMode(args.mode), with_oracle=args.oracle
     )
-    _emit_report(cfg, report)
+    _emit_report(args, report)
     return EXIT_OK if report.graph_certified else EXIT_NOT_CERTIFIED
 
 
-def _emit_report(cfg: RunConfig, report: BiconnectivityReport) -> None:
+def _emit_report(args: argparse.Namespace, report: BiconnectivityReport) -> None:
     json_text = _dump_json(report_to_dict(report))
-    if cfg.output_path is None:
+    if args.output_path is None:
         sys.stdout.write(json_text)
     else:
-        _write_text(cfg.output_path, json_text)
-        _write_text(_csv_sibling(cfg.output_path), _csv_text(report_csv_rows(report)))
+        _write_text(args.output_path, json_text)
+        _write_text(_csv_sibling(args.output_path), _csv_text(report_csv_rows(report)))
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
+def cmd_oracle(args: argparse.Namespace) -> int:
     """Exact combinatorial answers for a graph file."""
-    g = _load_graph(cfg.input_path)
+    g = _load_graph(args.input_path)
     points = sorted(articulation_points_oracle(g))
     doc = {
         "articulation_points": points,
         "biconnected": g.n >= 3 and not points,
         "n": g.n,
     }
-    _write_text(cfg.output_path, _dump_json(doc))
+    _write_text(args.output_path, _dump_json(doc))
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     """Certificate quantities for every node over an epsilon grid (CSV)."""
-    grid = parse_eps_grid(cfg.eps_grid)
-    g = _load_graph(cfg.input_path)
+    grid = parse_eps_grid(args.eps_grid)
+    g = _load_graph(args.input_path)
     if g.n <= 2:
         raise PreconditionError("sweep needs n > 2")
     _require_connected(g)
@@ -286,16 +259,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 "true" if t.certified(BoundMode.EXACT_NORM) else "false",
             ]
         )
-    _write_text(cfg.output_path, _csv_text(rows))
+    _write_text(args.output_path, _csv_text(rows))
     return EXIT_OK
 
 
-def cmd_export(cfg: RunConfig) -> int:
+def cmd_export(args: argparse.Namespace) -> int:
     """Graphviz DOT with oracle and local-biconnectedness marks.
 
     Marks need a connected graph; a disconnected one is exported bare.
     """
-    g = _load_graph(cfg.input_path)
+    g = _load_graph(args.input_path)
     points: set[int] = set()
     local: set[int] = set()
     if g.n >= 2 and is_connected_bfs(g):
@@ -317,17 +290,21 @@ def cmd_export(cfg: RunConfig) -> int:
     for i, j, w in g.edges():
         lines.append(f'  {i} -- {j} [label="{w:.4g}"];')
     lines.append("}")
-    _write_text(cfg.output_path, "\n".join(lines) + "\n")
+    _write_text(args.output_path, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Run the numerical check suite; informational checks never gate."""
     outcomes = run_suite(
-        seed=cfg.seed,
-        n_graphs=cfg.graphs,
-        trials=cfg.trials,
-        tolerances=cfg.tolerances,
+        seed=args.seed,
+        n_graphs=args.graphs,
+        trials=args.trials,
+        tolerances={
+            name: value
+            for name in SUITE_TOLERANCES
+            if (value := getattr(args, f"tol_{name}")) is not None
+        },
     )
     width = max(len(o.name) for o in outcomes)
     lines = []
@@ -343,9 +320,9 @@ def cmd_verify(cfg: RunConfig) -> int:
             f"{o.name:<{width}}  {tag}  cases={cases}  max_error={o.max_error:.3e}{extra}"
         )
     sys.stdout.write("\n".join(lines) + "\n")
-    if cfg.output_path is not None:
+    if args.output_path is not None:
         _write_text(
-            cfg.output_path, _dump_json([outcome_to_dict(o) for o in outcomes])
+            args.output_path, _dump_json([outcome_to_dict(o) for o in outcomes])
         )
     return EXIT_OK if suite_passed(outcomes) else EXIT_NOT_CERTIFIED
 
@@ -366,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a random connected disk-model graph")
-    gen.add_argument("--n", type=int, required=True, help="number of nodes")
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--n", type=_count, required=True, help="number of nodes")
+    gen.add_argument("--seed", type=_seed, required=True)
     gen.add_argument("--radius", type=float, default=0.5)
     gen.add_argument("--sigma", type=float, default=0.125)
     gen.add_argument("--output", dest="output_path")
@@ -400,42 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--output", dest="output_path")
 
     verify = sub.add_parser("verify", help="run the numerical check suite")
-    verify.add_argument("--seed", type=int, required=True)
-    verify.add_argument("--trials", type=int, default=200, help="counterexample search trials")
-    verify.add_argument("--graphs", type=int, default=60, help="corpus size for the checks")
+    verify.add_argument("--seed", type=_seed, required=True)
+    verify.add_argument("--trials", type=_count, default=200, help="counterexample search trials")
+    verify.add_argument("--graphs", type=_count, default=60, help="corpus size for the checks")
     verify.add_argument("--output", dest="output_path")
-    for name in _TOL_NAMES:
-        verify.add_argument(
-            f"--tol-{name}", dest=f"tol_{name.replace('-', '_')}", type=float
-        )
+    for name in SUITE_TOLERANCES:
+        verify.add_argument(f"--tol-{name.replace('_', '-')}", dest=f"tol_{name}", type=_tolerance)
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in (
-        "input_path",
-        "output_path",
-        "epsilon",
-        "seed",
-        "n",
-        "radius",
-        "sigma",
-        "eps_grid",
-        "trials",
-        "graphs",
-        "oracle",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "mode", None) is not None:
-        cfg.mode = BoundMode(args.mode)
-    for name in _TOL_NAMES:
-        value = getattr(args, f"tol_{name.replace('-', '_')}", None)
-        if value is not None:
-            cfg.tolerances[name.replace("-", "_")] = value
-    cfg.validate()
-    return cfg
 
 
 @functools.cache
@@ -448,8 +396,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        cfg = config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except GraphInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -650,6 +650,17 @@ INFORMATIONAL_CHECKS = frozenset(
     {"null-drift-derivative", "certificate-search-simplified"}
 )
 
+# Each suite check's default tolerance, by the name run_suite's
+# ``tolerances`` and the CLI's ``--tol-*`` flags use ("_" becomes "-").
+SUITE_TOLERANCES = {
+    "spectrum": SPECTRUM_TOL_FACTOR,
+    "realness": REALNESS_TOL_FACTOR,
+    "gap": GAP_TOL,
+    "rank_one": RANK_ONE_TOL,
+    "derivative": DERIVATIVE_TOL,
+    "connectivity": 1e-9,
+}
+
 _SUITE_EPS = (1e-3, 1e-2, 0.1, 1.0)
 _SUITE_GAMMAS = (0.5, 1.0, 2.0)
 _SUITE_ETA = 1e-3
@@ -693,18 +704,19 @@ def run_suite(
 
     Returns one outcome per check name; a suite passes when every outcome
     outside :data:`INFORMATIONAL_CHECKS` passed. ``tolerances`` may override
-    individual check tolerances by name (``spectrum``, ``realness``, ``gap``,
-    ``rank_one``, ``derivative``, ``connectivity``).
+    individual check tolerances by their names in :data:`SUITE_TOLERANCES`;
+    an unknown name, ``n_graphs < 1`` or ``trials < 1`` raises ``ValueError``
+    before any check runs. Tolerance values are not range-checked here (a
+    negative one forces its check to fail); the CLI's ``--tol-*`` flags are.
     """
-    tol = {
-        "spectrum": SPECTRUM_TOL_FACTOR,
-        "realness": REALNESS_TOL_FACTOR,
-        "gap": GAP_TOL,
-        "rank_one": RANK_ONE_TOL,
-        "derivative": DERIVATIVE_TOL,
-        "connectivity": 1e-9,
-    }
-    tol.update(tolerances or {})
+    unknown = sorted(set(tolerances or {}) - SUITE_TOLERANCES.keys())
+    if unknown:
+        raise ValueError(f"unknown tolerance names {unknown}; known: {list(SUITE_TOLERANCES)}")
+    if n_graphs < 1:
+        raise ValueError(f"need at least one graph, got {n_graphs}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    tol = {**SUITE_TOLERANCES, **(tolerances or {})}
     rng = np.random.default_rng(seed)
     graphs = suite_corpus(rng, n_graphs)
 

@@ -12,6 +12,7 @@ import biconcert.cli
 from biconcert import graph_from_dict, is_connected_bfs
 from biconcert.cli import EXIT_NUMERICAL, main, parse_eps_grid
 from biconcert.errors import EigenConvergenceError, GraphInputError
+from biconcert.verify import SUITE_TOLERANCES
 
 
 def run(args):
@@ -28,6 +29,21 @@ K4_DOC = {
     "edges": [[0, 1, 1.0], [0, 2, 1.0], [0, 3, 1.0], [1, 2, 1.0], [1, 3, 1.0], [2, 3, 1.0]],
     "positions": None,
 }
+
+
+# Out-of-range flags, and what stderr must name; check also gets an --input.
+OUT_OF_RANGE = [
+    (["gen", "--seed", "1", "--n", "0"], "argument --n: must be >= 1"),
+    (["gen", "--seed", "1", "--n", "-1"], "argument --n: must be >= 1"),
+    (["gen", "--n", "5", "--seed", "-1"], "argument --seed: must be >= 0"),
+    (["verify", "--seed", "1", "--graphs", "0"], "argument --graphs: must be >= 1"),
+    (["verify", "--seed", "1", "--graphs", "-1"], "argument --graphs: must be >= 1"),
+    (["verify", "--seed", "1", "--trials", "-1"], "argument --trials: must be >= 1"),
+    (["verify", "--seed", "-1"], "argument --seed: must be >= 0"),
+    (["check", "--epsilon", "0"], "epsilon"),
+    (["check", "--epsilon", "-1"], "epsilon"),
+    (["check", "--epsilon", "nan"], "nan"),
+]
 
 
 class TestGen:
@@ -273,6 +289,30 @@ class TestUsage:
     def test_unknown_flag_exit_four(self):
         assert run(["check", "--nope"]) == 4
 
+    @pytest.mark.parametrize(
+        "argv, named", OUT_OF_RANGE, ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE]
+    )
+    def test_out_of_range_flag_exit_four(self, tmp_path, capsys, argv, named):
+        g = tmp_path / "k4.json"
+        write_graph(g, K4_DOC)
+        if argv[0] == "check":
+            argv = argv + ["--input", str(g)]
+        out = tmp_path / "out.json"
+        assert run(argv + ["--output", str(out)]) == 4
+        assert named in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k4.json"]
+
+    def test_unset_flags_take_parser_defaults(self, tmp_path, capsys):
+        g = tmp_path / "k4.json"
+        write_graph(g, K4_DOC)
+        assert run(["check", "--input", str(g)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["epsilon"], report["mode"]) == (0.05, "exact")
+        out = tmp_path / "g.json"
+        assert run(["gen", "--n", "5", "--seed", "1", "--output", str(out)]) == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert (meta["radius"], meta["sigma"]) == (0.5, 0.125)
+
     def test_round_trip_gen_check(self, tmp_path):
         g = tmp_path / "g.json"
         assert run(["gen", "--n", "8", "--seed", "13", "--output", str(g)]) == 0
@@ -334,11 +374,11 @@ class TestNonFiniteInput:
         assert run(["sweep", "--input", str(g), "--eps-grid", grid]) == 4
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
-    @pytest.mark.parametrize("name", biconcert.cli._TOL_NAMES)
+    @pytest.mark.parametrize("name", [name.replace("_", "-") for name in SUITE_TOLERANCES])
     def test_bad_tolerance_exit_four(self, capsys, name, value):
         argv = ["verify", "--seed", "3", "--graphs", "5", "--trials", "5"]
         assert run(argv + [f"--tol-{name}", value]) == 4
-        assert f"--tol-{name} must be finite and >= 0" in capsys.readouterr().err
+        assert f"argument --tol-{name}: must be finite and >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", ["1", "5"])
     @pytest.mark.parametrize("flag", ["--radius", "--sigma"])

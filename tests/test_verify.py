@@ -231,6 +231,25 @@ class TestSuite:
         assert drift.details["candidate_matches"]["none"] == 0
 
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_graphs": -1}, "at least one graph"),
+            ({"n_graphs": 0}, "at least one graph"),
+            ({"trials": 0}, "at least one trial"),
+            ({"tolerances": {"gapp": -1.0}}, r"unknown tolerance names \['gapp'\]"),
+        ],
+        ids=["graphs-negative", "graphs-zero", "trials-zero", "misspelt-tolerance"],
+    )
+    def test_bad_arguments_rejected_before_any_check(self, monkeypatch, kwargs, message):
+        def no_corpus(*args, **kw):
+            raise AssertionError("the suite started before its arguments were checked")
+
+        monkeypatch.setattr(verify, "suite_corpus", no_corpus)
+        with pytest.raises(ValueError, match=message):
+            run_suite(seed=1, **{"n_graphs": 2, "trials": 2, **kwargs})
+
+
 PER_NODE_CHECKS = (
     "intermediate-spectrum-match",
     "combination-realness",
