@@ -48,7 +48,7 @@ from .graph_core import (
     NodeId,
     PerturbationConfig,
     WeightedGraph,
-    neighbor_weight_vector,
+    _check_node,
     perturbed_laplacians,
     reduced_graph,
 )
@@ -104,11 +104,13 @@ class BiconnectivityReport:
 def simplified_bound(eps: float | np.ndarray, n: int, a: np.ndarray) -> float | np.ndarray:
     """Closed-form threshold ``eps * sqrt(n) * sqrt(sum a_k^2)``.
 
-    A float for a scalar ``eps``; for an array of epsilons, the array of
-    bounds, each bit-identical to its scalar call.
+    A float for a scalar ``eps`` and one vector ``a``. ``eps`` may be an
+    array and ``a`` a stack of vectors along its last axis; the bounds then
+    broadcast like ``eps * sum a_k^2``, each bit-identical to its scalar
+    call on one vector.
     """
     a = np.asarray(a, dtype=float)
-    bound = eps * np.sqrt(n) * np.sqrt(np.sum(a * a))
+    bound = eps * np.sqrt(n) * np.sqrt(np.sum(a * a, axis=-1))
     return bound if isinstance(bound, np.ndarray) else float(bound)
 
 
@@ -117,12 +119,11 @@ def exact_norm_bound(eps: float | np.ndarray, a: np.ndarray) -> float | np.ndarr
 
     Row k of the coupling matrix holds ``2 a_k`` once and ``a_k`` m - 1
     times (m = len(a)), so the norm is ``sqrt((m + 3) * sum a_k^2)``: with
-    node i's m = n - 1 weights, ``eps * sqrt((n + 2) * sum a_k^2)``. Like
-    :func:`simplified_bound`, a float for a scalar ``eps`` and an array of
-    bit-identical bounds for an array.
+    node i's m = n - 1 weights, ``eps * sqrt((n + 2) * sum a_k^2)``. Takes
+    and returns scalars, arrays and stacks like :func:`simplified_bound`.
     """
     a = np.asarray(a, dtype=float)
-    bound = eps * np.sqrt((a.shape[0] + 3) * np.sum(a * a))
+    bound = eps * np.sqrt((a.shape[-1] + 3) * np.sum(a * a, axis=-1))
     return bound if isinstance(bound, np.ndarray) else float(bound)
 
 
@@ -181,9 +182,21 @@ def spectral_tests(g: WeightedGraph, nodes, epsilons) -> list[SpectralTest]:
     cfgs = [PerturbationConfig(eps) for eps in epsilons]
     problems = [(i, cfg) for i in nodes for cfg in cfgs]
     eps = np.array([c.epsilon for c in cfgs])
-    vectors = [neighbor_weight_vector(g, i) for i in nodes]
-    simple = np.ravel([simplified_bound(eps, g.n, a) for a in vectors])
-    exact = np.ravel([exact_norm_bound(eps, a) for a in vectors])
+    for i in nodes:
+        _check_node(g, i)
+    # Node i's weight vector is row i of the weights without its diagonal
+    # entry; as a stack of one vector, its bounds come out node-major. Blocks
+    # of a whole spectral._BATCH_BYTES raised a grid-eigen cycle's peak RSS
+    # by 0.5 MB, so a block holds an eighth of it.
+    simple = np.empty((len(nodes), len(eps)))
+    exact = np.empty_like(simple)
+    rows = max(1, spectral._BATCH_BYTES // 8 // (8 * g.n))
+    for start in range(0, len(nodes), rows):
+        block = np.array(nodes[start : start + rows])
+        a = g.weights[block][np.arange(g.n) != block[:, None]].reshape(len(block), 1, g.n - 1)
+        simple[start : start + rows] = simplified_bound(eps, g.n, a)
+        exact[start : start + rows] = exact_norm_bound(eps, a)
+    simple, exact = simple.ravel(), exact.ravel()
     if _batched_pays(g, nodes, len(problems)):
         lam3, tau = _lambda3_batched(g, np.repeat(nodes, len(cfgs)), np.tile(eps, len(nodes)))
         near = np.minimum(

@@ -81,6 +81,27 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         raise GraphInputError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reports missing required flags before unrecognised ones,
+        # so on a usage error parse again without the required flags; any
+        # flag that parse leaves over is named in the error too.
+        try:
+            return super().parse_known_args(args, namespace)
+        except GraphInputError as exc:
+            required = [a for a in self._actions if a.required]
+            for action in required:
+                action.required = False
+            try:
+                _, extras = super().parse_known_args(args, namespace)
+            except GraphInputError:
+                extras = []
+            finally:
+                for action in required:
+                    action.required = True
+            if not extras:
+                raise
+            raise GraphInputError(f"{exc}; unrecognized arguments: {' '.join(extras)}") from exc
+
 
 def _at_least(convert, low: float, rule: str):
     """An argparse ``type=``: ``convert(text)``, which must lie in [low, inf).

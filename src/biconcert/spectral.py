@@ -17,6 +17,9 @@ narrows a bracket per problem whose ends move only by exact eigenvalue
 counts (Sylvester inertia of small Schur complements); secant steps place
 the trial points, and the bracket, not the step rule, carries the error
 bound. That bound scales with ``||L||``, not with ``||L_i(eps)||`` alone.
+One loop narrows every bracket of a call and solves the Schur complements
+of all its open problems in one stacked ``eigvalsh`` per step; only forming
+them is split into sub-chunks of ``_BATCH_BYTES``.
 numpy only: no scipy import.
 """
 
@@ -38,8 +41,12 @@ MULTIPLICITY_TOL = 1e-8
 # max(||L||_1, ||L_i(eps)||_1), u the unit roundoff.
 LAMBDA3_TAU_FACTOR = 64.0
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
-# Bytes per chunk: of the batched solver's three per-problem n x deg arrays,
-# and of the n x n matrices of one stacked dense solve in bicon.spectral_tests.
+# Bytes per chunk: of the working arrays of one sub-chunk of the batched
+# solver's Schur complements (about three n x deg floats per problem), of the
+# n x n matrices of one stacked dense solve in bicon.spectral_tests, and of
+# the weight rows its bounds read at a time. It bounds none of the per-problem
+# vectors: bracket state and deg x deg Schur complements are kept for every
+# problem of a call.
 _BATCH_BYTES = 1 << 20
 # A bracket of width at most about ||L_i(eps)|| shrinks to n u ||L|| in some
 # 60 halvings, and secant steps need fewer; the cap only stops a loop that
@@ -194,7 +201,15 @@ def _lambda3_batched(
     columns to that width. Brackets come from interlacing: lambda3 lies in
     ``[0, lam_3]`` for eps < 1 and in ``[lam_3, lam_{3+deg(i)}]`` for
     eps > 1; eps = 1 is ``lam_3`` itself. :func:`_shrink_brackets` then
-    narrows every bracket at once, moving its ends only by that count.
+    narrows every bracket of the call in one loop, moving its ends only by
+    that count.
+
+    No ``U`` is kept: each step builds ``U^T`` again from rows of ``Q`` and
+    the node's neighbours and weights, for ``_BATCH_BYTES`` of n x d arrays
+    at a time, and keeps only ``S``. Besides arrays of at most n x n
+    entries, like ``Q``, memory is that budget plus O(d^2) floats per
+    problem. How the problems are split never changes a problem's
+    arithmetic: its lambda3 and tau are the same bit for bit.
     """
     n = g.n
     w = g.weights
@@ -207,37 +222,50 @@ def _lambda3_batched(
     adj = w > 0.0
     deg = adj.sum(axis=1)[nodes]
     width = max(int(deg.max(initial=0)), 1)
-    lam3 = np.empty(len(nodes))
-    tau = np.empty(len(nodes))
+    # Neighbours of i first; the padding's weights are 0. Sorted once per node.
+    distinct, at = np.unique(nodes, return_inverse=True)
+    nbr = np.argsort(~adj[distinct], axis=1, kind="stable")[:, :width][at]
+    wn = w[nodes[:, None], nbr]
+    root_w = np.sqrt(wn)
+    rho = 1.0 - eps
+    # n u max(||L||_1, ||L_i(eps)||_1): column j of L_i(eps) sums to
+    # 2 (s_j - rho w_ij), column i to 2 eps s_i.
+    cols = 2.0 * np.maximum((strength[nbr] - rho[:, None] * wn).max(axis=1), eps * strength[nodes])
+    scale = n * _UNIT_ROUNDOFF * np.maximum(cols, norm_l)
+    tau = LAMBDA3_TAU_FACTOR * scale
+    neg = rho < 0.0
+    shift = np.where(neg, width, 0)
+    inv_rho = 1.0 / np.where(rho == 0.0, 1.0, rho)
+    top = np.where(2 + deg < n, lam[np.minimum(2 + deg, n - 1)], lam[2] - 2.0 * rho * strength[nodes])
+    lo = np.where(rho == 0.0, lam[2], np.where(neg, lam[2], 0.0) - tau)
+    hi = np.where(rho == 0.0, lam[2], np.where(neg, top, lam[2]) + tau)
+    eye = np.eye(width)
     per = max(1, _BATCH_BYTES // (3 * 8 * n * width))
-    for s in range(0, len(nodes), per):
-        c = slice(s, s + per)
-        i, rho, d = nodes[c], 1.0 - eps[c], deg[c]
-        # Neighbours of i first; the padding's weights are 0.
-        nbr = np.argsort(~adj[i], axis=1, kind="stable")[:, :width]
-        wn = np.take_along_axis(w[i], nbr, axis=1)
-        ut = (q[i][:, None, :] - q[nbr]) * np.sqrt(wn)[:, :, None]  # U^T per problem
-        # n u max(||L||_1, ||L_i(eps)||_1): column j of L_i(eps) sums to
-        # 2 (s_j - rho w_ij), column i to 2 eps s_i.
-        cols = 2.0 * np.maximum((strength[nbr] - rho[:, None] * wn).max(axis=1), eps[c] * strength[i])
-        scale = n * _UNIT_ROUNDOFF * np.maximum(cols, norm_l)
-        tau[c] = LAMBDA3_TAU_FACTOR * scale
-        neg = rho < 0.0
-        shift = np.where(neg, width, 0)
-        inv_rho = 1.0 / np.where(rho == 0.0, 1.0, rho)
-        top = np.where(2 + d < n, lam[np.minimum(2 + d, n - 1)], lam[2] - 2.0 * rho * strength[i])
-        lo = np.where(rho == 0.0, lam[2], np.where(neg, lam[2], 0.0) - tau[c])
-        hi = np.where(rho == 0.0, lam[2], np.where(neg, top, lam[2]) + tau[c])
-        lam3[c], converged = _shrink_brackets(lam, ut, inv_rho, shift, lo, hi, scale)
-        # A bracket still wider than its scale has no error bound.
-        tau[c][~converged] = np.inf
+
+    def schur(rows: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """S(mu[r]) of problem ``rows[r]`` for every r, ``per`` problems at a time."""
+        s = np.empty((len(rows), width, width))
+        for c in range(0, len(rows), per):
+            r = rows[c : c + per]
+            ut = q[nbr[r]]  # U^T per problem, built in place
+            np.subtract(q[nodes[r]][:, None, :], ut, out=ut)
+            ut *= root_w[r][:, :, None]
+            s[c : c + per] = inv_rho[r][:, None, None] * eye - (
+                ut / (lam - mu[c : c + per, None])[:, None, :]
+            ) @ ut.transpose(0, 2, 1)
+        return s
+
+    lam3, converged = _shrink_brackets(lam, schur, shift, lo, hi, scale)
+    # A bracket still wider than its scale has no error bound.
+    tau[~converged] = np.inf
     return lam3, tau
 
 
-def _shrink_brackets(lam, ut, inv_rho, shift, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
+def _shrink_brackets(lam, schur, shift, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
     """Narrow every bracket ``[lo, hi]`` around lambda3 to width ``scale``.
 
-    One row per problem of :func:`_lambda3_batched`. Each step evaluates the
+    One entry per problem of :func:`_lambda3_batched`; ``schur(rows, mu)``
+    gives ``S(mu)`` of the problems ``rows``. Each step evaluates the
     count at one mu per problem and moves ``hi`` to mu if at least three
     eigenvalues lie below it, ``lo`` otherwise, so every bracket holds
     lambda3 whatever mu is. Only the choice of mu is heuristic: an
@@ -246,7 +274,7 @@ def _shrink_brackets(lam, ut, inv_rho, shift, lo, hi, scale) -> tuple[np.ndarray
     the count (``f < 0`` exactly when the count reaches 3). ``f`` decreases
     between the eigenvalues of L, and across a simple pole at ``lam`` too,
     where k drops by one as one eigenvalue of S passes from -inf to +inf.
-    At an eigenvalue of L of multiplicity m, or one whose rows of ``ut``
+    At an eigenvalue of L of multiplicity m, or one whose rows of ``U^T``
     vanish or nearly vanish (a removable pole), k drops by up to m while S
     stays bounded, so f jumps there. The bracket stays sound, since it moves
     only by counts, but the secant model is wrong at such a point, and
@@ -254,11 +282,11 @@ def _shrink_brackets(lam, ut, inv_rho, shift, lo, hi, scale) -> tuple[np.ndarray
     midpoint fallback alone. An end whose f
     is unknown or infinite (k outside S's order) gets the midpoint instead,
     and mu keeps ``scale / 2`` from both ends. Only problems still wider
-    than ``scale`` are evaluated. Returns the bracket midpoints and which
+    than ``scale`` are evaluated, all of them in one stacked ``eigvalsh``
+    per step. Returns the bracket midpoints and which
     brackets converged within ``_MAX_STEPS`` steps.
     """
-    n, width = len(lam), ut.shape[1]
-    eye = np.eye(width)
+    n = len(lam)
     mid = np.empty(len(lo))
     converged = np.zeros(len(lo), dtype=bool)
     idx = np.arange(len(lo))
@@ -271,32 +299,30 @@ def _shrink_brackets(lam, ut, inv_rho, shift, lo, hi, scale) -> tuple[np.ndarray
             done = idx[~wide]
             mid[done] = 0.5 * (lo[~wide] + hi[~wide])
             converged[done] = True
-            idx, lo, hi, f_lo, f_hi, last, ut, inv_rho, shift, scale = (
-                x[wide] for x in (idx, lo, hi, f_lo, f_hi, last, ut, inv_rho, shift, scale)
+            idx, lo, hi, f_lo, f_hi, last, shift, scale = (
+                x[wide] for x in (idx, lo, hi, f_lo, f_hi, last, shift, scale)
             )
-            if not idx.size:
-                break
+        if not idx.size:
+            break
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             mu = lo + f_lo / (f_lo - f_hi) * (hi - lo)
         known = np.isfinite(f_lo) & np.isfinite(f_hi) & np.isfinite(mu)
         mu = np.where(known, mu, 0.5 * (lo + hi))
-        mu = np.clip(mu, lo + 0.5 * scale, hi - 0.5 * scale)
+        mu = np.minimum(np.maximum(mu, lo + 0.5 * scale), hi - 0.5 * scale)
         while True:  # mu = lam_k would divide by zero: step off it
             below = np.searchsorted(lam, mu)
             tie = lam[np.minimum(below, n - 1)] == mu
             if not tie.any():
                 break
             mu[tie] = np.nextafter(mu[tie], np.inf)
-        schur = inv_rho[:, None, None] * eye - (
-            ut / (lam - mu[:, None])[:, None, :]
-        ) @ ut.transpose(0, 2, 1)
         try:
-            sigma = np.linalg.eigvalsh(schur)
+            sigma = np.linalg.eigvalsh(schur(idx, mu))
         except np.linalg.LinAlgError as exc:
             raise EigenConvergenceError(f"batched inertia count failed: {exc}") from exc
+        width = sigma.shape[1]
         above = below + (sigma < 0.0).sum(axis=1) - shift >= 3
         k = 2 - below + shift
-        f = np.take_along_axis(sigma, np.clip(k, 0, width - 1)[:, None], axis=1)[:, 0]
+        f = sigma[np.arange(len(k)), np.minimum(np.maximum(k, 0), width - 1)]
         f = np.where(k < 0, -np.inf, np.where(k >= width, np.inf, f))
         # Anderson-Bjorck: an end that stays put twice running has its f
         # scaled by 1 - f(mu) / f(moved end), or halved if that is not > 0.

@@ -705,9 +705,10 @@ def run_suite(
     Returns one outcome per check name; a suite passes when every outcome
     outside :data:`INFORMATIONAL_CHECKS` passed. ``tolerances`` may override
     individual check tolerances by their names in :data:`SUITE_TOLERANCES`;
-    an unknown name, ``n_graphs < 1`` or ``trials < 1`` raises ``ValueError``
-    before any check runs. Tolerance values are not range-checked here (a
-    negative one forces its check to fail); the CLI's ``--tol-*`` flags are.
+    an unknown name, ``n_graphs < 1``, ``trials < 1`` or ``draws < 1``
+    raises ``ValueError`` before any check runs. Tolerance values are not
+    range-checked here (a negative one forces its check to fail); the CLI's
+    ``--tol-*`` flags are.
     """
     unknown = sorted(set(tolerances or {}) - SUITE_TOLERANCES.keys())
     if unknown:
@@ -716,6 +717,8 @@ def run_suite(
         raise ValueError(f"need at least one graph, got {n_graphs}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if draws < 1:
+        raise ValueError(f"need at least one draw, got {draws}")
     tol = {**SUITE_TOLERANCES, **(tolerances or {})}
     rng = np.random.default_rng(seed)
     graphs = suite_corpus(rng, n_graphs)

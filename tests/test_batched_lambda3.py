@@ -246,6 +246,44 @@ def test_sweep_needs_at_most_20_inertia_counts_per_problem(tmp_path, monkeypatch
     assert counted["matrices"] <= 20 * 144 * 13
 
 
+def test_sweep_makes_one_stacked_inertia_solve_per_step(tmp_path, monkeypatch):
+    path = grid_file(tmp_path, 12)
+    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    assert main(["sweep", "--input", str(path), "--output", str(tmp_path / "s.csv")]) == 0
+    # one bracket loop for all 1,872 problems; chunks of 75 problems, each
+    # with its own loop, made 458 calls
+    assert calls["eigvalsh"] <= 40
+
+
+def test_call_without_problems_solves_nothing(monkeypatch):
+    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    lam3, tau = _lambda3_batched(grid(8), np.array([], dtype=int), np.array([]))
+    assert lam3.shape == tau.shape == (0,)
+    assert calls["eigvalsh"] == 0
+
+
+@pytest.mark.parametrize(
+    "graph, nodes, epsilons",
+    [
+        (grid(12, seed=1), range(144), [float(x) for x in np.geomspace(1e-4, 1.0, 13)]),
+        (disk_graph(1), None, [1e-4]),
+    ],
+    ids=["grid12-sweep", "disk200-check"],
+)
+def test_lambda3_and_tau_do_not_depend_on_the_chunk_size(monkeypatch, graph, nodes, epsilons):
+    if nodes is None:  # the nodes check solves: those not locally biconnected
+        nodes = [i for i in range(graph.n) if not bicon._locally_biconnected(graph, i)]
+    probe_nodes = np.repeat(nodes, len(epsilons))
+    probe_eps = np.tile(epsilons, len(nodes))
+    results = []
+    for budget in (1, spectral._BATCH_BYTES, 64 << 20):  # one problem per chunk, default, all
+        monkeypatch.setattr(spectral, "_BATCH_BYTES", budget)
+        results.append(_lambda3_batched(graph, probe_nodes, probe_eps))
+    for lam3, tau in results[1:]:
+        assert lam3.tobytes() == results[0][0].tobytes()
+        assert tau.tobytes() == results[0][1].tobytes()
+
+
 def test_small_or_dense_graphs_stay_on_the_dense_path(monkeypatch):
     def fail(*args):
         raise AssertionError("batched solver called")

@@ -290,6 +290,18 @@ class TestUsage:
         assert run(["check", "--nope"]) == 4
 
     @pytest.mark.parametrize(
+        "argv, missing",
+        [(["check", "--nope"], "--input"), (["verify", "--nope"], "--seed"), (["--nope"], "command")],
+        ids=["check", "verify", "no-command"],
+    )
+    def test_unknown_flag_named_next_to_missing_required_flag(self, capsys, argv, missing):
+        # argparse alone reports only the missing flag
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert "--nope" in err and missing in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "argv, named", OUT_OF_RANGE, ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE]
     )
     def test_out_of_range_flag_exit_four(self, tmp_path, capsys, argv, named):

@@ -237,9 +237,10 @@ class TestSuite:
             ({"n_graphs": -1}, "at least one graph"),
             ({"n_graphs": 0}, "at least one graph"),
             ({"trials": 0}, "at least one trial"),
+            ({"draws": 0}, "at least one draw"),
             ({"tolerances": {"gapp": -1.0}}, r"unknown tolerance names \['gapp'\]"),
         ],
-        ids=["graphs-negative", "graphs-zero", "trials-zero", "misspelt-tolerance"],
+        ids=["graphs-negative", "graphs-zero", "trials-zero", "draws-zero", "misspelt-tolerance"],
     )
     def test_bad_arguments_rejected_before_any_check(self, monkeypatch, kwargs, message):
         def no_corpus(*args, **kw):
