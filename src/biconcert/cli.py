@@ -38,6 +38,8 @@ from .bicon import (
     BiconnectivityReport,
     BoundMode,
     _articulation_points,
+    _csv_flag,
+    _csv_num,
     _locally_biconnected,
     _require_connected,
     articulation_points_oracle,
@@ -82,22 +84,27 @@ class _Parser(argparse.ArgumentParser):
         raise GraphInputError(message)
 
     def parse_known_args(self, args=None, namespace=None):
-        # argparse reports missing required flags before unrecognised ones,
-        # so on a usage error parse again without the required flags; any
-        # flag that parse leaves over is named in the error too.
+        # argparse stops at a missing required flag or a bad value before it
+        # reports unrecognised flags, so name those in the error too. Each
+        # parser scans its own tokens: those up to a subcommand's name, which
+        # the subcommand's parser gets the rest of. As in argparse, --flag=value
+        # names --flag, a prefix of a flag names the flag, and a negative number
+        # is a value.
         try:
             return super().parse_known_args(args, namespace)
         except GraphInputError as exc:
-            required = [a for a in self._actions if a.required]
-            for action in required:
-                action.required = False
-            try:
-                _, extras = super().parse_known_args(args, namespace)
-            except GraphInputError:
-                extras = []
-            finally:
-                for action in required:
-                    action.required = True
+            subparsers = [a for a in self._actions if isinstance(a, argparse._SubParsersAction)]
+            extras = []
+            for token in sys.argv[1:] if args is None else args:
+                if any(token in a.choices for a in subparsers):
+                    break
+                flag = token.split("=", 1)[0]
+                if (
+                    flag.startswith("-")
+                    and not self._negative_number_matcher.match(flag)
+                    and not any(opt.startswith(flag) for opt in self._option_string_actions)
+                ):
+                    extras.append(token)
             if not extras:
                 raise
             raise GraphInputError(f"{exc}; unrecognized arguments: {' '.join(extras)}") from exc
@@ -179,7 +186,7 @@ def _load_graph(path: str) -> WeightedGraph:
             doc = json.load(fh)
     except OSError as exc:
         raise GraphInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also undecodable UTF-8 and integers past int's digit limit
         raise GraphInputError(f"{path} is not valid JSON: {exc}") from exc
     return graph_from_dict(doc)
 
@@ -268,18 +275,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "certified_exact",
         ]
     ]
-    for t in spectral_tests(g, range(g.n), grid):
-        rows.append(
-            [
-                str(t.node),
-                format(t.epsilon, ".6g"),
-                format(t.lambda3, ".6g"),
-                format(t.simplified_bound, ".6g"),
-                format(t.exact_norm_bound, ".6g"),
-                "true" if t.certified(BoundMode.SIMPLIFIED) else "false",
-                "true" if t.certified(BoundMode.EXACT_NORM) else "false",
-            ]
-        )
+    rows += [
+        [
+            str(t.node),
+            *map(_csv_num, (t.epsilon, t.lambda3, t.simplified_bound, t.exact_norm_bound)),
+            _csv_flag(t.certified(BoundMode.SIMPLIFIED)),
+            _csv_flag(t.certified(BoundMode.EXACT_NORM)),
+        ]
+        for t in spectral_tests(g, range(g.n), grid)
+    ]
     _write_text(args.output_path, _csv_text(rows))
     return EXIT_OK
 

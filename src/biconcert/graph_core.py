@@ -317,7 +317,7 @@ def graph_from_dict(d: dict) -> WeightedGraph:
         if not isinstance(e, (list, tuple)) or len(e) != 3:
             raise GraphInputError(f"edge entry {e!r} is not an [i, j, w] triple")
         i, j, w = e
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)):
             raise GraphInputError(f"edge endpoints must be integers, got {e!r}")
         try:
             triples.append((i, j, float(w)))

@@ -7,10 +7,11 @@ the exact case can be replayed.
 
 A case covers one graph and a set of its nodes. It derives each value
 once, on first use, for all of its nodes together: the weight vectors, the
-reduced Laplacians, their spectra and null multiplicities, and per tuple of
-epsilons the intermediate matrices and their spectra. Within one graph all
-these matrices share one order, so each check family builds its matrices
-as one ``(nodes, params, k, k)`` stack and solves it with one call of
+reduced Laplacians, their spectra and null multiplicities, the reduced graphs'
+component counts, and per tuple of epsilons the intermediate matrices and
+their spectra. Within one graph all these matrices share one order, so each
+check family builds its matrices as one ``(nodes, params, k, k)`` stack and
+solves it with one call of
 :func:`biconcert.spectral.symmetric_eigen` or
 :func:`biconcert.spectral.general_eigen`; every member equals its
 one-matrix definition bit for bit, so the results are those of one solve
@@ -133,6 +134,31 @@ def _witness(g: WeightedGraph, i: NodeId, **params) -> dict:
     return {"graph": graph_to_dict(g), "node": i, **params}
 
 
+def _outcomes(
+    name: str, g: WeightedGraph, nodes, params: list[dict], err, passed, **details
+) -> list[CheckOutcome]:
+    """One outcome per node and entry of ``params``, node-major.
+
+    ``err``, ``passed`` and every ``details`` column broadcast to
+    ``(len(nodes), len(params))`` and come out as plain Python values;
+    ``params`` holds each column's witness parameters for failing cases.
+    """
+    shape = (len(nodes), len(params))
+    err, passed, *columns = (
+        np.broadcast_to(x, shape).ravel().tolist() for x in (err, passed, *details.values())
+    )
+    return [
+        CheckOutcome(
+            name=name,
+            passed=ok,
+            max_error=e,
+            witness=None if ok else _witness(g, i, **p),
+            details=dict(zip(details, row)),
+        )
+        for (i, p), e, ok, *row in zip(product(nodes, params), err, passed, *columns)
+    ]
+
+
 def _frobenius(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of every matrix of a stack.
 
@@ -171,22 +197,25 @@ class _GraphCase:
         return symmetric_eigen(self.lr).eigenvalues
 
     @cached_property
-    def null_multiplicity(self) -> list[int]:
-        """Null multiplicity of each reduced Laplacian, cross-checked by component count.
-
-        The reduced graph's edges are its Laplacian's negative entries.
-        """
-        counts = np.sum(self.lr_eigs < NULL_TOL, axis=1).tolist()
-        for l_spec, adj in zip(counts, self.lr < 0.0):
-            seen = np.zeros(len(adj), dtype=bool)
-            components = 0
+    def components(self) -> list[int]:
+        """Component count of each reduced graph: its edges are its Laplacian's negative entries."""
+        counts = []
+        for adj in self.lr < 0.0:
+            seen, count = np.zeros(len(adj), dtype=bool), 0
             while not seen.all():
-                components += 1
                 seen |= reachable(adj, int(np.argmin(seen)))
-            if l_spec != components:
-                raise RuntimeError(
-                    f"null multiplicity {l_spec} disagrees with component count {components}"
-                )
+                count += 1
+            counts.append(count)
+        return counts
+
+    @cached_property
+    def null_multiplicity(self) -> list[int]:
+        """Null multiplicity of each reduced Laplacian, cross-checked by component count."""
+        counts = np.sum(self.lr_eigs < NULL_TOL, axis=1).tolist()
+        if counts != self.components:
+            raise RuntimeError(
+                f"null multiplicities {counts} disagree with component counts {self.components}"
+            )
         return counts
 
     def intermediate(self, eps: tuple[float, ...]) -> np.ndarray:
@@ -235,27 +264,20 @@ def _intermediate_spectrum(
     p_eigs = case.intermediate_eigs(eps)
     l_mat = case.perturbed(eps)
     l_eigs = symmetric_eigen(l_mat).eigenvalues
-    real_err = np.abs(np.sort(p_eigs.real, axis=-1) - l_eigs[..., 1:]).max(axis=-1)
-    imag_err = np.abs(p_eigs.imag).max(axis=-1)
-    outcomes = []
-    for (i, x), real, imag, norm in zip(
-        product(case.nodes, eps),
-        real_err.ravel().tolist(),
-        imag_err.ravel().tolist(),
-        _frobenius(l_mat).ravel().tolist(),
-    ):
-        tol = tol_factor * max(1.0, norm)
-        passed = real <= tol and imag <= IMAG_TOL
-        outcomes.append(
-            CheckOutcome(
-                name="intermediate-spectrum-match",
-                passed=passed,
-                max_error=max(real, imag),
-                witness=None if passed else _witness(case.g, i, epsilon=x),
-                details={"real_error": real, "imag_error": imag, "tolerance": tol},
-            )
-        )
-    return outcomes
+    real = np.abs(np.sort(p_eigs.real, axis=-1) - l_eigs[..., 1:]).max(axis=-1)
+    imag = np.abs(p_eigs.imag).max(axis=-1)
+    tol = tol_factor * np.maximum(1.0, _frobenius(l_mat))
+    return _outcomes(
+        "intermediate-spectrum-match",
+        case.g,
+        case.nodes,
+        [{"epsilon": x} for x in eps],
+        np.maximum(real, imag),
+        (real <= tol) & (imag <= IMAG_TOL),
+        real_error=real,
+        imag_error=imag,
+        tolerance=tol,
+    )
 
 
 def check_intermediate_spectrum(
@@ -279,24 +301,11 @@ def _combination_realness(
 ) -> list[CheckOutcome]:
     f = case.combination(params)
     err = np.abs(general_eigen(f).eigenvalues.imag).max(axis=-1)
-    outcomes = []
-    for (i, p), e, norm in zip(
-        product(case.nodes, params), err.ravel().tolist(), _frobenius(f).ravel().tolist()
-    ):
-        tol = tol_factor * max(1.0, norm)
-        passed = e <= tol
-        outcomes.append(
-            CheckOutcome(
-                name="combination-realness",
-                passed=passed,
-                max_error=e,
-                witness=None
-                if passed
-                else _witness(case.g, i, alpha=p.alpha, beta=p.beta, epsilon=p.epsilon),
-                details={"tolerance": tol},
-            )
-        )
-    return outcomes
+    tol = tol_factor * np.maximum(1.0, _frobenius(f))
+    witness = [{"alpha": p.alpha, "beta": p.beta, "epsilon": p.epsilon} for p in params]
+    return _outcomes(
+        "combination-realness", case.g, case.nodes, witness, err, err <= tol, tolerance=tol
+    )
 
 
 def check_combination_realness(
@@ -318,20 +327,17 @@ def _eigenvalue_gap_bound(
     b_desc = np.sort(case.lr_eigs, axis=-1)[:, None, ::-1]
     gap = np.abs(a_desc - b_desc).max(axis=-1)
     norm = _frobenius(case.intermediate(eps) - case.lr[:, None])
-    outcomes = []
-    for (i, x), gp, nm in zip(product(case.nodes, eps), gap.ravel().tolist(), norm.ravel().tolist()):
-        err = max(0.0, gp - nm)
-        passed = err <= tol
-        outcomes.append(
-            CheckOutcome(
-                name="eigenvalue-gap-bound",
-                passed=passed,
-                max_error=err,
-                witness=None if passed else _witness(case.g, i, epsilon=x),
-                details={"gap": gp, "frobenius_norm": nm},
-            )
-        )
-    return outcomes
+    err = np.maximum(0.0, gap - norm)
+    return _outcomes(
+        "eigenvalue-gap-bound",
+        case.g,
+        case.nodes,
+        [{"epsilon": x} for x in eps],
+        err,
+        err <= tol,
+        gap=gap,
+        frobenius_norm=norm,
+    )
 
 
 def check_eigenvalue_gap_bound(
@@ -360,38 +366,30 @@ def _rank_one_update_spectrum(
     case: _GraphCase, params: list[tuple[float, float]], tol: float
 ) -> list[CheckOutcome]:
     """One outcome per node and ``(gamma, eta)`` pair of ``params``."""
-    gamma = np.array([p[0] for p in params])
-    eta = np.array([p[1] for p in params])
+    gamma, eta = np.array(params).T
     q_eigs = general_eigen(case.rank_one(gamma, eta)).eigenvalues
-    outcomes = []
-    for r, i in enumerate(case.nodes):
-        lr_eigs = case.lr_eigs[r]
-        l_null = case.null_multiplicity[r]
-        total = float(np.sum(case.a[r]))
-        for q, (gm, et) in zip(q_eigs[r], params):
-            moving = et * total
-            expected = np.sort(
-                np.concatenate([gm * lr_eigs[l_null:], np.zeros(l_null - 1), [moving]])
-            )
-            real_err = float(np.max(np.abs(np.sort(q.real) - expected)))
-            imag_err = float(np.max(np.abs(q.imag)))
-            err = max(real_err, imag_err)
-            passed = err <= tol
-            outcomes.append(
-                CheckOutcome(
-                    name="rank-one-update-spectrum",
-                    passed=passed,
-                    max_error=err,
-                    witness=None if passed else _witness(case.g, i, gamma=gm, eta=et),
-                    details={
-                        "null_multiplicity": l_null,
-                        "moving_eigenvalue": moving,
-                        "real_error": real_err,
-                        "imag_error": imag_err,
-                    },
-                )
-            )
-    return outcomes
+    l_null = np.array(case.null_multiplicity)[:, None]
+    moving = eta * np.sum(case.a, axis=1)[:, None]
+    # gamma times the nonzero reduced spectrum, l - 1 zeros, and the moving
+    # eigenvalue in the first of the l null slots
+    below_null = np.arange(case.lr_eigs.shape[1]) < l_null[..., None]
+    expected = np.where(below_null, 0.0, gamma[:, None] * case.lr_eigs[:, None])
+    expected[..., 0] = moving
+    real = np.abs(np.sort(q_eigs.real, axis=-1) - np.sort(expected, axis=-1)).max(axis=-1)
+    imag = np.abs(q_eigs.imag).max(axis=-1)
+    err = np.maximum(real, imag)
+    return _outcomes(
+        "rank-one-update-spectrum",
+        case.g,
+        case.nodes,
+        [{"gamma": gm, "eta": et} for gm, et in params],
+        err,
+        err <= tol,
+        null_multiplicity=l_null,
+        moving_eigenvalue=moving,
+        real_error=real,
+        imag_error=imag,
+    )
 
 
 def check_rank_one_update_spectrum(
@@ -442,47 +440,36 @@ def _match_moving_eigenvalue(
 def _null_drift_derivative(case: _GraphCase, step: float, tol: float) -> list[CheckOutcome]:
     # gamma = 1 at eta = +step and eta = -step
     eigs = general_eigen(case.rank_one(np.ones(2), np.array([step, -step]))).eigenvalues.real
-    outcomes = []
-    for r, i in enumerate(case.nodes):
-        l_null = case.null_multiplicity[r]
+    movers, null_drift = [], []
+    for r, l_null in enumerate(case.null_multiplicity):
         stationary = np.concatenate([np.zeros(l_null - 1), case.lr_eigs[r][l_null:]])
         mover_plus, matched_plus = _match_moving_eigenvalue(eigs[r, 0], stationary)
         mover_minus, matched_minus = _match_moving_eigenvalue(eigs[r, 1], stationary)
-        derivative = (mover_plus - mover_minus) / (2.0 * step)
-        null_drift = 0.0
-        for k in range(l_null - 1):
-            null_drift = max(
-                null_drift, abs((matched_plus[k] - matched_minus[k]) / (2.0 * step))
-            )
-        trace_candidate = float(np.sum(case.a[r]))
-        scaled_candidate = (case.g.n - 1) * trace_candidate
-        err_trace = abs(derivative - trace_candidate) / max(1e-300, abs(trace_candidate))
-        err_scaled = abs(derivative - scaled_candidate) / max(
-            1e-300, abs(scaled_candidate)
-        )
-        matched = "none"
-        if err_trace <= tol:
-            matched = "trace"
-        elif err_scaled <= tol:
-            matched = "scaled"
-        err = max(min(err_trace, err_scaled), null_drift)
-        passed = err <= tol
-        outcomes.append(
-            CheckOutcome(
-                name="null-drift-derivative",
-                passed=passed,
-                max_error=err,
-                witness=None if passed else _witness(case.g, i, step=step),
-                details={
-                    "fd_derivative": derivative,
-                    "trace_candidate": trace_candidate,
-                    "scaled_candidate": scaled_candidate,
-                    "matched_candidate": matched,
-                    "null_drift": null_drift,
-                },
-            )
-        )
-    return outcomes
+        movers.append(mover_plus - mover_minus)
+        drift = np.subtract(matched_plus[: l_null - 1], matched_minus[: l_null - 1]) / (2.0 * step)
+        null_drift.append(np.max(np.abs(drift), initial=0.0))
+    derivative = np.array(movers)[:, None] / (2.0 * step)
+    trace = np.sum(case.a, axis=1)[:, None]
+    scaled = (case.g.n - 1) * trace
+    err_trace = np.abs(derivative - trace) / np.maximum(1e-300, np.abs(trace))
+    err_scaled = np.abs(derivative - scaled) / np.maximum(1e-300, np.abs(scaled))
+    null_drift = np.array(null_drift)[:, None]
+    err = np.maximum(np.minimum(err_trace, err_scaled), null_drift)
+    return _outcomes(
+        "null-drift-derivative",
+        case.g,
+        case.nodes,
+        [{"step": step}],
+        err,
+        err <= tol,
+        fd_derivative=derivative,
+        trace_candidate=trace,
+        scaled_candidate=scaled,
+        matched_candidate=np.where(
+            err_trace <= tol, "trace", np.where(err_scaled <= tol, "scaled", "none")
+        ),
+        null_drift=null_drift,
+    )
 
 
 def check_null_drift_derivative(
@@ -666,20 +653,31 @@ _SUITE_GAMMAS = (0.5, 1.0, 2.0)
 _SUITE_ETA = 1e-3
 
 
-def _aggregate(name: str, cases: list[CheckOutcome]) -> CheckOutcome:
-    if not cases:
-        return CheckOutcome(name=name, passed=True, max_error=0.0, details={"cases": 0})
-    worst = max(cases, key=lambda c: c.max_error)
-    failed = [c for c in cases if not c.passed]
-    details = dict(worst.details or {})
-    details["cases"] = len(cases)
-    details["failures"] = len(failed)
+def _aggregate(
+    name: str, cases: list[CheckOutcome], found: list[dict] | None = None, **details
+) -> CheckOutcome:
+    """The outcome of check ``name``, with ``details`` added to its own.
+
+    Over per-case outcomes it passes when every case passed, and carries the
+    worst error with that case's details, the case and failure counts, and
+    the first failure's witness. A certificate search has no cases but the
+    witnesses it ``found``: it carries their count and the first of them, and
+    every witness counts as a failure unless the search is informational.
+    """
+    if found is None:
+        failed = [c for c in cases if not c.passed]
+        worst = max(cases, key=lambda c: c.max_error, default=None)
+        error = worst.max_error if worst else 0.0
+        witness = failed[0].witness if failed else None
+        counts = {"cases": len(cases), "failures": len(failed)}
+        details = {**(worst.details if worst else {}), **counts, **details}
+    else:
+        failed = [] if name in INFORMATIONAL_CHECKS else found
+        error = float(len(failed))
+        witness = found[0] if found else None
+        details = {"witnesses": len(found), **details}
     return CheckOutcome(
-        name=name,
-        passed=not failed,
-        max_error=worst.max_error,
-        witness=failed[0].witness if failed else None,
-        details=details,
+        name=name, passed=not failed, max_error=error, witness=witness, details=details
     )
 
 
@@ -723,126 +721,74 @@ def run_suite(
     rng = np.random.default_rng(seed)
     graphs = suite_corpus(rng, n_graphs)
 
-    spectrum_cases: list[CheckOutcome] = []
-    realness_cases: list[CheckOutcome] = []
-    gap_cases: list[CheckOutcome] = []
-    rank_one_cases: list[CheckOutcome] = []
-    drift_cases: list[CheckOutcome] = []
-    ortho_cases: list[CheckOutcome] = []
-    oracle_cases: list[CheckOutcome] = []
-
+    per_case: list[CheckOutcome] = []
     for g in graphs:
         _require_connected(g)  # suite_corpus graphs have n >= 3
         ab = rng.uniform(-2.0, 2.0, size=(draws, 2))
         case = _GraphCase(g, range(g.n))
-        # brute force: removing i disconnects g
-        cut_vertices = {i for i in case.nodes if not is_connected_bfs(reduced_graph(g, i))}
-        spectrum_cases += _intermediate_spectrum(case, _SUITE_EPS, tol["spectrum"])
-        gap_cases += _eigenvalue_gap_bound(case, _SUITE_EPS, tol["gap"])
+        per_case += _intermediate_spectrum(case, _SUITE_EPS, tol["spectrum"])
+        per_case += _eigenvalue_gap_bound(case, _SUITE_EPS, tol["gap"])
         params = [
             CombinationParams(float(alpha), float(beta), 0.1)
             for alpha, beta in ab
             if not (alpha == 0.0 and beta == 0.0)
         ]
-        realness_cases += _combination_realness(case, params, tol["realness"])
-        rank_one_cases += _rank_one_update_spectrum(
+        per_case += _combination_realness(case, params, tol["realness"])
+        per_case += _rank_one_update_spectrum(
             case, [(gamma, _SUITE_ETA) for gamma in _SUITE_GAMMAS], tol["rank_one"]
         )
-        drift_cases += _null_drift_derivative(case, FD_STEP, tol["derivative"])
+        per_case += _null_drift_derivative(case, FD_STEP, tol["derivative"])
 
         # Laplacian eigenvectors above the null space must be orthogonal to ones.
         spec = symmetric_eigen(laplacian(g), want_vectors=True)
         nonnull = spec.eigenvalues > NULL_TOL
-        ortho = (
-            float(np.max(np.abs(np.ones(g.n) @ spec.eigenvectors[:, nonnull])))
-            if np.any(nonnull)
-            else 0.0
+        ortho = np.max(np.abs(np.ones(g.n) @ spec.eigenvectors[:, nonnull]), initial=0.0)
+        per_case += _outcomes(
+            "laplacian-eigenvector-orthogonality", g, [0], [{}], ortho, ortho <= 1e-8
         )
-        ortho_cases.append(
-            CheckOutcome(
-                name="laplacian-eigenvector-orthogonality",
-                passed=ortho <= 1e-8,
-                max_error=ortho,
-                witness=None if ortho <= 1e-8 else _witness(g, 0),
-            )
-        )
+        # brute force: removing i disconnects g
+        cut_vertices = {i for i, count in zip(case.nodes, case.components) if count > 1}
         agree = _articulation_points(g) == cut_vertices
-        oracle_cases.append(
-            CheckOutcome(
-                name="articulation-oracle-agreement",
-                passed=agree,
-                max_error=0.0 if agree else 1.0,
-                witness=None if agree else _witness(g, 0),
-            )
+        per_case += _outcomes(
+            "articulation-oracle-agreement", g, [0], [{}], float(not agree), agree
         )
 
-    connectivity_cases: list[CheckOutcome] = []
     for _ in range(max(1, 4 * n_graphs)):
         n = int(rng.integers(2, 24))
         g = random_graph(rng, n, float(rng.uniform(0.0, 0.6)))
         agree = is_connected_spectral(g, tol["connectivity"]) == is_connected_bfs(g)
-        connectivity_cases.append(
-            CheckOutcome(
-                name="connectivity-oracle-agreement",
-                passed=agree,
-                max_error=0.0 if agree else 1.0,
-                witness=None if agree else _witness(g, 0),
-            )
+        per_case += _outcomes(
+            "connectivity-oracle-agreement", g, [0], [{}], float(not agree), agree
         )
 
-    outcomes = [
-        _aggregate("intermediate-spectrum-match", spectrum_cases),
-        _aggregate("combination-realness", realness_cases),
-        _aggregate("eigenvalue-gap-bound", gap_cases),
-        _aggregate("rank-one-update-spectrum", rank_one_cases),
-        _aggregate("laplacian-eigenvector-orthogonality", ortho_cases),
-        _aggregate("articulation-oracle-agreement", oracle_cases),
-        _aggregate("connectivity-oracle-agreement", connectivity_cases),
+    cases = {
+        name: [c for c in per_case if c.name == name]
+        for name in (
+            "intermediate-spectrum-match",
+            "combination-realness",
+            "eigenvalue-gap-bound",
+            "rank-one-update-spectrum",
+            "laplacian-eigenvector-orthogonality",
+            "articulation-oracle-agreement",
+            "connectivity-oracle-agreement",
+            "null-drift-derivative",
+        )
+    }
+    drift = cases.pop("null-drift-derivative")
+    matches = {
+        key: sum(c.details["matched_candidate"] == key for c in drift)
+        for key in ("trace", "scaled", "none")
+    }
+    exact = counterexample_search(trials, BoundMode.EXACT_NORM, seed + 1)
+    simplified = counterexample_search(trials, BoundMode.SIMPLIFIED, seed + 2)
+    return [
+        *(_aggregate(name, c) for name, c in cases.items()),
+        _aggregate("null-drift-derivative", drift, candidate_matches=matches),
+        _aggregate("certificate-search-exact", [], exact, trials=trials),
+        _aggregate(
+            "certificate-search-simplified", [], simplified, trials=trials, expected_nonempty=True
+        ),
     ]
-
-    drift = _aggregate("null-drift-derivative", drift_cases)
-    matches = {"trace": 0, "scaled": 0, "none": 0}
-    for c in drift_cases:
-        matches[c.details["matched_candidate"]] += 1
-    drift_details = dict(drift.details or {})
-    drift_details["candidate_matches"] = matches
-    outcomes.append(
-        CheckOutcome(
-            name=drift.name,
-            passed=drift.passed,
-            max_error=drift.max_error,
-            witness=drift.witness,
-            details=drift_details,
-        )
-    )
-
-    exact_witnesses = counterexample_search(trials, BoundMode.EXACT_NORM, seed + 1)
-    outcomes.append(
-        CheckOutcome(
-            name="certificate-search-exact",
-            passed=not exact_witnesses,
-            max_error=float(len(exact_witnesses)),
-            witness=exact_witnesses[0] if exact_witnesses else None,
-            details={"trials": trials, "witnesses": len(exact_witnesses)},
-        )
-    )
-    simplified_witnesses = counterexample_search(
-        trials, BoundMode.SIMPLIFIED, seed + 2
-    )
-    outcomes.append(
-        CheckOutcome(
-            name="certificate-search-simplified",
-            passed=True,
-            max_error=0.0,
-            witness=simplified_witnesses[0] if simplified_witnesses else None,
-            details={
-                "trials": trials,
-                "witnesses": len(simplified_witnesses),
-                "expected_nonempty": True,
-            },
-        )
-    )
-    return outcomes
 
 
 def suite_passed(outcomes: list[CheckOutcome]) -> bool:

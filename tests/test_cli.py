@@ -136,6 +136,19 @@ class TestCheck:
         g.write_text("{not json")
         assert run(["check", "--input", str(g)]) == 4
 
+    @pytest.mark.parametrize(
+        "text",
+        [b'\xff{"n": 3, "edges": []}', b'{"n": ' + b"1" * 5000 + b', "edges": []}'],
+        ids=["non-utf8", "integer-past-digit-limit"],
+    )
+    @pytest.mark.parametrize("command", ["check", "oracle", "sweep", "export"])
+    def test_unreadable_json_exit_four(self, tmp_path, capsys, command, text):
+        g = tmp_path / "bad.json"
+        g.write_bytes(text)
+        assert run([command, "--input", str(g)]) == 4
+        err = capsys.readouterr().err
+        assert "is not valid JSON" in err and "Traceback" not in err
+
     def test_bad_schema_exit_four(self, tmp_path):
         g = tmp_path / "bad.json"
         write_graph(g, {"n": 3})
@@ -300,6 +313,23 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "--nope" in err and missing in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (["gen", "--n", "0", "--seed", "1", "--nope"], "argument --n: must be >= 1, got 0"),
+            (["gen", "--n", "5", "--se", "-1", "--nope"], "argument --seed: must be >= 0, got -1"),
+            (["verify", "--seed", "1", "--tol-gap=nan", "--nope"], "argument --tol-gap"),
+        ],
+        ids=["bad-value", "abbreviated-flag-negative-value", "flag-equals-value"],
+    )
+    def test_unknown_flag_named_next_to_bad_value(self, capsys, argv, problem):
+        # argparse alone reports only the bad value; abbreviated flags and
+        # negative numbers are not named as unrecognised
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert problem in err
+        assert err.rstrip().endswith("; unrecognized arguments: --nope")
 
     @pytest.mark.parametrize(
         "argv, named", OUT_OF_RANGE, ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE]

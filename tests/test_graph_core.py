@@ -345,3 +345,9 @@ class TestJsonSchema:
     def test_non_integer_endpoint_rejected(self):
         with pytest.raises(GraphInputError):
             graph_from_dict({"n": 3, "edges": [[0.5, 1, 1.0]]})
+
+    @pytest.mark.parametrize("edge", [[True, 3, 1.0], [3, False, 1.0]])
+    def test_bool_endpoint_rejected(self, edge):
+        # numpy would index a whole row and column with a bool
+        with pytest.raises(GraphInputError, match="edge endpoints must be integers"):
+            graph_from_dict({"n": 4, "edges": [[0, 1, 1.0], edge, [1, 2, 1.0]]})

@@ -35,7 +35,7 @@ from biconcert.graph_core import (
     perturbed_laplacian,
     reduced_laplacians,
 )
-from biconcert.spectral import general_eigen
+from biconcert.spectral import general_eigen, reachable
 from biconcert.verify import _aggregate, outcome_to_dict, rank_one_update_matrix, suite_corpus
 
 
@@ -183,6 +183,25 @@ class TestNullDriftDerivative:
             assert out.details["matched_candidate"] == "trace"
 
 
+@pytest.mark.parametrize("tol", [1.0, -1.0], ids=["passing", "failing"])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda g, tol: check_intermediate_spectrum(g, 1, 0.1, tol),
+        lambda g, tol: check_combination_realness(g, 1, CombinationParams(0.3, -1.2, 0.05), tol),
+        lambda g, tol: check_eigenvalue_gap_bound(g, 1, 0.2, tol),
+        lambda g, tol: check_rank_one_update_spectrum(g, 1, 2.0, 0.01, tol),
+        lambda g, tol: check_null_drift_derivative(g, 1, tol=tol),
+    ],
+    ids=["spectrum", "realness", "gap", "rank-one", "null-drift"],
+)
+def test_public_outcomes_are_plain_json(check, tol):
+    out = check(path3(), tol)
+    assert type(out.passed) is bool and type(out.max_error) is float
+    assert out.passed == (tol > 0)
+    json.dumps(outcome_to_dict(out))
+
+
 class TestCounterexampleSearch:
     def test_simplified_mode_finds_path3_witness(self):
         witnesses = counterexample_search(8, BoundMode.SIMPLIFIED, seed=5)
@@ -325,6 +344,7 @@ def test_each_case_derived_once(monkeypatch):
     corpus, keep, origin = [], [], {}
     counts = Counter()
     covered = {}
+    searches = []
 
     def corpus_spy(*args, **kwargs):
         graphs = suite_corpus(*args, **kwargs)
@@ -333,11 +353,8 @@ def test_each_case_derived_once(monkeypatch):
         return graphs
 
     def reduced_spy(g, i):
-        r = reduced_graph(g, i)
-        keep.append(r)
-        origin[id(r)] = (id(g), i)
         counts["reduced", id(g), i] += 1
-        return r
+        return reduced_graph(g, i)
 
     def stack_spy(g, nodes):
         m = reduced_laplacians(g, nodes)
@@ -353,8 +370,13 @@ def test_each_case_derived_once(monkeypatch):
         return symmetric_eigen(m, *args, **kwargs)
 
     def connected_spy(g):
-        counts[("connected", *origin.get(id(g), (id(g),)))] += 1
+        counts["connected", id(g)] += 1
         return is_connected_bfs(g)
+
+    def reachable_spy(adj, start):
+        seen = reachable(adj, start)
+        searches.append((np.array(adj), seen))
+        return seen
 
     monkeypatch.setattr(verify, "suite_corpus", corpus_spy)
     for module in (biconcert.bicon, verify):
@@ -363,19 +385,31 @@ def test_each_case_derived_once(monkeypatch):
     monkeypatch.setattr(verify, "symmetric_eigen", eigen_spy)
     for module in (biconcert.bicon, verify):
         monkeypatch.setattr(module, "is_connected_bfs", connected_spy)
+    monkeypatch.setattr(verify, "reachable", reachable_spy)
     assert suite_passed(run_suite(seed=5, n_graphs=8, trials=5))
     assert len(corpus) == 8
+    calls = iter(searches)
     for g in corpus:
-        # one search before the per-node checks; the brute-force side of the
-        # articulation-oracle-agreement check searches each node's reduced
-        # graph once, and the DFS side searches nothing
+        # one search before the per-node checks; the DFS side of the
+        # articulation-oracle-agreement check searches nothing
         assert counts["connected", id(g)] == 1
         # one stacked eigensolve of the reduced Laplacians, covering every node
         assert counts["eigen", id(g)] == 1
         assert covered[id(g)] == tuple(range(g.n))
         for i in range(g.n):
-            assert counts["reduced", id(g), i] == 1
-            assert counts["connected", id(g), i] == 1
+            # No reduced graph is built. One component search of each reduced
+            # Laplacian's edges, node by node, reaches every node of it once;
+            # the brute-force cut vertices and the null-multiplicity
+            # cross-check both read its counts.
+            assert counts["reduced", id(g), i] == 0
+            want = reduced_graph(g, i).weights > 0.0
+            reached = np.zeros(g.n - 1, dtype=int)
+            while not reached.all():
+                adj, seen = next(calls)
+                assert np.array_equal(adj, want)
+                reached += seen
+            assert (reached == 1).all()
+    assert next(calls, None) is None
 
 
 def bits_equal(got, want):
