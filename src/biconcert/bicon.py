@@ -32,7 +32,8 @@ as stacks of perturbed Laplacians, one eigensolve call per chunk of at most
 
 The combinatorial oracles (DFS low-link articulation points, brute-force
 remove-and-check, vertex-capacity max flow for internally disjoint paths)
-are exact: an edge exists iff its weight is strictly positive.
+are exact: an edge exists iff its weight is strictly positive. Every public
+function that needs a connected graph first calls :func:`require_connected`.
 """
 
 from __future__ import annotations
@@ -166,10 +167,9 @@ def _batched_pays(g: WeightedGraph, nodes: list[NodeId], problems: int) -> bool:
 def spectral_tests(g: WeightedGraph, nodes, epsilons) -> list[SpectralTest]:
     """The spectral test of every node in ``nodes`` at every epsilon, node-major.
 
-    ``g`` must be connected with n > 2; callers check that once. Past the
-    crossover of :func:`_batched_pays`, lambda3 comes from one
-    eigendecomposition of L for the whole call
-    (:func:`biconcert.spectral._lambda3_batched`), and a problem whose
+    ``g`` must be connected with n >= 3. Past the crossover of
+    :func:`_batched_pays`, lambda3 comes from one eigendecomposition of L
+    for the whole call (:func:`biconcert.spectral._lambda3_batched`), and a problem whose
     batched lambda3 lies within its error bound tau of either threshold
     ``bound + CERTIFY_MARGIN`` is solved again densely, so every verdict is
     the dense path's. Below it every problem takes the dense path,
@@ -178,6 +178,7 @@ def spectral_tests(g: WeightedGraph, nodes, epsilons) -> list[SpectralTest]:
     ``spectral._BATCH_BYTES`` each; each member's spectrum equals its
     one-matrix solve bit for bit.
     """
+    require_connected(g, 3)
     nodes = list(nodes)
     cfgs = [PerturbationConfig(eps) for eps in epsilons]
     problems = [(i, cfg) for i in nodes for cfg in cfgs]
@@ -218,12 +219,22 @@ def spectral_tests(g: WeightedGraph, nodes, epsilons) -> list[SpectralTest]:
     ]
 
 
-def _require_connected(g: WeightedGraph) -> None:
+def require_connected(g: WeightedGraph, min_n: int = 1) -> None:
+    """Raise :class:`PreconditionError` unless n >= ``min_n`` (checked first) and g is connected."""
+    if g.n < min_n:
+        raise PreconditionError(f"graph must have at least {min_n} nodes, got {g.n}")
     if not is_connected_bfs(g):
         raise PreconditionError("graph must be connected")
 
 
-def _locally_biconnected(g: WeightedGraph, i: NodeId) -> bool:
+def locally_biconnected(g: WeightedGraph, i: NodeId) -> bool:
+    """True when node i's neighborhood subgraph guarantees it is not a cut vertex.
+
+    Decided by connectivity of the subgraph induced on the open neighborhood
+    N_i (a single neighbor counts as connected). Only 1-hop information about
+    the weights among i's neighbors is consulted.
+    """
+    require_connected(g, 2)
     nbrs = g.neighbors(i)
     if len(nbrs) == 1:
         return True
@@ -240,19 +251,6 @@ def _locally_biconnected(g: WeightedGraph, i: NodeId) -> bool:
                 seen.add(v)
                 queue.append(v)
     return seen == nbr_set
-
-
-def locally_biconnected(g: WeightedGraph, i: NodeId) -> bool:
-    """True when node i's neighborhood subgraph guarantees it is not a cut vertex.
-
-    Decided by connectivity of the subgraph induced on the open neighborhood
-    N_i (a single neighbor counts as connected). Only 1-hop information about
-    the weights among i's neighbors is consulted.
-    """
-    if g.n < 2:
-        raise PreconditionError("local biconnectedness needs n >= 2")
-    _require_connected(g)
-    return _locally_biconnected(g, i)
 
 
 def _node_certificate(
@@ -281,11 +279,9 @@ def spectral_certificate(
     Computes lambda3 of the perturbed Laplacian and both bound variants;
     ``certified`` is true iff lambda3 strictly exceeds the selected bound.
     """
-    if g.n <= 2:
-        raise PreconditionError("the spectral certificate needs n > 2")
-    _require_connected(g)
+    require_connected(g, 3)
     (test,) = spectral_tests(g, [i], [cfg.epsilon])
-    return _node_certificate(i, _locally_biconnected(g, i), test, mode)
+    return _node_certificate(i, locally_biconnected(g, i), test, mode)
 
 
 def certify_graph(
@@ -301,15 +297,13 @@ def certify_graph(
     biconnected or spectrally certified. ``with_oracle`` annotates each node
     with the exact articulation oracle for validation output.
     """
-    if g.n <= 2:
-        raise PreconditionError("graph certification needs n > 2")
-    _require_connected(g)
-    local = [_locally_biconnected(g, i) for i in range(g.n)]
+    require_connected(g, 3)
+    local = [locally_biconnected(g, i) for i in range(g.n)]
     tests = spectral_tests(g, [i for i in range(g.n) if not local[i]], [cfg.epsilon])
     by_node = {t.node: t for t in tests}
     certs = [_node_certificate(i, local[i], by_node.get(i), mode) for i in range(g.n)]
     if with_oracle:
-        points = _articulation_points(g)
+        points = articulation_points_oracle(g)
         certs = [replace(c, oracle_is_articulation=c.node in points) for c in certs]
         oracle_flag = not points
     else:
@@ -325,12 +319,7 @@ def certify_graph(
 
 def articulation_points_oracle(g: WeightedGraph) -> set[NodeId]:
     """Exact cut vertices via a single DFS low-link pass."""
-    _require_connected(g)
-    return _articulation_points(g)
-
-
-def _articulation_points(g: WeightedGraph) -> set[NodeId]:
-    """The DFS of :func:`articulation_points_oracle` on a graph known connected."""
+    require_connected(g)
     n = g.n
     if n <= 2:
         return set()
@@ -375,7 +364,7 @@ def _articulation_points(g: WeightedGraph) -> set[NodeId]:
 
 def articulation_points_bruteforce(g: WeightedGraph) -> set[NodeId]:
     """Independent cross-check: remove each node and test connectivity."""
-    _require_connected(g)
+    require_connected(g)
     if g.n < 2:
         return set()
     return {i for i in range(g.n) if not is_connected_bfs(reduced_graph(g, i))}
@@ -383,8 +372,8 @@ def articulation_points_bruteforce(g: WeightedGraph) -> set[NodeId]:
 
 def is_biconnected_oracle(g: WeightedGraph) -> bool:
     """No articulation point; a bare edge (n = 2) does not count as biconnected."""
-    _require_connected(g)
-    return g.n >= 3 and not _articulation_points(g)
+    require_connected(g)
+    return g.n >= 3 and not articulation_points_oracle(g)
 
 
 def doubly_connected_oracle(g: WeightedGraph, i: NodeId, j: NodeId) -> bool:
@@ -396,11 +385,11 @@ def doubly_connected_oracle(g: WeightedGraph, i: NodeId, j: NodeId) -> bool:
     is one such arc and counts as one path). Flow value >= 2 from i to j is
     then exactly the existence of two internally disjoint paths.
     """
+    require_connected(g)
     if i == j:
         raise PreconditionError("doubly-connected test needs two distinct nodes")
     if not (0 <= i < g.n and 0 <= j < g.n):
         raise PreconditionError(f"nodes ({i}, {j}) out of range [0, {g.n})")
-    _require_connected(g)
     # node 2k = entry copy, 2k + 1 = exit copy
     cap: dict[tuple[int, int], int] = {}
     adj: dict[int, list[int]] = {}

@@ -37,13 +37,11 @@ from . import __version__
 from .bicon import (
     BiconnectivityReport,
     BoundMode,
-    _articulation_points,
     _csv_flag,
     _csv_num,
-    _locally_biconnected,
-    _require_connected,
     articulation_points_oracle,
     certify_graph,
+    locally_biconnected,
     report_csv_rows,
     report_to_dict,
     spectral_tests,
@@ -261,9 +259,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Certificate quantities for every node over an epsilon grid (CSV)."""
     grid = parse_eps_grid(args.eps_grid)
     g = _load_graph(args.input_path)
-    if g.n <= 2:
-        raise PreconditionError("sweep needs n > 2")
-    _require_connected(g)
     rows = [
         [
             "node",
@@ -291,14 +286,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     """Graphviz DOT with oracle and local-biconnectedness marks.
 
-    Marks need a connected graph; a disconnected one is exported bare.
+    Marks need a connected graph with n >= 2; any other is exported bare.
     """
     g = _load_graph(args.input_path)
-    points: set[int] = set()
-    local: set[int] = set()
-    if g.n >= 2 and is_connected_bfs(g):
-        points = _articulation_points(g)
-        local = {i for i in range(g.n) if _locally_biconnected(g, i)}
+    try:
+        points = articulation_points_oracle(g)
+        local = {i for i in range(g.n) if locally_biconnected(g, i)}
+    except PreconditionError:
+        points, local = set(), set()
     lines = ["graph g {", "  node [shape=circle];"]
     for i in range(g.n):
         attrs = []

@@ -4,6 +4,8 @@ Everything here is a pure function over an immutable :class:`WeightedGraph`:
 adjacency, degree and Laplacian matrices, node removal, per-node edge
 scaling, the per-node intermediate matrix whose spectrum mirrors the scaled
 Laplacian, and the disk-based proximity model for planar layouts.
+:attr:`WeightedGraph.connected` runs :func:`reachable`, the one graph search,
+on first use and keeps the answer.
 :func:`perturbed_laplacian` builds ``L_i(eps)`` densely: it is the reference
 path of the certificate, which large batches of (node, epsilon) problems
 replace by one eigendecomposition of :func:`laplacian` (see
@@ -25,7 +27,9 @@ and ``nan`` are rejected with :class:`GraphInputError`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +87,11 @@ class WeightedGraph:
                 raise GraphInputError("node positions must be finite")
             object.__setattr__(self, "positions", _readonly(p))
 
+    @cached_property
+    def connected(self) -> bool:
+        """Every node reachable from node 0; searched on first use, then kept."""
+        return bool(reachable(self.weights > 0.0, 0).all())
+
     def neighbors(self, i: NodeId) -> list[NodeId]:
         """Indices j with ``weights[i, j] > 0``, ascending, as Python ints."""
         _check_node(self, i)
@@ -127,6 +136,24 @@ class ProximityModel:
             raise GraphInputError(
                 f"sigma must be positive and finite, got {self.sigma}"
             )
+
+
+def reachable(adj, start: int) -> np.ndarray:
+    """Boolean mask of the nodes reachable from ``start`` over ``adj``.
+
+    ``adj`` is a square boolean adjacency matrix (for a graph,
+    ``g.weights > 0``). The search expands the whole frontier in one numpy
+    step, so it takes O(diameter) steps and O(n^2) work in total: each node
+    joins the frontier once and contributes its row once.
+    """
+    adj = np.asarray(adj, dtype=bool)
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen
 
 
 def _check_node(g: WeightedGraph, i: NodeId) -> None:
@@ -319,12 +346,17 @@ def graph_from_dict(d: dict) -> WeightedGraph:
         i, j, w = e
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)):
             raise GraphInputError(f"edge endpoints must be integers, got {e!r}")
-        try:
-            triples.append((i, j, float(w)))
-        except (TypeError, ValueError) as exc:
-            raise GraphInputError(f"edge weight in {e!r} is not a number") from exc
+        if not _is_number(w):
+            raise GraphInputError(f"edge weight in {e!r} is not a number")
+        triples.append((i, j, float(w)))
     g = from_edge_list(n, triples)
     pos = d.get("positions")
     if pos is None:
         return g
+    if not all(map(_is_number, np.array(pos, dtype=object).ravel())):
+        raise GraphInputError("node positions must be numbers")
     return WeightedGraph(n=n, weights=g.weights, positions=pos)
+
+
+def _is_number(x) -> bool:  # true, "2.5" and integers past float range are not
+    return isinstance(x, float) or type(x) is int and abs(x) <= sys.float_info.max

@@ -20,7 +20,8 @@ bound. That bound scales with ``||L||``, not with ``||L_i(eps)||`` alone.
 One loop narrows every bracket of a call and solves the Schur complements
 of all its open problems in one stacked ``eigvalsh`` per step; only forming
 them is split into sub-chunks of ``_BATCH_BYTES``.
-numpy only: no scipy import.
+numpy only: no scipy import. :func:`is_connected_bfs` returns the graph's
+cached ``connected``; :func:`reachable` is re-exported from graph_core.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenConvergenceError, PreconditionError
-from .graph_core import WeightedGraph, laplacian
+from .graph_core import WeightedGraph, laplacian, reachable
 
 SYMMETRY_RTOL = 1e-10
 CONNECTIVITY_TOL = 1e-9
@@ -340,24 +341,6 @@ def _shrink_brackets(lam, schur, shift, lo, hi, scale) -> tuple[np.ndarray, np.n
     return mid, converged
 
 
-def reachable(adj, start: int) -> np.ndarray:
-    """Boolean mask of the nodes reachable from ``start`` over ``adj``.
-
-    ``adj`` is a square boolean adjacency matrix (for a graph,
-    ``g.weights > 0``). The search expands the whole frontier in one numpy
-    step, so it takes O(diameter) steps and O(n^2) work in total: each node
-    joins the frontier once and contributes its row once.
-    """
-    adj = np.asarray(adj, dtype=bool)
-    seen = np.zeros(adj.shape[0], dtype=bool)
-    seen[start] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return seen
-
-
 def is_connected_bfs(g: WeightedGraph) -> bool:
-    """Combinatorial connectivity: every node reachable from node 0."""
-    return bool(reachable(g.weights > 0.0, 0).all())
+    """Combinatorial connectivity: every node reachable from node 0 (:attr:`WeightedGraph.connected`)."""
+    return g.connected

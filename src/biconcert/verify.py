@@ -16,10 +16,10 @@ solves it with one call of
 :func:`biconcert.spectral.general_eigen`; every member equals its
 one-matrix definition bit for bit, so the results are those of one solve
 per matrix, in node-major order. :func:`run_suite` builds one case per
-corpus graph over all of its nodes, after checking the graph's connectivity
-once. The public ``check_*`` functions run the same check on a one-node
-case after checking their preconditions (connected input, and n >= 3 or
-gamma != 0 where stated).
+corpus graph over all of its nodes. The public ``check_*`` functions run the
+same check on a one-node case. Each, like ``run_suite`` per graph, first
+calls :func:`biconcert.bicon.require_connected` (connected input, and n >= 3
+where stated); the rank-one check also needs gamma != 0.
 
 The checks:
 
@@ -52,9 +52,8 @@ import numpy as np
 
 from .bicon import (
     BoundMode,
-    _articulation_points,
-    _require_connected,
     articulation_points_oracle,
+    require_connected,
     spectral_tests,
 )
 from .errors import PreconditionError
@@ -69,6 +68,7 @@ from .graph_core import (
     neighbor_weight_vector,
     perturbed_laplacians,
     proximity_graph,
+    reachable,
     reduced_graph,
     reduced_laplacians,
 )
@@ -76,7 +76,6 @@ from .spectral import (
     general_eigen,
     is_connected_bfs,
     is_connected_spectral,
-    reachable,
     symmetric_eigen,
 )
 
@@ -289,9 +288,7 @@ def check_intermediate_spectrum(
     perturbed Laplacian's eigenvalues with the smallest dropped, index by
     index; imaginary parts must vanish.
     """
-    if g.n < 3:
-        raise PreconditionError("spectrum comparison needs n >= 3")
-    _require_connected(g)
+    require_connected(g, 3)
     (outcome,) = _intermediate_spectrum(_GraphCase(g, [i]), (eps,), tol_factor)
     return outcome
 
@@ -315,7 +312,7 @@ def check_combination_realness(
     tol_factor: float = REALNESS_TOL_FACTOR,
 ) -> CheckOutcome:
     """``alpha * L_reduced + beta * P`` must have a purely real spectrum."""
-    _require_connected(g)
+    require_connected(g)
     (outcome,) = _combination_realness(_GraphCase(g, [i]), [params], tol_factor)
     return outcome
 
@@ -349,7 +346,7 @@ def check_eigenvalue_gap_bound(
     the maximum absolute difference must not exceed the Frobenius norm of
     the matrix difference (plus ``tol`` of slack for roundoff).
     """
-    _require_connected(g)
+    require_connected(g)
     (outcome,) = _eigenvalue_gap_bound(_GraphCase(g, [i]), (eps,), tol)
     return outcome
 
@@ -407,11 +404,9 @@ def check_rank_one_update_spectrum(
     since a connected graph forces sum(a) > 0). Sorted real parts are
     compared against this multiset; imaginary parts must vanish.
     """
-    _require_connected(g)
+    require_connected(g, 3)
     if gamma == 0.0:
         raise PreconditionError("gamma must be nonzero")
-    if g.n < 3:
-        raise PreconditionError("rank-one spectrum check needs n >= 3")
     (outcome,) = _rank_one_update_spectrum(_GraphCase(g, [i]), [(gamma, eta)], tol)
     return outcome
 
@@ -490,9 +485,7 @@ def check_null_drift_derivative(
     of them does and every stationary null eigenvalue drifts less than
     ``tol``.
     """
-    _require_connected(g)
-    if g.n < 3:
-        raise PreconditionError("null-drift check needs n >= 3")
+    require_connected(g, 3)
     (outcome,) = _null_drift_derivative(_GraphCase(g, [i]), step, tol)
     return outcome
 
@@ -526,7 +519,7 @@ def random_connected_graph(
     elif style == "er":
         p = float(rng.uniform(0.15, 0.9))
         for _ in range(40):
-            g = _er_graph(rng, n, p)
+            g = random_graph(rng, n, p)
             if is_connected_bfs(g):
                 return g
     else:
@@ -545,18 +538,13 @@ def random_connected_graph(
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> WeightedGraph:
-    """Uniform edge-probability graph, possibly disconnected, weights in (0, 1]."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return _er_graph(rng, n, p)
-
-
-def _er_graph(rng: np.random.Generator, n: int, p: float) -> WeightedGraph:
-    """Erdos-Renyi sampler behind :func:`random_graph` and :func:`random_connected_graph`.
+    """Uniform edge-probability graph, possibly disconnected, weights in (0, 1].
 
     Each pair i < j, in row-major order, draws one uniform; below p, a second
     draw gives the edge its weight. The seeded corpora depend on this order.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     w = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -608,9 +596,7 @@ def counterexample_search(
             style = "geometric" if t % 3 == 2 else "er"
             g = random_connected_graph(rng, int(rng.integers(3, 13)), style=style)
         eps = float(rng.choice(eps_choices))
-        points = articulation_points_oracle(g)  # also proves g connected
-        if g.n <= 2:
-            raise PreconditionError("the spectral certificate needs n > 2")
+        points = articulation_points_oracle(g)
         for test in spectral_tests(g, range(g.n), [eps]):
             if test.certified(mode) and test.node in points:
                 witnesses.append(
@@ -723,7 +709,7 @@ def run_suite(
 
     per_case: list[CheckOutcome] = []
     for g in graphs:
-        _require_connected(g)  # suite_corpus graphs have n >= 3
+        require_connected(g, 3)
         ab = rng.uniform(-2.0, 2.0, size=(draws, 2))
         case = _GraphCase(g, range(g.n))
         per_case += _intermediate_spectrum(case, _SUITE_EPS, tol["spectrum"])
@@ -748,7 +734,7 @@ def run_suite(
         )
         # brute force: removing i disconnects g
         cut_vertices = {i for i, count in zip(case.nodes, case.components) if count > 1}
-        agree = _articulation_points(g) == cut_vertices
+        agree = articulation_points_oracle(g) == cut_vertices
         per_case += _outcomes(
             "articulation-oracle-agreement", g, [0], [{}], float(not agree), agree
         )

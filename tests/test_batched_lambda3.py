@@ -272,7 +272,7 @@ def test_call_without_problems_solves_nothing(monkeypatch):
 )
 def test_lambda3_and_tau_do_not_depend_on_the_chunk_size(monkeypatch, graph, nodes, epsilons):
     if nodes is None:  # the nodes check solves: those not locally biconnected
-        nodes = [i for i in range(graph.n) if not bicon._locally_biconnected(graph, i)]
+        nodes = [i for i in range(graph.n) if not bicon.locally_biconnected(graph, i)]
     probe_nodes = np.repeat(nodes, len(epsilons))
     probe_eps = np.tile(epsilons, len(nodes))
     results = []

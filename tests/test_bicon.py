@@ -15,12 +15,18 @@ import pytest
 
 from biconcert import (
     BoundMode,
+    CombinationParams,
     PerturbationConfig,
     PreconditionError,
     WeightedGraph,
     articulation_points_bruteforce,
     articulation_points_oracle,
     certify_graph,
+    check_combination_realness,
+    check_eigenvalue_gap_bound,
+    check_intermediate_spectrum,
+    check_null_drift_derivative,
+    check_rank_one_update_spectrum,
     doubly_connected_oracle,
     exact_norm_bound,
     from_edge_list,
@@ -288,6 +294,55 @@ class TestDoublyConnected:
                 for j in range(i + 1, g.n)
             )
             assert all_pairs == is_biconnected_oracle(g)
+
+
+EPS = PerturbationConfig(0.1)
+
+# Every public function that needs a connected graph, with the smallest n it takes.
+NEEDS_CONNECTED = {
+    "locally_biconnected": (lambda g: locally_biconnected(g, 0), 2),
+    "spectral_certificate": (lambda g: spectral_certificate(g, 0, EPS), 3),
+    "certify_graph": (lambda g: certify_graph(g, EPS), 3),
+    "articulation_points_oracle": (articulation_points_oracle, 1),
+    "articulation_points_bruteforce": (articulation_points_bruteforce, 1),
+    "is_biconnected_oracle": (is_biconnected_oracle, 1),
+    "doubly_connected_oracle": (lambda g: doubly_connected_oracle(g, 0, 1), 1),
+    "spectral_tests": (lambda g: spectral_tests(g, [0], [0.1]), 3),
+    "check_intermediate_spectrum": (lambda g: check_intermediate_spectrum(g, 0, 0.1), 3),
+    "check_combination_realness": (
+        lambda g: check_combination_realness(g, 0, CombinationParams(1.0, 1.0, 0.1)),
+        1,
+    ),
+    "check_eigenvalue_gap_bound": (lambda g: check_eigenvalue_gap_bound(g, 0, 0.1), 1),
+    "check_rank_one_update_spectrum": (lambda g: check_rank_one_update_spectrum(g, 0, 1.0, 1e-3), 3),
+    "check_null_drift_derivative": (lambda g: check_null_drift_derivative(g, 0), 3),
+}
+
+
+class TestConnectivityPrecondition:
+    @pytest.mark.parametrize("name", sorted(NEEDS_CONNECTED))
+    def test_disconnected_or_too_small_rejected(self, name):
+        call, min_n = NEEDS_CONNECTED[name]
+        with pytest.raises(PreconditionError, match="graph must be connected"):
+            call(from_edge_list(4, [(0, 1, 1.0), (2, 3, 1.0)]))
+        if min_n > 1:
+            # The size is checked before connectivity: a graph one node short
+            # gets the size error whether or not it is connected.
+            k = min_n - 1
+            for g in (from_edge_list(k, [(0, 1, 1.0)] if k == 2 else []), WeightedGraph(k, np.zeros((k, k)))):
+                with pytest.raises(PreconditionError, match=f"at least {min_n} nodes, got {k}"):
+                    call(g)
+
+    def test_every_function_reads_one_search(self, searched):
+        g = bowtie()
+        for i in range(g.n):
+            locally_biconnected(g, i)
+        articulation_points_oracle(g)
+        is_biconnected_oracle(g)
+        doubly_connected_oracle(g, 0, 3)
+        spectral_certificate(g, 2, EPS)
+        certify_graph(g, EPS, with_oracle=True)
+        assert len(searched) == 1 and searched[0] is g
 
 
 class TestSoundness:

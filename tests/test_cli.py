@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -441,6 +440,29 @@ class TestNonFiniteInput:
         assert "node positions must be" in captured.err
         assert captured.out == ""
 
+    # JSON true and "2.5" are not numbers, and an integer past float range has
+    # no float value; float() would accept the first two and overflow on the last.
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({**P3_DOC, "edges": [[0, 1, True], [1, 2, 1.0]]}, "edge weight in [0, 1, True] is not a number"),
+            ({**P3_DOC, "edges": [[0, 1, "2.5"], [1, 2, 1.0]]}, "edge weight in [0, 1, '2.5'] is not a number"),
+            ({**P3_DOC, "edges": [[0, 1, 10**400], [1, 2, 1.0]]}, "is not a number"),
+            ({**P3_DOC, "positions": [[True, 0], [1, 0], [2, 0]]}, "node positions must be numbers"),
+            ({**P3_DOC, "positions": [["0", 0], [1, 0], [2, 0]]}, "node positions must be numbers"),
+            ({**P3_DOC, "positions": [[10**400, 0], [1, 0], [2, 0]]}, "node positions must be numbers"),
+        ],
+        ids=["true-weight", "string-weight", "huge-weight", "true-position", "string-position", "huge-position"],
+    )
+    @pytest.mark.parametrize("command", ["check", "oracle", "export"])
+    def test_weight_or_position_not_a_number_exit_four(self, tmp_path, capsys, command, doc, message):
+        g = tmp_path / "bad.json"
+        write_graph(g, doc)
+        assert run([command, "--input", str(g)]) == 4
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestNumericalFailure:
     @pytest.mark.parametrize("command", ["check", "sweep"])
@@ -498,18 +520,9 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize(
         "argv", [["export"], ["oracle"], ["check", "--oracle"]], ids=" ".join
     )
-    def test_one_connectivity_search_per_command(self, tmp_path, monkeypatch, argv):
+    def test_one_connectivity_search_per_command(self, tmp_path, searched, argv):
         g = gen_disk200(tmp_path, 1)
-        calls = []
-        original = is_connected_bfs
-
-        def counted(graph):
-            calls.append(graph.n)
-            return original(graph)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("biconcert") and getattr(module, "is_connected_bfs", None) is original:
-                monkeypatch.setattr(module, "is_connected_bfs", counted)
+        searched.clear()  # gen's own draws
         out = tmp_path / "out"
         assert run(argv + ["--input", str(g), "--output", str(out)]) in (0, 2)
-        assert calls == [200]
+        assert [graph.n for graph in searched] == [200]

@@ -20,7 +20,6 @@ from biconcert import (
     counterexample_search,
     from_edge_list,
     graph_from_dict,
-    is_connected_bfs,
     laplacian,
     random_connected_graph,
     reduced_graph,
@@ -340,7 +339,7 @@ def test_suite_matches_public_checks(seed, tolerances):
         assert not any(got[name]["passed"] for name in PER_NODE_CHECKS)
 
 
-def test_each_case_derived_once(monkeypatch):
+def test_each_case_derived_once(monkeypatch, searched):
     corpus, keep, origin = [], [], {}
     counts = Counter()
     covered = {}
@@ -349,7 +348,6 @@ def test_each_case_derived_once(monkeypatch):
     def corpus_spy(*args, **kwargs):
         graphs = suite_corpus(*args, **kwargs)
         corpus.extend(graphs)
-        counts.clear()  # drop the rejection sampler's searches
         return graphs
 
     def reduced_spy(g, i):
@@ -369,10 +367,6 @@ def test_each_case_derived_once(monkeypatch):
             covered[g_id] = nodes
         return symmetric_eigen(m, *args, **kwargs)
 
-    def connected_spy(g):
-        counts["connected", id(g)] += 1
-        return is_connected_bfs(g)
-
     def reachable_spy(adj, start):
         seen = reachable(adj, start)
         searches.append((np.array(adj), seen))
@@ -383,16 +377,15 @@ def test_each_case_derived_once(monkeypatch):
         monkeypatch.setattr(module, "reduced_graph", reduced_spy)
     monkeypatch.setattr(verify, "reduced_laplacians", stack_spy)
     monkeypatch.setattr(verify, "symmetric_eigen", eigen_spy)
-    for module in (biconcert.bicon, verify):
-        monkeypatch.setattr(module, "is_connected_bfs", connected_spy)
     monkeypatch.setattr(verify, "reachable", reachable_spy)
     assert suite_passed(run_suite(seed=5, n_graphs=8, trials=5))
     assert len(corpus) == 8
     calls = iter(searches)
     for g in corpus:
-        # one search before the per-node checks; the DFS side of the
-        # articulation-oracle-agreement check searches nothing
-        assert counts["connected", id(g)] == 1
+        # one connectivity search, by the rejection sampler or the suite's
+        # precondition; the per-node checks and the DFS side of the
+        # articulation-oracle-agreement check search nothing
+        assert sum(s is g for s in searched) == 1
         # one stacked eigensolve of the reduced Laplacians, covering every node
         assert counts["eigen", id(g)] == 1
         assert covered[id(g)] == tuple(range(g.n))
@@ -467,15 +460,8 @@ def test_stacks_match_one_matrix_definitions(seed):
                 assert norms["gap"][r, k] == np.linalg.norm(m - lr)
 
 
-def test_counterexample_search_skips_per_node_connectivity(monkeypatch):
-    counts = Counter()
-
-    def connected_spy(g):
-        counts[id(g)] += 1
-        return is_connected_bfs(g)
-
+def test_counterexample_search_skips_per_node_connectivity(monkeypatch, searched):
     graphs = verify.seed_graphs()
     monkeypatch.setattr(verify, "seed_graphs", lambda: graphs)
-    monkeypatch.setattr(biconcert.bicon, "is_connected_bfs", connected_spy)
     counterexample_search(len(graphs), BoundMode.SIMPLIFIED, seed=5)
-    assert [counts[id(g)] for g in graphs] == [1] * len(graphs)
+    assert [sum(s is g for s in searched) for g in graphs] == [1] * len(graphs)
