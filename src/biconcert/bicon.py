@@ -22,13 +22,7 @@ Two bound variants exist:
 :func:`spectral_tests` is the one certificate function: ``check``, ``sweep``
 and the counterexample search hand it all their (node, epsilon) problems,
 and it returns lambda3, both bounds and the one comparison
-``lambda3 > bound + CERTIFY_MARGIN`` for each. Past a measured crossover it
-takes lambda3 from one eigendecomposition of the Laplacian per call
-(:func:`biconcert.spectral._lambda3_batched`) and solves densely again any
-problem whose lambda3 lies within the batched error bound of a threshold,
-so its verdicts are the dense path's. The dense path solves its problems
-as stacks of perturbed Laplacians, one eigensolve call per chunk of at most
-``spectral._BATCH_BYTES`` of matrices.
+``lambda3 > bound + CERTIFY_MARGIN`` for each.
 
 The combinatorial oracles (DFS low-link articulation points, brute-force
 remove-and-check, vertex-capacity max flow for internally disjoint paths)
@@ -50,21 +44,18 @@ from .graph_core import (
     PerturbationConfig,
     WeightedGraph,
     _check_node,
-    perturbed_laplacians,
     reduced_graph,
 )
-from . import spectral
-from .spectral import _lambda3_batched, is_connected_bfs, symmetric_eigen
+# symmetric_eigen is bound here for perfbench/selftest.py's tracer check only.
+from .spectral import is_connected_bfs, perturbed_lambda3, symmetric_eigen
 
 # Strictness guard: the certificate requires lambda3 > bound + this margin,
 # so ties produced by roundoff never certify.
 CERTIFY_MARGIN = 1e-12
 
-# The crossover of :func:`_batched_pays`, measured on unit grids and disk
-# graphs (n = 64 to 400) with 2 cores and OpenBLAS.
-BATCH_MIN_ORDER = 64
-BATCH_MIN_WORK = 1024
-BATCH_DEGREE_RATIO = 10
+# Bytes of the weight rows the bounds read at a time. Blocks of 1 MiB raised
+# a grid-eigen cycle's peak RSS by 0.5 MB.
+_BOUND_BLOCK_BYTES = 1 << 17
 
 
 class BoundMode(Enum):
@@ -148,74 +139,36 @@ class SpectralTest:
         return self.lambda3 > self.bound(mode) + CERTIFY_MARGIN
 
 
-def _batched_pays(g: WeightedGraph, nodes: list[NodeId], problems: int) -> bool:
-    """Whether :func:`biconcert.spectral._lambda3_batched` beats one dense solve per problem.
-
-    The batched solver pays one eigendecomposition with vectors per call,
-    then some 10 to 20 count evaluations per problem whose cost grows with
-    n * deg^2 for the largest degree deg among ``nodes``; a dense solve costs
-    O(n^3) per problem. The measured crossover: the batched solver wins when
-    n >= BATCH_MIN_ORDER, problems * n >= BATCH_MIN_WORK and
-    deg <= n / BATCH_DEGREE_RATIO.
-    """
-    if g.n < BATCH_MIN_ORDER or problems * g.n < BATCH_MIN_WORK:
-        return False
-    degree = int(np.count_nonzero(g.weights[nodes] > 0.0, axis=1).max())
-    return degree * BATCH_DEGREE_RATIO <= g.n
-
-
 def spectral_tests(g: WeightedGraph, nodes, epsilons) -> list[SpectralTest]:
     """The spectral test of every node in ``nodes`` at every epsilon, node-major.
 
-    ``g`` must be connected with n >= 3. Past the crossover of
-    :func:`_batched_pays`, lambda3 comes from one eigendecomposition of L
-    for the whole call (:func:`biconcert.spectral._lambda3_batched`), and a problem whose
-    batched lambda3 lies within its error bound tau of either threshold
-    ``bound + CERTIFY_MARGIN`` is solved again densely, so every verdict is
-    the dense path's. Below it every problem takes the dense path,
-    ``symmetric_eigen(perturbed_laplacian(g, i, eps))``, solved as stacks
-    (:func:`biconcert.graph_core.perturbed_laplacians`) of at most
-    ``spectral._BATCH_BYTES`` each; each member's spectrum equals its
-    one-matrix solve bit for bit.
+    ``g`` must be connected with n >= 3. lambda3 comes from
+    :func:`biconcert.spectral.perturbed_lambda3`, whose comparisons with
+    ``bound + CERTIFY_MARGIN`` are those of the dense path.
     """
     require_connected(g, 3)
     nodes = list(nodes)
     cfgs = [PerturbationConfig(eps) for eps in epsilons]
-    problems = [(i, cfg) for i in nodes for cfg in cfgs]
     eps = np.array([c.epsilon for c in cfgs])
     for i in nodes:
         _check_node(g, i)
     # Node i's weight vector is row i of the weights without its diagonal
-    # entry; as a stack of one vector, its bounds come out node-major. Blocks
-    # of a whole spectral._BATCH_BYTES raised a grid-eigen cycle's peak RSS
-    # by 0.5 MB, so a block holds an eighth of it.
+    # entry; as a stack of one vector, its bounds come out node-major.
     simple = np.empty((len(nodes), len(eps)))
     exact = np.empty_like(simple)
-    rows = max(1, spectral._BATCH_BYTES // 8 // (8 * g.n))
+    rows = max(1, _BOUND_BLOCK_BYTES // (8 * g.n))
     for start in range(0, len(nodes), rows):
         block = np.array(nodes[start : start + rows])
         a = g.weights[block][np.arange(g.n) != block[:, None]].reshape(len(block), 1, g.n - 1)
         simple[start : start + rows] = simplified_bound(eps, g.n, a)
         exact[start : start + rows] = exact_norm_bound(eps, a)
     simple, exact = simple.ravel(), exact.ravel()
-    if _batched_pays(g, nodes, len(problems)):
-        lam3, tau = _lambda3_batched(g, np.repeat(nodes, len(cfgs)), np.tile(eps, len(nodes)))
-        near = np.minimum(
-            np.abs(lam3 - simple - CERTIFY_MARGIN), np.abs(lam3 - exact - CERTIFY_MARGIN)
-        ) <= tau
-        dense = np.flatnonzero(near).tolist()
-    else:
-        lam3, dense = np.empty(len(problems)), list(range(len(problems)))
-    per = max(1, spectral._BATCH_BYTES // (8 * g.n * g.n))
-    for start in range(0, len(dense), per):
-        chunk = dense[start : start + per]
-        stack = perturbed_laplacians(
-            g, [problems[k][0] for k in chunk], [problems[k][1] for k in chunk]
-        )
-        lam3[chunk] = symmetric_eigen(stack).eigenvalues[:, 2]
+    # One problem per (node, epsilon), node-major like the bounds.
+    nodes, cfgs = [i for i in nodes for _ in cfgs], cfgs * len(nodes)
+    lam3 = perturbed_lambda3(g, nodes, cfgs, [simple + CERTIFY_MARGIN, exact + CERTIFY_MARGIN])
     return [
         SpectralTest(i, cfg.epsilon, lam, s, e)
-        for (i, cfg), lam, s, e in zip(problems, lam3.tolist(), simple.tolist(), exact.tolist())
+        for i, cfg, lam, s, e in zip(nodes, cfgs, lam3.tolist(), simple.tolist(), exact.tolist())
     ]
 
 
@@ -321,8 +274,6 @@ def articulation_points_oracle(g: WeightedGraph) -> set[NodeId]:
     """Exact cut vertices via a single DFS low-link pass."""
     require_connected(g)
     n = g.n
-    if n <= 2:
-        return set()
     adj = [g.neighbors(i) for i in range(n)]
     disc = [-1] * n
     low = [0] * n
@@ -386,10 +337,10 @@ def doubly_connected_oracle(g: WeightedGraph, i: NodeId, j: NodeId) -> bool:
     then exactly the existence of two internally disjoint paths.
     """
     require_connected(g)
+    _check_node(g, i)
+    _check_node(g, j)
     if i == j:
         raise PreconditionError("doubly-connected test needs two distinct nodes")
-    if not (0 <= i < g.n and 0 <= j < g.n):
-        raise PreconditionError(f"nodes ({i}, {j}) out of range [0, {g.n})")
     # node 2k = entry copy, 2k + 1 = exit copy
     cap: dict[tuple[int, int], int] = {}
     adj: dict[int, list[int]] = {}

@@ -11,17 +11,19 @@ the ordering guarantees the rest of the package relies on: ascending real
 eigenvalues for symmetric input, complex eigenvalues sorted by real then
 imaginary part otherwise, per row for a stack.
 
-:func:`_lambda3_batched` gets lambda3 of many perturbed Laplacians
-``L_i(eps)`` of one graph from a single eigendecomposition of ``L``. It
-narrows a bracket per problem whose ends move only by exact eigenvalue
-counts (Sylvester inertia of small Schur complements); secant steps place
-the trial points, and the bracket, not the step rule, carries the error
-bound. That bound scales with ``||L||``, not with ``||L_i(eps)||`` alone.
-One loop narrows every bracket of a call and solves the Schur complements
-of all its open problems in one stacked ``eigvalsh`` per step; only forming
-them is split into sub-chunks of ``_BATCH_BYTES``.
+:func:`perturbed_lambda3` owns lambda3 of the perturbed Laplacians
+``L_i(eps)`` of one graph. Below a measured crossover it solves each one
+densely; past it, :func:`_lambda3_batched` takes them all from a single
+eigendecomposition of ``L``. That narrows a bracket per problem whose ends
+move only by exact eigenvalue counts (Sylvester inertia of small Schur
+complements); secant steps place the trial points, and the bracket, not the
+step rule, carries the error bound. That bound scales with ``||L||``, not
+with ``||L_i(eps)||`` alone, so a problem within it of a caller's threshold
+is solved again densely. One loop narrows every bracket of a call and
+solves the Schur complements of all its open problems in one stacked
+``eigvalsh`` per step; only forming them is chunked by ``_BATCH_BYTES``.
 numpy only: no scipy import. :func:`is_connected_bfs` returns the graph's
-cached ``connected``; :func:`reachable` is re-exported from graph_core.
+cached ``connected``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenConvergenceError, PreconditionError
-from .graph_core import WeightedGraph, laplacian, reachable
+from .graph_core import WeightedGraph, laplacian, perturbed_laplacians
 
 SYMMETRY_RTOL = 1e-10
 CONNECTIVITY_TOL = 1e-9
@@ -42,17 +44,20 @@ MULTIPLICITY_TOL = 1e-8
 # max(||L||_1, ||L_i(eps)||_1), u the unit roundoff.
 LAMBDA3_TAU_FACTOR = 64.0
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
-# Bytes per chunk: of the working arrays of one sub-chunk of the batched
-# solver's Schur complements (about three n x deg floats per problem), of the
-# n x n matrices of one stacked dense solve in bicon.spectral_tests, and of
-# the weight rows its bounds read at a time. It bounds none of the per-problem
-# vectors: bracket state and deg x deg Schur complements are kept for every
-# problem of a call.
+# Bytes per chunk: of the batched solver's Schur working arrays (about three
+# n x deg floats per problem) and of one stacked dense solve's n x n matrices.
+# Bracket state and deg x deg Schur complements, kept for every problem of a
+# call, are not bounded by it.
 _BATCH_BYTES = 1 << 20
 # A bracket of width at most about ||L_i(eps)|| shrinks to n u ||L|| in some
 # 60 halvings, and secant steps need fewer; the cap only stops a loop that
 # no longer shrinks.
 _MAX_STEPS = 200
+# The crossover of :func:`_batched_pays`, measured on unit grids and disk
+# graphs (n = 64 to 400) with 2 cores and OpenBLAS.
+BATCH_MIN_ORDER = 64
+BATCH_MIN_WORK = 1024
+BATCH_DEGREE_RATIO = 10
 
 
 class MultiplicityWarning(UserWarning):
@@ -178,6 +183,47 @@ def is_connected_spectral(g: WeightedGraph, tol: float = CONNECTIVITY_TOL) -> bo
     if g.n == 1:
         return True
     return algebraic_connectivity(g) > tol
+
+
+def _batched_pays(g: WeightedGraph, nodes) -> bool:
+    """Whether :func:`_lambda3_batched` beats one dense solve per problem of ``nodes``.
+
+    The batched solver pays one eigendecomposition with vectors per call,
+    then some 10 to 20 count evaluations per problem whose cost grows with
+    n * deg^2 for the largest degree deg among ``nodes``; a dense solve costs
+    O(n^3) per problem. The measured crossover: the batched solver wins when
+    n >= BATCH_MIN_ORDER, problems * n >= BATCH_MIN_WORK and
+    deg <= n / BATCH_DEGREE_RATIO.
+    """
+    if g.n < BATCH_MIN_ORDER or len(nodes) * g.n < BATCH_MIN_WORK:
+        return False
+    # neighbors() rejects a node out of range before numpy indexes with it.
+    degree = max((len(g.neighbors(i)) for i in set(nodes)), default=0)
+    return degree * BATCH_DEGREE_RATIO <= g.n
+
+
+def perturbed_lambda3(g: WeightedGraph, nodes, cfgs, thresholds) -> np.ndarray:
+    """lambda3 of ``perturbed_laplacian(g, i, cfg)`` for every pair of ``zip(nodes, cfgs)``.
+
+    ``g`` must have n >= 3; ``nodes``, ``cfgs`` and each array of ``thresholds``
+    hold one entry per problem. A lambda3 exceeds its threshold entry exactly
+    when the dense path's, ``symmetric_eigen(perturbed_laplacian(g, i, cfg))``,
+    does: past the crossover of :func:`_batched_pays`, a problem whose batched
+    lambda3 lies within its error bound of a threshold is solved again densely,
+    in stacks of at most ``_BATCH_BYTES`` like every dense problem.
+    """
+    if _batched_pays(g, nodes):
+        lam3, tau = _lambda3_batched(g, nodes, [cfg.epsilon for cfg in cfgs])
+        near = np.any([np.abs(lam3 - t) <= tau for t in thresholds], axis=0)
+        dense = np.flatnonzero(near).tolist()
+    else:
+        lam3, dense = np.empty(len(nodes)), list(range(len(nodes)))
+    per = max(1, _BATCH_BYTES // (8 * g.n * g.n))
+    for start in range(0, len(dense), per):
+        chunk = dense[start : start + per]
+        stack = perturbed_laplacians(g, [nodes[k] for k in chunk], [cfgs[k] for k in chunk])
+        lam3[chunk] = symmetric_eigen(stack).eigenvalues[:, 2]
+    return lam3
 
 
 def _lambda3_batched(

@@ -637,6 +637,7 @@ SUITE_TOLERANCES = {
 _SUITE_EPS = (1e-3, 1e-2, 0.1, 1.0)
 _SUITE_GAMMAS = (0.5, 1.0, 2.0)
 _SUITE_ETA = 1e-3
+_SUITE_DRAWS = 5
 
 
 def _aggregate(
@@ -681,7 +682,6 @@ def run_suite(
     seed: int,
     n_graphs: int = 60,
     trials: int = 200,
-    draws: int = 5,
     tolerances: dict[str, float] | None = None,
 ) -> list[CheckOutcome]:
     """Run every check over a seeded random corpus and aggregate per check.
@@ -689,8 +689,8 @@ def run_suite(
     Returns one outcome per check name; a suite passes when every outcome
     outside :data:`INFORMATIONAL_CHECKS` passed. ``tolerances`` may override
     individual check tolerances by their names in :data:`SUITE_TOLERANCES`;
-    an unknown name, ``n_graphs < 1``, ``trials < 1`` or ``draws < 1``
-    raises ``ValueError`` before any check runs. Tolerance values are not
+    an unknown name, ``n_graphs < 1`` or ``trials < 1`` raises
+    ``ValueError`` before any check runs. Tolerance values are not
     range-checked here (a negative one forces its check to fail); the CLI's
     ``--tol-*`` flags are.
     """
@@ -701,8 +701,6 @@ def run_suite(
         raise ValueError(f"need at least one graph, got {n_graphs}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if draws < 1:
-        raise ValueError(f"need at least one draw, got {draws}")
     tol = {**SUITE_TOLERANCES, **(tolerances or {})}
     rng = np.random.default_rng(seed)
     graphs = suite_corpus(rng, n_graphs)
@@ -710,7 +708,7 @@ def run_suite(
     per_case: list[CheckOutcome] = []
     for g in graphs:
         require_connected(g, 3)
-        ab = rng.uniform(-2.0, 2.0, size=(draws, 2))
+        ab = rng.uniform(-2.0, 2.0, size=(_SUITE_DRAWS, 2))
         case = _GraphCase(g, range(g.n))
         per_case += _intermediate_spectrum(case, _SUITE_EPS, tol["spectrum"])
         per_case += _eigenvalue_gap_bound(case, _SUITE_EPS, tol["gap"])

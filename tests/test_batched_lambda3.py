@@ -17,6 +17,7 @@ import biconcert.bicon as bicon
 import biconcert.spectral as spectral
 from biconcert import (
     BoundMode,
+    GraphInputError,
     PerturbationConfig,
     ProximityModel,
     WeightedGraph,
@@ -25,6 +26,7 @@ from biconcert import (
     is_connected_bfs,
     perturbed_laplacian,
     proximity_graph,
+    simplified_bound,
 )
 from biconcert.bicon import CERTIFY_MARGIN, spectral_tests
 from biconcert.cli import EXIT_NUMERICAL, main
@@ -137,13 +139,13 @@ def test_repeated_eigenvalues_and_poles_match_dense(family, n):
 
 
 def force_batched(monkeypatch):
-    monkeypatch.setattr(bicon, "BATCH_MIN_ORDER", 0)
-    monkeypatch.setattr(bicon, "BATCH_MIN_WORK", 0)
-    monkeypatch.setattr(bicon, "BATCH_DEGREE_RATIO", 0)
+    monkeypatch.setattr(spectral, "BATCH_MIN_ORDER", 0)
+    monkeypatch.setattr(spectral, "BATCH_MIN_WORK", 0)
+    monkeypatch.setattr(spectral, "BATCH_DEGREE_RATIO", 0)
 
 
 def force_dense(monkeypatch):
-    monkeypatch.setattr(bicon, "BATCH_MIN_ORDER", math.inf)
+    monkeypatch.setattr(spectral, "BATCH_MIN_ORDER", math.inf)
 
 
 @pytest.mark.parametrize("power", [-12, 0, 8])
@@ -188,9 +190,45 @@ def test_near_threshold_falls_back_to_dense(monkeypatch):
         return np.full(len(nodes), threshold), np.full(len(nodes), 1e-3)
 
     force_batched(monkeypatch)
-    monkeypatch.setattr(bicon, "_lambda3_batched", on_the_threshold)
+    monkeypatch.setattr(spectral, "_lambda3_batched", on_the_threshold)
     (test,) = spectral_tests(g, [5], [eps])
     assert test.lambda3 == dense_lambda3(g, 5, eps)
+
+
+@pytest.mark.parametrize("on", [0, 1], ids=["simplified", "exact"])
+def test_perturbed_lambda3_solves_densely_exactly_the_problems_on_a_threshold(monkeypatch, on):
+    g = grid(8)
+    nodes, epsilons = [5, 5, 9, 20], [1e-4, 0.05, 0.05, 0.5]
+    cfgs = [PerturbationConfig(eps) for eps in epsilons]
+    a = np.array([np.delete(g.weights[i], i) for i in nodes])
+    eps = np.array(epsilons)
+    # spectral_tests' thresholds, in its order
+    thresholds = [
+        simplified_bound(eps, g.n, a) + CERTIFY_MARGIN,
+        exact_norm_bound(eps, a) + CERTIFY_MARGIN,
+    ]
+    tau = 1e-6
+    assert abs(thresholds[0][1] - thresholds[1][1]) > tau
+    away = max(t.max() for t in thresholds) + 1.0
+    fake = np.full(len(nodes), away)
+    fake[1] = thresholds[on][1]  # problem 1 sits on one threshold only
+
+    def batched(graph, probe_nodes, probe_eps):
+        assert (list(probe_nodes), list(probe_eps)) == (nodes, epsilons)
+        return fake.copy(), np.full(len(probe_nodes), tau)
+
+    force_batched(monkeypatch)
+    monkeypatch.setattr(spectral, "_lambda3_batched", batched)
+    lam3 = spectral.perturbed_lambda3(g, nodes, cfgs, thresholds)
+    assert lam3[1] == dense_lambda3(g, 5, 0.05)
+    assert lam3[[0, 2, 3]].tolist() == [away] * 3
+
+
+@pytest.mark.parametrize("node", [-1, 64])
+def test_perturbed_lambda3_rejects_a_node_out_of_range_on_the_batched_path(monkeypatch, node):
+    force_batched(monkeypatch)
+    with pytest.raises(GraphInputError, match=f"node {node} out of range"):
+        spectral.perturbed_lambda3(grid(8), [node], [PerturbationConfig(0.1)], [])
 
 
 def count_calls(monkeypatch, module, name):
@@ -221,8 +259,7 @@ def grid_file(tmp_path, k):
 def test_one_eigendecomposition_per_command(tmp_path, monkeypatch, argv):
     path = grid_file(tmp_path, 12)
     eigen = count_calls(monkeypatch, spectral, "symmetric_eigen")
-    monkeypatch.setattr(bicon, "symmetric_eigen", spectral.symmetric_eigen)
-    build = count_calls(monkeypatch, bicon, "perturbed_laplacians")
+    build = count_calls(monkeypatch, spectral, "perturbed_laplacians")
     out = tmp_path / "out"
     assert main([argv[0], "--input", str(path), *argv[1:], "--output", str(out)]) == 0
     # 144 and 1,872 dense solves on the dense path
@@ -288,7 +325,7 @@ def test_small_or_dense_graphs_stay_on_the_dense_path(monkeypatch):
     def fail(*args):
         raise AssertionError("batched solver called")
 
-    monkeypatch.setattr(bicon, "_lambda3_batched", fail)
+    monkeypatch.setattr(spectral, "_lambda3_batched", fail)
     spectral_tests(grid(7), range(49), EPSILONS)  # n below the crossover
     spectral_tests(grid(12), range(4), [0.05])  # too few problems
     hub = from_edge_list(80, [(0, j, 1.0) for j in range(1, 80)] + [(j, j + 1, 1.0) for j in range(1, 79)])

@@ -16,6 +16,7 @@ import pytest
 from biconcert import (
     BoundMode,
     CombinationParams,
+    GraphInputError,
     PerturbationConfig,
     PreconditionError,
     WeightedGraph,
@@ -30,15 +31,19 @@ from biconcert import (
     doubly_connected_oracle,
     exact_norm_bound,
     from_edge_list,
+    intermediate_matrix,
     is_biconnected_oracle,
     locally_biconnected,
+    neighbor_weight_vector,
+    perturbed_laplacian,
+    reduced_graph,
     report_csv_rows,
     report_to_dict,
     simplified_bound,
     spectral_certificate,
     spectral_tests,
 )
-from biconcert.verify import random_connected_graph
+from biconcert.verify import random_connected_graph, rank_one_update_matrix
 
 
 def path3():
@@ -236,6 +241,8 @@ class TestArticulationOracles:
             articulation_points_oracle(g)
 
     def test_matches_bruteforce_random(self):
+        for g in (from_edge_list(1, []), from_edge_list(2, [(0, 1, 1.0)])):  # K1, K2
+            assert articulation_points_oracle(g) == articulation_points_bruteforce(g) == set()
         rng = np.random.default_rng(22)
         for k in range(200):
             style = "geometric" if k % 2 else "er"
@@ -343,6 +350,36 @@ class TestConnectivityPrecondition:
         spectral_certificate(g, 2, EPS)
         certify_graph(g, EPS, with_oracle=True)
         assert len(searched) == 1 and searched[0] is g
+
+
+# Every public function that takes a node, called with node i.
+TAKES_A_NODE = {
+    "spectral_tests": lambda g, i: spectral_tests(g, [i], [0.1]),
+    "spectral_certificate": lambda g, i: spectral_certificate(g, i, EPS),
+    "locally_biconnected": locally_biconnected,
+    "doubly_connected_oracle-i": lambda g, i: doubly_connected_oracle(g, i, 0),
+    "doubly_connected_oracle-j": lambda g, i: doubly_connected_oracle(g, 0, i),
+    "check_intermediate_spectrum": lambda g, i: check_intermediate_spectrum(g, i, 0.1),
+    "check_combination_realness": lambda g, i: check_combination_realness(
+        g, i, CombinationParams(1.0, 1.0, 0.1)
+    ),
+    "check_eigenvalue_gap_bound": lambda g, i: check_eigenvalue_gap_bound(g, i, 0.1),
+    "check_rank_one_update_spectrum": lambda g, i: check_rank_one_update_spectrum(g, i, 1.0, 1e-3),
+    "check_null_drift_derivative": check_null_drift_derivative,
+    "neighbor_weight_vector": neighbor_weight_vector,
+    "reduced_graph": reduced_graph,
+    "perturbed_laplacian": lambda g, i: perturbed_laplacian(g, i, EPS),
+    "intermediate_matrix": lambda g, i: intermediate_matrix(g, i, EPS),
+    "rank_one_update_matrix": lambda g, i: rank_one_update_matrix(g, i, 1.0, 1e-3),
+}
+
+
+@pytest.mark.parametrize("node", [-1, 4])
+@pytest.mark.parametrize("name", sorted(TAKES_A_NODE))
+def test_node_out_of_range_is_input_error(name, node):
+    # numpy would read node -1 as node n - 1 without a word
+    with pytest.raises(GraphInputError, match=rf"node {node} out of range \[0, 4\)"):
+        TAKES_A_NODE[name](cycle(4), node)
 
 
 class TestSoundness:

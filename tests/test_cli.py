@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-import biconcert.bicon
+import biconcert.spectral
 import biconcert.cli
 from biconcert import graph_from_dict, is_connected_bfs
 from biconcert.cli import EXIT_NUMERICAL, main, parse_eps_grid
@@ -236,6 +236,24 @@ class TestExport:
         assert run(["export", "--input", str(g)]) == 0
         dot = capsys.readouterr().out
         assert "articulation" not in dot
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 4, "edges": [[0, 1, 1.0], [2, 3, 1.0]], "positions": None},
+            {"n": 1, "edges": [], "positions": None},
+        ],
+        ids=["disconnected", "one-node"],
+    )
+    def test_graph_without_marks_exported_bare(self, tmp_path, capsys, doc):
+        g = tmp_path / "bare.json"
+        write_graph(g, doc)
+        assert run(["export", "--input", str(g)]) == 0
+        dot = capsys.readouterr().out
+        assert "articulation=true" not in dot and "locally_biconnected=true" not in dot
+        nodes = [f"  {i};" for i in range(doc["n"])]
+        edges = [f'  {i} -- {j} [label="1"];' for i, j, _ in doc["edges"]]
+        assert dot.splitlines() == ["graph g {", "  node [shape=circle];", *nodes, *edges, "}"]
 
     def test_positions_emitted(self, tmp_path, capsys):
         g = tmp_path / "pos.json"
@@ -470,7 +488,7 @@ class TestNumericalFailure:
         def failing(m, want_vectors=False):
             raise EigenConvergenceError("symmetric eigensolve failed: injected")
 
-        monkeypatch.setattr(biconcert.bicon, "symmetric_eigen", failing)
+        monkeypatch.setattr(biconcert.spectral, "symmetric_eigen", failing)
         g = tmp_path / "p3.json"
         write_graph(g, P3_DOC)
         assert run([command, "--input", str(g)]) == EXIT_NUMERICAL == 5

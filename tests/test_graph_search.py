@@ -24,7 +24,7 @@ from biconcert import (
     proximity_graph,
     reduced_graph,
 )
-from biconcert.spectral import reachable
+from biconcert.graph_core import reachable
 from biconcert.verify import _GraphCase, random_graph, seed_graphs, suite_corpus
 
 

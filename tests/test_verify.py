@@ -32,9 +32,10 @@ from biconcert.graph_core import (
     _intermediate,
     neighbor_weight_vector,
     perturbed_laplacian,
+    reachable,
     reduced_laplacians,
 )
-from biconcert.spectral import general_eigen, reachable
+from biconcert.spectral import general_eigen
 from biconcert.verify import _aggregate, outcome_to_dict, rank_one_update_matrix, suite_corpus
 
 
@@ -255,10 +256,9 @@ class TestSuite:
             ({"n_graphs": -1}, "at least one graph"),
             ({"n_graphs": 0}, "at least one graph"),
             ({"trials": 0}, "at least one trial"),
-            ({"draws": 0}, "at least one draw"),
             ({"tolerances": {"gapp": -1.0}}, r"unknown tolerance names \['gapp'\]"),
         ],
-        ids=["graphs-negative", "graphs-zero", "trials-zero", "draws-zero", "misspelt-tolerance"],
+        ids=["graphs-negative", "graphs-zero", "trials-zero", "misspelt-tolerance"],
     )
     def test_bad_arguments_rejected_before_any_check(self, monkeypatch, kwargs, message):
         def no_corpus(*args, **kw):
@@ -278,7 +278,7 @@ PER_NODE_CHECKS = (
 )
 
 
-def per_node_checks_by_public_api(seed, n_graphs, draws=5, tolerances=None):
+def per_node_checks_by_public_api(seed, n_graphs, tolerances=None):
     """run_suite's per-node outcomes, rebuilt from one public check_* call per case."""
     tol = {
         "spectrum": verify.SPECTRUM_TOL_FACTOR,
@@ -291,7 +291,7 @@ def per_node_checks_by_public_api(seed, n_graphs, draws=5, tolerances=None):
     rng = np.random.default_rng(seed)
     cases = {name: [] for name in PER_NODE_CHECKS}
     for g in suite_corpus(rng, n_graphs):
-        ab = rng.uniform(-2.0, 2.0, size=(draws, 2))
+        ab = rng.uniform(-2.0, 2.0, size=(verify._SUITE_DRAWS, 2))
         for i in range(g.n):
             for eps in verify._SUITE_EPS:
                 cases["intermediate-spectrum-match"].append(
