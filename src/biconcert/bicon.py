@@ -22,7 +22,8 @@ Two bound variants exist:
 :func:`spectral_tests` is the one certificate function: ``check``, ``sweep``
 and the counterexample search hand it all their (node, epsilon) problems,
 and it returns lambda3, both bounds and the one comparison
-``lambda3 > bound + CERTIFY_MARGIN`` for each.
+``lambda3 > bound + CERTIFY_MARGIN`` for each. The CSV rows of ``check``
+and ``sweep`` come from :func:`report_csv_rows` and :func:`sweep_csv_rows`.
 
 The combinatorial oracles (DFS low-link articulation points, brute-force
 remove-and-check, vertex-capacity max flow for internally disjoint paths)
@@ -33,7 +34,7 @@ function that needs a connected graph first calls :func:`require_connected`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -196,21 +197,21 @@ def locally_biconnected(g: WeightedGraph, i: NodeId) -> bool:
     # only removal that can split it.
     seen = {nbrs[0]}
     queue = deque([nbrs[0]])
-    nbr_set = set(nbrs)
     while queue:
         u = queue.popleft()
         for v in nbrs:
             if v not in seen and g.weights[u, v] > 0.0:
                 seen.add(v)
                 queue.append(v)
-    return seen == nbr_set
+    return len(seen) == len(nbrs)
 
 
 def _node_certificate(
-    i: NodeId, local: bool, test: SpectralTest | None, mode: BoundMode
+    i: NodeId, local: bool, test: SpectralTest | None, mode: BoundMode, points: set[NodeId] | None = None
 ) -> NodeCertificate:
+    oracle = None if points is None else i in points
     if test is None:
-        return NodeCertificate(i, local, None, None, None, certified=False)
+        return NodeCertificate(i, local, None, None, None, certified=False, oracle_is_articulation=oracle)
     return NodeCertificate(
         node=i,
         locally_biconnected=local,
@@ -218,6 +219,7 @@ def _node_certificate(
         simplified_bound=test.simplified_bound,
         exact_norm_bound=test.exact_norm_bound,
         certified=test.certified(mode),
+        oracle_is_articulation=oracle,
     )
 
 
@@ -232,7 +234,6 @@ def spectral_certificate(
     Computes lambda3 of the perturbed Laplacian and both bound variants;
     ``certified`` is true iff lambda3 strictly exceeds the selected bound.
     """
-    require_connected(g, 3)
     (test,) = spectral_tests(g, [i], [cfg.epsilon])
     return _node_certificate(i, locally_biconnected(g, i), test, mode)
 
@@ -254,19 +255,14 @@ def certify_graph(
     local = [locally_biconnected(g, i) for i in range(g.n)]
     tests = spectral_tests(g, [i for i in range(g.n) if not local[i]], [cfg.epsilon])
     by_node = {t.node: t for t in tests}
-    certs = [_node_certificate(i, local[i], by_node.get(i), mode) for i in range(g.n)]
-    if with_oracle:
-        points = articulation_points_oracle(g)
-        certs = [replace(c, oracle_is_articulation=c.node in points) for c in certs]
-        oracle_flag = not points
-    else:
-        oracle_flag = None
+    points = articulation_points_oracle(g) if with_oracle else None
+    certs = [_node_certificate(i, local[i], by_node.get(i), mode, points) for i in range(g.n)]
     return BiconnectivityReport(
         nodes=tuple(certs),
         graph_certified=all(c.locally_biconnected or c.certified for c in certs),
         epsilon=cfg.epsilon,
         mode=mode,
-        oracle_biconnected=oracle_flag,
+        oracle_biconnected=None if points is None else not points,
     )
 
 
@@ -392,6 +388,16 @@ CSV_COLUMNS = [
     "oracle",
 ]
 
+SWEEP_COLUMNS = [
+    "node",
+    "epsilon",
+    "lambda3",
+    "simplified_bound",
+    "exact_bound",
+    "certified_simplified",
+    "certified_exact",
+]
+
 
 def report_to_dict(r: BiconnectivityReport) -> dict:
     """JSON-ready report; floats keep full round-trip precision."""
@@ -424,18 +430,29 @@ def _csv_flag(x: bool | None) -> str:
 
 
 def report_csv_rows(r: BiconnectivityReport) -> list[list[str]]:
-    """Header plus one row per node; floats at 6 significant digits."""
-    rows = [list(CSV_COLUMNS)]
-    for c in r.nodes:
-        rows.append(
-            [
-                str(c.node),
-                _csv_flag(c.locally_biconnected),
-                _csv_num(c.lambda3_perturbed),
-                _csv_num(c.simplified_bound),
-                _csv_num(c.exact_norm_bound),
-                _csv_flag(c.certified),
-                _csv_flag(c.oracle_is_articulation),
-            ]
-        )
-    return rows
+    """``check``'s CSV: header plus one row per node; floats at 6 significant digits."""
+    return [list(CSV_COLUMNS)] + [
+        [
+            str(c.node),
+            _csv_flag(c.locally_biconnected),
+            _csv_num(c.lambda3_perturbed),
+            _csv_num(c.simplified_bound),
+            _csv_num(c.exact_norm_bound),
+            _csv_flag(c.certified),
+            _csv_flag(c.oracle_is_articulation),
+        ]
+        for c in r.nodes
+    ]
+
+
+def sweep_csv_rows(tests: list[SpectralTest]) -> list[list[str]]:
+    """``sweep``'s CSV: header plus one row per test with both verdicts, cells as for ``check``."""
+    return [list(SWEEP_COLUMNS)] + [
+        [
+            str(t.node),
+            *map(_csv_num, (t.epsilon, t.lambda3, t.simplified_bound, t.exact_norm_bound)),
+            _csv_flag(t.certified(BoundMode.SIMPLIFIED)),
+            _csv_flag(t.certified(BoundMode.EXACT_NORM)),
+        ]
+        for t in tests
+    ]

@@ -8,14 +8,16 @@ certificates plus graph verdict), ``oracle`` (exact articulation points),
 :func:`biconcert.bicon.spectral_tests`, which on large graphs solves the
 whole call with one eigendecomposition; ``check``'s JSON ``lambda3`` can then
 differ from a direct dense eigensolve in its last digits, never in a verdict.
+Their CSV rows come from :mod:`biconcert.bicon`; this module writes them.
 
 Exit codes: 0 success or certified, 2 not certified, 3 precondition failure
 (disconnected input, impossible generation), 4 malformed input or usage
 (including non-finite weights, positions, epsilon or epsilon-grid values, a
-radius or sigma that is not finite and positive, a ``--n``, ``--graphs`` or
-``--trials`` below 1, a ``--seed`` below 0, and a ``--tol-*`` value that is
-not finite and >= 0), 5 numerical failure (an eigensolver, or the batched
-lambda3 solver's inertia count, did not converge).
+graph file whose ``n`` is too large for a dense weight matrix, a radius or
+sigma that is not finite and positive, a ``--n``, ``--graphs`` or ``--trials``
+below 1, a ``--seed`` below 0, and a ``--tol-*`` value that is not finite and
+>= 0), 5 numerical failure (an eigensolver, or the batched lambda3 solver's
+inertia count, did not converge).
 Identical invocations (including ``--seed``) produce byte-identical output
 files; randomness comes from numpy's seeded PCG64 generator, which is
 recorded in generated file metadata.
@@ -35,16 +37,14 @@ import numpy as np
 
 from . import __version__
 from .bicon import (
-    BiconnectivityReport,
     BoundMode,
-    _csv_flag,
-    _csv_num,
     articulation_points_oracle,
     certify_graph,
     locally_biconnected,
     report_csv_rows,
     report_to_dict,
     spectral_tests,
+    sweep_csv_rows,
 )
 from .errors import EigenConvergenceError, GraphInputError, PreconditionError
 from .graph_core import (
@@ -133,8 +133,6 @@ _tolerance = _at_least(float, 0.0, "finite and >= 0")
 def parse_eps_grid(spec: str) -> list[float]:
     """Parse ``lo:hi:count`` (log spaced) or a comma list of explicit values."""
     spec = spec.strip()
-    if not spec:
-        raise GraphInputError("epsilon grid must not be empty")
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -229,17 +227,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = certify_graph(
         g, PerturbationConfig(args.epsilon), BoundMode(args.mode), with_oracle=args.oracle
     )
-    _emit_report(args, report)
-    return EXIT_OK if report.graph_certified else EXIT_NOT_CERTIFIED
-
-
-def _emit_report(args: argparse.Namespace, report: BiconnectivityReport) -> None:
-    json_text = _dump_json(report_to_dict(report))
-    if args.output_path is None:
-        sys.stdout.write(json_text)
-    else:
-        _write_text(args.output_path, json_text)
+    _write_text(args.output_path, _dump_json(report_to_dict(report)))
+    if args.output_path is not None:
         _write_text(_csv_sibling(args.output_path), _csv_text(report_csv_rows(report)))
+    return EXIT_OK if report.graph_certified else EXIT_NOT_CERTIFIED
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -259,27 +250,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Certificate quantities for every node over an epsilon grid (CSV)."""
     grid = parse_eps_grid(args.eps_grid)
     g = _load_graph(args.input_path)
-    rows = [
-        [
-            "node",
-            "epsilon",
-            "lambda3",
-            "simplified_bound",
-            "exact_bound",
-            "certified_simplified",
-            "certified_exact",
-        ]
-    ]
-    rows += [
-        [
-            str(t.node),
-            *map(_csv_num, (t.epsilon, t.lambda3, t.simplified_bound, t.exact_norm_bound)),
-            _csv_flag(t.certified(BoundMode.SIMPLIFIED)),
-            _csv_flag(t.certified(BoundMode.EXACT_NORM)),
-        ]
-        for t in spectral_tests(g, range(g.n), grid)
-    ]
-    _write_text(args.output_path, _csv_text(rows))
+    _write_text(args.output_path, _csv_text(sweep_csv_rows(spectral_tests(g, range(g.n), grid))))
     return EXIT_OK
 
 

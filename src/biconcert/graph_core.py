@@ -171,7 +171,10 @@ def from_edge_list(
     """
     if n < 1:
         raise GraphInputError(f"node count must be >= 1, got {n}")
-    w = np.zeros((n, n))
+    try:
+        w = np.zeros((n, n))
+    except (ValueError, MemoryError) as exc:
+        raise GraphInputError(f"node count n={n} is too large for a dense weight matrix") from exc
     seen: set[tuple[int, int]] = set()
     for i, j, wt in edges:
         if not (0 <= i < n and 0 <= j < n):

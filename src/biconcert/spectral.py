@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenConvergenceError, PreconditionError
-from .graph_core import WeightedGraph, laplacian, perturbed_laplacians
+from .graph_core import WeightedGraph, _check_node, laplacian, perturbed_laplacians
 
 SYMMETRY_RTOL = 1e-10
 CONNECTIVITY_TOL = 1e-9
@@ -197,8 +197,10 @@ def _batched_pays(g: WeightedGraph, nodes) -> bool:
     """
     if g.n < BATCH_MIN_ORDER or len(nodes) * g.n < BATCH_MIN_WORK:
         return False
-    # neighbors() rejects a node out of range before numpy indexes with it.
-    degree = max((len(g.neighbors(i)) for i in set(nodes)), default=0)
+    nodes = set(nodes)
+    for i in nodes:
+        _check_node(g, i)
+    degree = max((np.count_nonzero(g.weights[i]) for i in nodes), default=0)  # weights are >= 0
     return degree * BATCH_DEGREE_RATIO <= g.n
 
 

@@ -44,7 +44,7 @@ The checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import product
 
@@ -635,6 +635,7 @@ SUITE_TOLERANCES = {
 }
 
 _SUITE_EPS = (1e-3, 1e-2, 0.1, 1.0)
+_SUITE_N_RANGE = (3, 17)  # node counts of the random corpus graphs, [low, high)
 _SUITE_GAMMAS = (0.5, 1.0, 2.0)
 _SUITE_ETA = 1e-3
 _SUITE_DRAWS = 5
@@ -668,12 +669,12 @@ def _aggregate(
     )
 
 
-def suite_corpus(rng: np.random.Generator, n_graphs: int, n_range=(3, 17)) -> list[WeightedGraph]:
+def suite_corpus(rng: np.random.Generator, n_graphs: int) -> list[WeightedGraph]:
     """Seed graphs followed by alternating random styles; deterministic per rng."""
     graphs = list(seed_graphs())
     for t in range(max(0, n_graphs - len(graphs))):
         style = "geometric" if t % 2 else "er"
-        n = int(rng.integers(n_range[0], n_range[1]))
+        n = int(rng.integers(*_SUITE_N_RANGE))
         graphs.append(random_connected_graph(rng, n, style=style))
     return graphs[:n_graphs]
 
@@ -781,10 +782,4 @@ def suite_passed(outcomes: list[CheckOutcome]) -> bool:
 
 
 def outcome_to_dict(o: CheckOutcome) -> dict:
-    return {
-        "name": o.name,
-        "passed": o.passed,
-        "max_error": o.max_error,
-        "witness": o.witness,
-        "details": o.details,
-    }
+    return asdict(o)

@@ -7,6 +7,7 @@ eps * sqrt(10). The simplified constant therefore certifies the middle node
 even though it is an articulation point, while the exact norm does not.
 """
 
+import dataclasses
 import json
 import math
 
@@ -14,11 +15,14 @@ import numpy as np
 import pytest
 
 from biconcert import (
+    BiconnectivityReport,
     BoundMode,
     CombinationParams,
     GraphInputError,
+    NodeCertificate,
     PerturbationConfig,
     PreconditionError,
+    SpectralTest,
     WeightedGraph,
     articulation_points_bruteforce,
     articulation_points_oracle,
@@ -43,6 +47,7 @@ from biconcert import (
     spectral_certificate,
     spectral_tests,
 )
+from biconcert.bicon import sweep_csv_rows
 from biconcert.verify import random_connected_graph, rank_one_update_matrix
 
 
@@ -447,3 +452,65 @@ class TestSerialization:
         assert rows[2][1] == "false"
         assert rows[2][2] == "0.15"
         assert rows[2][6] == "true"
+
+    def test_csv_cells_from_hand_built_records(self):
+        # Hand-made records: the cell rules, not LAPACK's last bits, decide the text.
+        report = BiconnectivityReport(
+            nodes=(
+                NodeCertificate(1234567, True, None, None, None, certified=False),
+                NodeCertificate(
+                    node=3,
+                    locally_biconnected=False,
+                    lambda3_perturbed=0.123456789,
+                    simplified_bound=0.1,
+                    exact_norm_bound=2.0,
+                    certified=True,
+                    oracle_is_articulation=False,
+                ),
+            ),
+            graph_certified=True,
+            epsilon=0.05,
+            mode=BoundMode.EXACT_NORM,
+        )
+        assert report_csv_rows(report)[1:] == [
+            ["1234567", "true", "", "", "", "false", ""],
+            ["3", "false", "0.123457", "0.1", "2", "true", "false"],
+        ]
+
+    def test_sweep_csv_rows_from_hand_built_tests(self):
+        between = SpectralTest(1234567, 0.123456789, 0.5, 0.4, 0.6)  # simplified < lambda3 < exact
+        above = SpectralTest(2, 1e-4, 3.0, 1.0, 2.0)
+        rows = sweep_csv_rows([between, above])
+        assert rows[0] == [
+            "node",
+            "epsilon",
+            "lambda3",
+            "simplified_bound",
+            "exact_bound",
+            "certified_simplified",
+            "certified_exact",
+        ]
+        assert rows[1:] == [
+            ["1234567", "0.123457", "0.5", "0.4", "0.6", "true", "false"],
+            ["2", "0.0001", "3", "1", "2", "true", "true"],
+        ]
+        assert sweep_csv_rows([]) == [rows[0]]
+
+
+def test_oracle_only_adds_the_oracle_fields():
+    rng = np.random.default_rng(12)
+    graphs = [path3(), bowtie(), k4()] + [random_connected_graph(rng, 9) for _ in range(5)]
+    for g in graphs:
+        for mode in BoundMode:
+            plain = certify_graph(g, PerturbationConfig(0.05), mode)
+            full = certify_graph(g, PerturbationConfig(0.05), mode, with_oracle=True)
+            points = articulation_points_oracle(g)
+            assert [c.oracle_is_articulation for c in full.nodes] == [i in points for i in range(g.n)]
+            assert full.oracle_biconnected is (not points)
+            assert plain.oracle_biconnected is None
+            assert all(c.oracle_is_articulation is None for c in plain.nodes)
+            assert dataclasses.replace(
+                full,
+                nodes=tuple(dataclasses.replace(c, oracle_is_articulation=None) for c in full.nodes),
+                oracle_biconnected=None,
+            ) == plain

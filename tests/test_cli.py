@@ -9,7 +9,8 @@ import pytest
 import biconcert.spectral
 import biconcert.cli
 from biconcert import graph_from_dict, is_connected_bfs
-from biconcert.cli import EXIT_NUMERICAL, main, parse_eps_grid
+from biconcert.bicon import spectral_tests, sweep_csv_rows
+from biconcert.cli import DEFAULT_EPS_GRID, EXIT_NUMERICAL, main, parse_eps_grid
 from biconcert.errors import EigenConvergenceError, GraphInputError
 from biconcert.verify import SUITE_TOLERANCES
 
@@ -166,8 +167,25 @@ class TestOracle:
         assert doc["articulation_points"] == [1]
         assert doc["biconnected"] is False
 
+    def test_n_too_large_for_a_dense_matrix_exit_four(self, tmp_path, capsys):
+        # numpy refuses a 10**10 x 10**10 array before it allocates anything.
+        g = tmp_path / "huge.json"
+        write_graph(g, {"n": 10**10, "edges": []})
+        assert run(["oracle", "--input", str(g)]) == 4
+        err = capsys.readouterr().err
+        assert "n=10000000000" in err and "Traceback" not in err
+
 
 class TestSweep:
+    def test_output_is_bicon_rows(self, tmp_path):
+        g = tmp_path / "k4.json"
+        write_graph(g, K4_DOC)
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--input", str(g), "--output", str(out)]) == 0
+        graph = graph_from_dict(K4_DOC)
+        rows = sweep_csv_rows(spectral_tests(graph, range(graph.n), parse_eps_grid(DEFAULT_EPS_GRID)))
+        assert out.read_text() == biconcert.cli._csv_text(rows)
+
     def test_path3_rows(self, tmp_path):
         g = tmp_path / "p3.json"
         write_graph(g, P3_DOC)

@@ -24,6 +24,7 @@ from biconcert import (
     proximity_graph,
     reduced_graph,
 )
+from biconcert import verify
 from biconcert.graph_core import reachable
 from biconcert.verify import _GraphCase, random_graph, seed_graphs, suite_corpus
 
@@ -200,10 +201,11 @@ def suite_corpus_loop(rng, n_graphs, n_range=(3, 17)):
 
 
 @pytest.mark.parametrize("seed", [1, 7, 19, 101])
-def test_suite_corpus_matches_loop(seed):
+def test_suite_corpus_matches_loop(seed, monkeypatch):
     # (2, 6): small graphs, where many ER draws are disconnected and redrawn.
     for n_range in ((3, 17), (2, 6)):
-        got = suite_corpus(np.random.default_rng(seed), 40, n_range)
+        monkeypatch.setattr(verify, "_SUITE_N_RANGE", n_range)
+        got = suite_corpus(np.random.default_rng(seed), 40)
         want = suite_corpus_loop(np.random.default_rng(seed), 40, n_range)
         assert len(got) == len(want) == 40
         for a, b in zip(got, want):
