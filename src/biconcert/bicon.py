@@ -21,8 +21,8 @@ Two bound variants exist:
 
 :func:`spectral_tests` is the one certificate function: ``check``, ``sweep``
 and the counterexample search hand it all their (node, epsilon) problems,
-and it returns lambda3, both bounds and the one comparison
-``lambda3 > bound + CERTIFY_MARGIN`` for each. The CSV rows of ``check``
+and it returns lambda3, its error bound tau, both bounds and the one
+comparison ``lambda3 - tau > bound`` for each. The CSV rows of ``check``
 and ``sweep`` come from :func:`report_csv_rows` and :func:`sweep_csv_rows`.
 
 The combinatorial oracles (DFS low-link articulation points, brute-force
@@ -39,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import GraphInputError, PreconditionError
 from .graph_core import (
     NodeId,
     PerturbationConfig,
@@ -49,10 +49,6 @@ from .graph_core import (
 )
 # symmetric_eigen is bound here for perfbench/selftest.py's tracer check only.
 from .spectral import is_connected_bfs, perturbed_lambda3, symmetric_eigen
-
-# Strictness guard: the certificate requires lambda3 > bound + this margin,
-# so ties produced by roundoff never certify.
-CERTIFY_MARGIN = 1e-12
 
 # Bytes of the weight rows the bounds read at a time. Blocks of 1 MiB raised
 # a grid-eigen cycle's peak RSS by 0.5 MB.
@@ -122,13 +118,14 @@ def exact_norm_bound(eps: float | np.ndarray, a: np.ndarray) -> float | np.ndarr
 
 @dataclass(frozen=True)
 class SpectralTest:
-    """lambda3 of ``L_i(eps)`` and both bounds, for one node at one epsilon."""
+    """lambda3 of ``L_i(eps)``, its error bound ``tau`` and both bounds, for one node at one epsilon."""
 
     node: NodeId
     epsilon: float
     lambda3: float
     simplified_bound: float
     exact_norm_bound: float
+    tau: float
 
     def bound(self, mode: BoundMode) -> float:
         if mode is BoundMode.SIMPLIFIED:
@@ -136,16 +133,26 @@ class SpectralTest:
         return self.exact_norm_bound
 
     def certified(self, mode: BoundMode) -> bool:
-        """The certificate comparison: lambda3 > bound + ``CERTIFY_MARGIN``."""
-        return self.lambda3 > self.bound(mode) + CERTIFY_MARGIN
+        """The certificate comparison: ``lambda3 - tau > bound``.
+
+        The exact lambda3 lies within ``tau`` of the computed one, so it
+        clears the bound whenever this holds. ``tau`` covers the bound's own
+        rounding too: the bound is at most ``eps * sqrt(n + 2) * s_i`` (s_i
+        the weight sum of node i), which is at most ``sqrt(n + 2) / 2 *
+        ||L_i(eps)||_1``, so its few ulps of error stay far inside
+        ``tau >= 64 * n * u * ||L_i(eps)||_1``. Every term scales with the
+        weights, so the verdict does not depend on their unit.
+        """
+        return self.lambda3 - self.tau > self.bound(mode)
 
 
 def spectral_tests(g: WeightedGraph, nodes, epsilons) -> list[SpectralTest]:
     """The spectral test of every node in ``nodes`` at every epsilon, node-major.
 
-    ``g`` must be connected with n >= 3. lambda3 comes from
-    :func:`biconcert.spectral.perturbed_lambda3`, whose comparisons with
-    ``bound + CERTIFY_MARGIN`` are those of the dense path.
+    ``g`` must be connected with n >= 3. lambda3 and its error bound tau
+    come from :func:`biconcert.spectral.perturbed_lambda3`. An epsilon or a
+    weight so large that a bound, a lambda3 or a tau overflows raises
+    :class:`GraphInputError`: the bounds are checked before any solve.
     """
     require_connected(g, 3)
     nodes = list(nodes)
@@ -161,16 +168,28 @@ def spectral_tests(g: WeightedGraph, nodes, epsilons) -> list[SpectralTest]:
     for start in range(0, len(nodes), rows):
         block = np.array(nodes[start : start + rows])
         a = g.weights[block][np.arange(g.n) != block[:, None]].reshape(len(block), 1, g.n - 1)
-        simple[start : start + rows] = simplified_bound(eps, g.n, a)
-        exact[start : start + rows] = exact_norm_bound(eps, a)
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            simple[start : start + rows] = simplified_bound(eps, g.n, a)
+            exact[start : start + rows] = exact_norm_bound(eps, a)
     simple, exact = simple.ravel(), exact.ravel()
+    _require_finite("a certificate bound", eps, simple, exact)
     # One problem per (node, epsilon), node-major like the bounds.
     nodes, cfgs = [i for i in nodes for _ in cfgs], cfgs * len(nodes)
-    lam3 = perturbed_lambda3(g, nodes, cfgs, [simple + CERTIFY_MARGIN, exact + CERTIFY_MARGIN])
+    lam3, tau = perturbed_lambda3(g, nodes, cfgs)
+    _require_finite("lambda3 or its error bound", eps, lam3, tau)
     return [
-        SpectralTest(i, cfg.epsilon, lam, s, e)
-        for i, cfg, lam, s, e in zip(nodes, cfgs, lam3.tolist(), simple.tolist(), exact.tolist())
+        SpectralTest(i, cfg.epsilon, lam, s, e, t)
+        for i, cfg, lam, s, e, t in zip(
+            nodes, cfgs, lam3.tolist(), simple.tolist(), exact.tolist(), tau.tolist()
+        )
     ]
+
+
+def _require_finite(what: str, eps: np.ndarray, *values: np.ndarray) -> None:
+    if not all(np.isfinite(v).all() for v in values):
+        raise GraphInputError(
+            f"{what} overflows at epsilon up to {eps.max():.6g}; lower epsilon or rescale the weights"
+        )
 
 
 def require_connected(g: WeightedGraph, min_n: int = 1) -> None:
@@ -231,8 +250,9 @@ def spectral_certificate(
 ) -> NodeCertificate:
     """Certify that node i is not an articulation point, via eigenvalues only.
 
-    Computes lambda3 of the perturbed Laplacian and both bound variants;
-    ``certified`` is true iff lambda3 strictly exceeds the selected bound.
+    Computes lambda3 of the perturbed Laplacian, its error bound tau and
+    both bound variants; ``certified`` is true iff lambda3 - tau strictly
+    exceeds the selected bound.
     """
     (test,) = spectral_tests(g, [i], [cfg.epsilon])
     return _node_certificate(i, locally_biconnected(g, i), test, mode)

@@ -7,16 +7,21 @@ certificates plus graph verdict), ``oracle`` (exact articulation points),
 ``sweep`` take every lambda3, bound and verdict from one call of
 :func:`biconcert.bicon.spectral_tests`, which on large graphs solves the
 whole call with one eigendecomposition; ``check``'s JSON ``lambda3`` can then
-differ from a direct dense eigensolve in its last digits, never in a verdict.
-Their CSV rows come from :mod:`biconcert.bicon`; this module writes them.
+differ from a direct dense eigensolve in its last digits. Either way a node
+is certified only when lambda3 minus its error bound clears the bound, so a
+verdict never rests on those digits and does not change with the unit of the
+weights. Their CSV rows come from :mod:`biconcert.bicon`; this module writes
+them.
 
 Exit codes: 0 success or certified, 2 not certified, 3 precondition failure
 (disconnected input, impossible generation), 4 malformed input or usage
 (including non-finite weights, positions, epsilon or epsilon-grid values, a
 graph file whose ``n`` is too large for a dense weight matrix, a radius or
 sigma that is not finite and positive, a ``--n``, ``--graphs`` or ``--trials``
-below 1, a ``--seed`` below 0, and a ``--tol-*`` value that is not finite and
->= 0), 5 numerical failure (an eigensolver, or the batched lambda3 solver's
+below 1, a ``--seed`` below 0, a ``--tol-*`` value that is not finite and
+>= 0, and an epsilon so large that a certificate bound, a lambda3 or its
+error bound overflows; ``check`` and ``sweep`` then write no file), 5
+numerical failure (an eigensolver, or the batched lambda3 solver's
 inertia count, did not converge).
 Identical invocations (including ``--seed``) produce byte-identical output
 files; randomness comes from numpy's seeded PCG64 generator, which is

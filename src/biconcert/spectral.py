@@ -17,18 +17,18 @@ densely; past it, :func:`_lambda3_batched` takes them all from a single
 eigendecomposition of ``L``. That narrows a bracket per problem whose ends
 move only by exact eigenvalue counts (Sylvester inertia of small Schur
 complements); secant steps place the trial points, and the bracket, not the
-step rule, carries the error bound. That bound scales with ``||L||``, not
-with ``||L_i(eps)||`` alone, so a problem within it of a caller's threshold
-is solved again densely. One loop narrows every bracket of a call and
-solves the Schur complements of all its open problems in one stacked
-``eigvalsh`` per step; only forming them is chunked by ``_BATCH_BYTES``.
+step rule, carries the error bound. Both paths return lambda3 with the
+same error bound ``tau``, which scales with ``max(||L||, ||L_i(eps)||)``;
+only a problem whose bracket did not converge is solved again densely. One
+loop narrows every bracket of a call and solves the Schur complements of
+all its open problems in one stacked ``eigvalsh`` per step; only forming
+them is chunked by ``_BATCH_BYTES``.
 numpy only: no scipy import. :func:`is_connected_bfs` returns the graph's
 cached ``connected``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +38,11 @@ from .graph_core import WeightedGraph, _check_node, laplacian, perturbed_laplaci
 
 SYMMETRY_RTOL = 1e-10
 CONNECTIVITY_TOL = 1e-9
-MULTIPLICITY_TOL = 1e-8
 
-# Error bound of the batched lambda3: tau = LAMBDA3_TAU_FACTOR * n * u *
-# max(||L||_1, ||L_i(eps)||_1), u the unit roundoff.
+# Error bound of lambda3 on both paths: tau = LAMBDA3_TAU_FACTOR * n * u *
+# max(||L||_1, ||L_i(eps)||_1), u the unit roundoff. The dense solver is
+# backward stable, so by Weyl's inequality its lambda3 is off by a small
+# multiple of n u ||L_i(eps)||; the batched bracket stops at n u of the max.
 LAMBDA3_TAU_FACTOR = 64.0
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
 # Bytes per chunk: of the batched solver's Schur working arrays (about three
@@ -58,10 +59,6 @@ _MAX_STEPS = 200
 BATCH_MIN_ORDER = 64
 BATCH_MIN_WORK = 1024
 BATCH_DEGREE_RATIO = 10
-
-
-class MultiplicityWarning(UserWarning):
-    """The second smallest eigenvalue is not numerically simple."""
 
 
 @dataclass(frozen=True)
@@ -145,39 +142,6 @@ def algebraic_connectivity(g: WeightedGraph) -> float:
     return lam2
 
 
-def fiedler_vector(g: WeightedGraph, mult_tol: float = MULTIPLICITY_TOL) -> np.ndarray:
-    """Unit eigenvector for the second smallest Laplacian eigenvalue.
-
-    The result is always orthogonal to the all-ones vector: when the
-    eigenvalue is part of a numerical cluster (a :class:`MultiplicityWarning`
-    is emitted), the vector is taken from the cluster's span with the ones
-    direction projected out. The sign is fixed so the entry of largest
-    magnitude is positive.
-    """
-    if g.n < 2:
-        raise PreconditionError("Fiedler vector needs n >= 2")
-    spec = symmetric_eigen(laplacian(g), want_vectors=True)
-    vals, vecs = spec.eigenvalues, spec.eigenvectors
-    lam2 = vals[1]
-    cluster = np.abs(vals - lam2) <= mult_tol
-    if cluster.sum() > 1:
-        warnings.warn(
-            f"second smallest eigenvalue {lam2:.6e} has numerical multiplicity "
-            f"{int(cluster.sum())}; returning one vector from the eigenspace",
-            MultiplicityWarning,
-            stacklevel=2,
-        )
-    block = vecs[:, cluster]
-    ones = np.full(g.n, 1.0 / np.sqrt(g.n))
-    block = block - np.outer(ones, ones @ block)
-    norms = np.linalg.norm(block, axis=0)
-    v = block[:, int(np.argmax(norms))]
-    v = v / np.linalg.norm(v)
-    if v[int(np.argmax(np.abs(v)))] < 0.0:
-        v = -v
-    return v
-
-
 def is_connected_spectral(g: WeightedGraph, tol: float = CONNECTIVITY_TOL) -> bool:
     """Connectivity via the spectrum: second smallest eigenvalue above ``tol``."""
     if g.n == 1:
@@ -204,28 +168,37 @@ def _batched_pays(g: WeightedGraph, nodes) -> bool:
     return degree * BATCH_DEGREE_RATIO <= g.n
 
 
-def perturbed_lambda3(g: WeightedGraph, nodes, cfgs, thresholds) -> np.ndarray:
-    """lambda3 of ``perturbed_laplacian(g, i, cfg)`` for every pair of ``zip(nodes, cfgs)``.
+def perturbed_lambda3(g: WeightedGraph, nodes, cfgs) -> tuple[np.ndarray, np.ndarray]:
+    """lambda3 of ``perturbed_laplacian(g, i, cfg)`` and its error bound, for every pair of ``zip(nodes, cfgs)``.
 
-    ``g`` must have n >= 3; ``nodes``, ``cfgs`` and each array of ``thresholds``
-    hold one entry per problem. A lambda3 exceeds its threshold entry exactly
-    when the dense path's, ``symmetric_eigen(perturbed_laplacian(g, i, cfg))``,
-    does: past the crossover of :func:`_batched_pays`, a problem whose batched
-    lambda3 lies within its error bound of a threshold is solved again densely,
-    in stacks of at most ``_BATCH_BYTES`` like every dense problem.
+    ``g`` must have n >= 3; ``nodes`` and ``cfgs`` hold one entry per
+    problem. Returns ``(lam3, tau)``: each lambda3 lies within its ``tau =
+    LAMBDA3_TAU_FACTOR * n * u * max(||L||_1, ||L_i(eps)||_1)`` of the exact
+    one, on either path; it is ``inf`` where ``||L_i(eps)||_1`` overflows.
+    Past the crossover of :func:`_batched_pays`, only a problem whose bracket
+    did not converge (``tau = inf``) is solved densely; every dense problem
+    reads ``||L_i(eps)||_1`` from its own matrix (largest column sum) and is
+    solved in stacks of at most ``_BATCH_BYTES``.
     """
     if _batched_pays(g, nodes):
         lam3, tau = _lambda3_batched(g, nodes, [cfg.epsilon for cfg in cfgs])
-        near = np.any([np.abs(lam3 - t) <= tau for t in thresholds], axis=0)
-        dense = np.flatnonzero(near).tolist()
+        dense = np.flatnonzero(np.isinf(tau)).tolist()
     else:
-        lam3, dense = np.empty(len(nodes)), list(range(len(nodes)))
+        lam3, tau, dense = np.empty(len(nodes)), np.empty(len(nodes)), list(range(len(nodes)))
     per = max(1, _BATCH_BYTES // (8 * g.n * g.n))
     for start in range(0, len(dense), per):
         chunk = dense[start : start + per]
         stack = perturbed_laplacians(g, [nodes[k] for k in chunk], [cfgs[k] for k in chunk])
         lam3[chunk] = symmetric_eigen(stack).eigenvalues[:, 2]
-    return lam3
+        with np.errstate(over="ignore"):  # tau = inf tells the caller
+            cols = np.abs(stack, out=stack).sum(axis=1).max(axis=1)  # ||L_i(eps)||_1
+        tau[chunk] = LAMBDA3_TAU_FACTOR * _roundoff_scale(g, cols)
+    return lam3, tau
+
+
+def _roundoff_scale(g: WeightedGraph, cols: np.ndarray) -> np.ndarray:
+    """``n * u * max(||L||_1, ||L_i(eps)||_1)`` per problem, given ``cols = ||L_i(eps)||_1``."""
+    return g.n * _UNIT_ROUNDOFF * np.maximum(cols, 2.0 * float(g.weights.sum(axis=1).max()))
 
 
 def _lambda3_batched(
@@ -265,7 +238,6 @@ def _lambda3_batched(
     spec = symmetric_eigen(laplacian(g), want_vectors=True)
     lam, q = spec.eigenvalues, spec.eigenvectors
     strength = w.sum(axis=1)
-    norm_l = 2.0 * float(strength.max())  # ||L||_1
     nodes = np.asarray(nodes, dtype=np.intp)
     eps = np.asarray(eps, dtype=float)
     adj = w > 0.0
@@ -280,7 +252,7 @@ def _lambda3_batched(
     # n u max(||L||_1, ||L_i(eps)||_1): column j of L_i(eps) sums to
     # 2 (s_j - rho w_ij), column i to 2 eps s_i.
     cols = 2.0 * np.maximum((strength[nbr] - rho[:, None] * wn).max(axis=1), eps * strength[nodes])
-    scale = n * _UNIT_ROUNDOFF * np.maximum(cols, norm_l)
+    scale = _roundoff_scale(g, cols)
     tau = LAMBDA3_TAU_FACTOR * scale
     neg = rho < 0.0
     shift = np.where(neg, width, 0)

@@ -2,8 +2,9 @@
 
 The dense path, ``eigvalsh(perturbed_laplacian(g, i, eps))``, is the
 reference throughout: the batched lambda3 must lie within its error bound tau
-of it, and every verdict :func:`biconcert.bicon.spectral_tests` returns must
-be the dense path's.
+of it, tau must be the dense path's, and a verdict ``lambda3 - tau > bound``
+may differ from the dense path's only within ``2 tau`` of the bound, where
+neither path certifies a node whose dense lambda3 does not clear it.
 """
 
 import json
@@ -24,11 +25,12 @@ from biconcert import (
     exact_norm_bound,
     from_edge_list,
     is_connected_bfs,
+    laplacian,
     perturbed_laplacian,
     proximity_graph,
     simplified_bound,
 )
-from biconcert.bicon import CERTIFY_MARGIN, spectral_tests
+from biconcert.bicon import spectral_tests
 from biconcert.cli import EXIT_NUMERICAL, main
 from biconcert.spectral import _lambda3_batched
 from biconcert.verify import random_connected_graph
@@ -60,10 +62,17 @@ def dense_lambda3(g, i, eps):
     return float(np.linalg.eigvalsh(perturbed_laplacian(g, i, PerturbationConfig(eps)))[2])
 
 
-def verdicts(g, i, eps, lam3):
+def dense_tau(g, i, eps):
+    """64 n u max(||L||_1, ||L_i(eps)||_1), from the two matrices."""
+    m = perturbed_laplacian(g, i, PerturbationConfig(eps))
+    norm = max(np.abs(laplacian(g)).sum(axis=0).max(), np.abs(m).sum(axis=0).max())
+    return spectral.LAMBDA3_TAU_FACTOR * g.n * (np.finfo(float).eps / 2) * norm
+
+
+def verdicts(g, i, eps, lam3, tau):
     a = np.delete(g.weights[i], i)
-    bounds = (bicon.simplified_bound(eps, g.n, a), exact_norm_bound(eps, a))
-    return [lam3 > b + CERTIFY_MARGIN for b in bounds], bounds
+    bounds = (simplified_bound(eps, g.n, a), exact_norm_bound(eps, a))
+    return [lam3 - tau > b for b in bounds], bounds
 
 
 def assert_matches_dense(g, nodes):
@@ -73,15 +82,17 @@ def assert_matches_dense(g, nodes):
     lam3, tau = _lambda3_batched(g, probe_nodes, probe_eps)
     assert np.all(np.isfinite(tau)) and np.all(tau > 0.0)
     for got, t, i, eps in zip(lam3, tau, probe_nodes, probe_eps):
-        want = dense_lambda3(g, int(i), float(eps))
-        assert abs(got - want) <= t, (int(i), float(eps), got, want, t)
-        got_flags, bounds = verdicts(g, int(i), float(eps), got)
-        want_flags, _ = verdicts(g, int(i), float(eps), want)
-        near = [abs(got - b - CERTIFY_MARGIN) <= t for b in bounds]
-        # away from a threshold the batched verdict is the dense one; near
-        # it, spectral_tests solves again densely
-        for g_flag, w_flag, close in zip(got_flags, want_flags, near):
-            assert close or g_flag == w_flag
+        i, eps = int(i), float(eps)
+        want, want_tau = dense_lambda3(g, i, eps), dense_tau(g, i, eps)
+        assert abs(got - want) <= t, (i, eps, got, want, t)
+        assert t == pytest.approx(want_tau, rel=1e-12)
+        got_flags, bounds = verdicts(g, i, eps, got, t)
+        want_flags, _ = verdicts(g, i, eps, want, want_tau)
+        # a batched certificate is one the dense lambda3 backs, and away
+        # from the bound the two verdicts agree
+        for g_flag, w_flag, b in zip(got_flags, want_flags, bounds):
+            assert want > b or not g_flag
+            assert abs(got - t - b) <= 2.0 * t or g_flag == w_flag
 
 
 @pytest.mark.parametrize("k", [8, 9, 12])
@@ -181,54 +192,68 @@ def test_sweep_strings_equal_dense_path(monkeypatch):
 
 
 def test_near_threshold_falls_back_to_dense(monkeypatch):
+    """A problem on the threshold is solved again densely only because its bracket did not converge."""
     g = grid(8)
     eps = 1e-4
     a = np.delete(g.weights[5], 5)
-    threshold = exact_norm_bound(eps, a) + CERTIFY_MARGIN
+    threshold = exact_norm_bound(eps, a)
 
     def on_the_threshold(graph, nodes, epsilons):
-        return np.full(len(nodes), threshold), np.full(len(nodes), 1e-3)
+        return np.full(len(nodes), threshold), np.full(len(nodes), math.inf)
 
     force_batched(monkeypatch)
     monkeypatch.setattr(spectral, "_lambda3_batched", on_the_threshold)
     (test,) = spectral_tests(g, [5], [eps])
-    assert test.lambda3 == dense_lambda3(g, 5, eps)
+    want, want_tau = dense_lambda3(g, 5, eps), dense_tau(g, 5, eps)
+    assert test.lambda3 == want
+    assert test.tau == pytest.approx(want_tau, rel=1e-12)
+    for mode in BoundMode:
+        assert test.certified(mode) == (want - test.tau > test.bound(mode))
 
 
 @pytest.mark.parametrize("on", [0, 1], ids=["simplified", "exact"])
-def test_perturbed_lambda3_solves_densely_exactly_the_problems_on_a_threshold(monkeypatch, on):
+def test_perturbed_lambda3_solves_densely_exactly_the_problems_on_a_threshold_or_not_whose_tau_is_inf(
+    monkeypatch, on
+):
     g = grid(8)
     nodes, epsilons = [5, 5, 9, 20], [1e-4, 0.05, 0.05, 0.5]
     cfgs = [PerturbationConfig(eps) for eps in epsilons]
     a = np.array([np.delete(g.weights[i], i) for i in nodes])
     eps = np.array(epsilons)
-    # spectral_tests' thresholds, in its order
-    thresholds = [
-        simplified_bound(eps, g.n, a) + CERTIFY_MARGIN,
-        exact_norm_bound(eps, a) + CERTIFY_MARGIN,
-    ]
-    tau = 1e-6
-    assert abs(thresholds[0][1] - thresholds[1][1]) > tau
-    away = max(t.max() for t in thresholds) + 1.0
-    fake = np.full(len(nodes), away)
-    fake[1] = thresholds[on][1]  # problem 1 sits on one threshold only
+    bounds = [simplified_bound(eps, g.n, a), exact_norm_bound(eps, a)]
+    assert abs(bounds[0][1] - bounds[1][1]) > 1e-6
+    away = max(b.max() for b in bounds) + 1.0
+    fake_lam3 = np.full(len(nodes), away)
+    fake_lam3[1] = bounds[on][1]  # problem 1 sits on one bound only, with a finite tau
+    fake_tau = np.array([1e-6, 1e-6, math.inf, 1e-6])  # problem 2's bracket did not converge
 
     def batched(graph, probe_nodes, probe_eps):
         assert (list(probe_nodes), list(probe_eps)) == (nodes, epsilons)
-        return fake.copy(), np.full(len(probe_nodes), tau)
+        return fake_lam3.copy(), fake_tau.copy()
+
+    built = []
+    original = spectral.perturbed_laplacians
+
+    def spy(graph, probe_nodes, probe_cfgs):
+        built.append((list(probe_nodes), [c.epsilon for c in probe_cfgs]))
+        return original(graph, probe_nodes, probe_cfgs)
 
     force_batched(monkeypatch)
     monkeypatch.setattr(spectral, "_lambda3_batched", batched)
-    lam3 = spectral.perturbed_lambda3(g, nodes, cfgs, thresholds)
-    assert lam3[1] == dense_lambda3(g, 5, 0.05)
-    assert lam3[[0, 2, 3]].tolist() == [away] * 3
+    monkeypatch.setattr(spectral, "perturbed_laplacians", spy)
+    lam3, tau = spectral.perturbed_lambda3(g, nodes, cfgs)
+    assert built == [([9], [0.05])]
+    assert lam3[2] == dense_lambda3(g, 9, 0.05)
+    assert tau[2] == pytest.approx(dense_tau(g, 9, 0.05), rel=1e-12)
+    assert lam3[[0, 1, 3]].tolist() == fake_lam3[[0, 1, 3]].tolist()
+    assert tau[[0, 1, 3]].tolist() == [1e-6] * 3
 
 
 @pytest.mark.parametrize("node", [-1, 64])
 def test_perturbed_lambda3_rejects_a_node_out_of_range_on_the_batched_path(monkeypatch, node):
     force_batched(monkeypatch)
     with pytest.raises(GraphInputError, match=f"node {node} out of range"):
-        spectral.perturbed_lambda3(grid(8), [node], [PerturbationConfig(0.1)], [])
+        spectral.perturbed_lambda3(grid(8), [node], [PerturbationConfig(0.1)])
 
 
 def count_calls(monkeypatch, module, name):

@@ -422,6 +422,43 @@ class TestSoundness:
             if report.graph_certified:
                 assert is_biconnected_oracle(g)
 
+    # Graphs 16, 22 and 32 of the corpus below: under an absolute margin on
+    # lambda3 (1e-12), their verdicts moved with the unit of the weights, and
+    # at eps = 1e-16 cut vertices of 16 (weights x 1e4) and 22 (x 1e8) were
+    # certified. The comparison lambda3 - tau > bound scales with the weights.
+
+    @pytest.mark.parametrize("index", [16, 22, 32])
+    def test_verdicts_do_not_move_with_the_weight_scale(self, index):
+        g = corpus_graph(index)
+        unit = scaled_verdicts(g, 1.0, (1e-16, 1e-4, 0.05))
+        for k in (-46, -20, 20, 40):
+            assert scaled_verdicts(g, 2.0**k, (1e-16, 1e-4, 0.05)) == unit, k
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8])
+    def test_no_cut_vertex_certified_at_a_tiny_epsilon_with_large_weights(self, scale):
+        for index in (16, 22):
+            g = corpus_graph(index)
+            points = articulation_points_oracle(g)
+            certified = {i for i, _, (_, exact) in scaled_verdicts(g, scale, [1e-16]) if exact}
+            assert not certified & points, index
+
+
+def corpus_graph(index):
+    """Graph ``index`` of ``random_connected_graph(default_rng(3), n in [5, 30))``."""
+    rng = np.random.default_rng(3)
+    for _ in range(index):
+        random_connected_graph(rng, int(rng.integers(5, 30)))
+    return random_connected_graph(rng, int(rng.integers(5, 30)))
+
+
+def scaled_verdicts(g, scale, epsilons):
+    """(node, eps, (simplified, exact) verdicts) of every node with g's weights times ``scale``."""
+    scaled = WeightedGraph(n=g.n, weights=g.weights * scale)
+    return [
+        (t.node, t.epsilon, tuple(t.certified(mode) for mode in BoundMode))
+        for t in spectral_tests(scaled, range(g.n), epsilons)
+    ]
+
 
 class TestSerialization:
     def test_report_dict_is_json_ready(self):
@@ -478,8 +515,8 @@ class TestSerialization:
         ]
 
     def test_sweep_csv_rows_from_hand_built_tests(self):
-        between = SpectralTest(1234567, 0.123456789, 0.5, 0.4, 0.6)  # simplified < lambda3 < exact
-        above = SpectralTest(2, 1e-4, 3.0, 1.0, 2.0)
+        between = SpectralTest(1234567, 0.123456789, 0.5, 0.4, 0.6, 0.05)  # simplified < lambda3 - tau < exact
+        above = SpectralTest(2, 1e-4, 3.0, 1.0, 2.0, 0.5)
         rows = sweep_csv_rows([between, above])
         assert rows[0] == [
             "node",

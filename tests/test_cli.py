@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ def write_graph(path, doc):
 
 
 P3_DOC = {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]], "positions": None}
+C4_DOC = {"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0], [3, 0, 1.0]], "positions": None}
 K4_DOC = {
     "n": 4,
     "edges": [[0, 1, 1.0], [0, 2, 1.0], [0, 3, 1.0], [1, 2, 1.0], [1, 3, 1.0], [2, 3, 1.0]],
@@ -449,6 +451,25 @@ class TestNonFiniteInput:
         g = tmp_path / "p3.json"
         write_graph(g, P3_DOC)
         assert run(["sweep", "--input", str(g), "--eps-grid", grid]) == 4
+
+    # On the unit 4-cycle, 1e308 overflows the bounds; at 5e307 they stay
+    # finite, but ||L_i(eps)||_1 = 4 eps, and with it tau, overflows.
+    @pytest.mark.parametrize("eps", ["1e308", "5e307"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--epsilon", "{}"], ["sweep", "--eps-grid", "1e-4,{}"]],
+        ids=["check", "sweep"],
+    )
+    def test_overflowing_epsilon_exit_four(self, tmp_path, capsys, argv, eps):
+        g = tmp_path / "c4.json"
+        write_graph(g, C4_DOC)
+        argv = [arg.format(eps) for arg in argv] + ["--input", str(g), "--output", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
+        assert list(tmp_path.iterdir()) == [g]
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
     @pytest.mark.parametrize("name", [name.replace("_", "-") for name in SUITE_TOLERANCES])

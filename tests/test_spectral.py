@@ -1,16 +1,12 @@
-"""Eigensolvers, connectivity tests, and the Fiedler vector."""
-
-import math
+"""Eigensolvers and connectivity tests."""
 
 import numpy as np
 import pytest
 
 from biconcert import (
-    MultiplicityWarning,
     PreconditionError,
     WeightedGraph,
     algebraic_connectivity,
-    fiedler_vector,
     from_edge_list,
     general_eigen,
     is_connected_bfs,
@@ -223,38 +219,3 @@ class TestConnectivity:
             w[i, j] = w[j, i] = 1.0 - rng.random()
             lam_bigger = algebraic_connectivity(WeightedGraph(n=n, weights=w))
             assert lam_bigger >= lam - 1e-9
-
-
-class TestFiedlerVector:
-    def test_path3_direction(self):
-        v = fiedler_vector(path3())
-        target = np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0)
-        assert np.allclose(v, target, atol=1e-8) or np.allclose(v, -target, atol=1e-8)
-
-    def test_two_nodes(self):
-        g = from_edge_list(2, [(0, 1, 1.0)])
-        v = fiedler_vector(g)
-        assert np.allclose(np.abs(v), [1 / math.sqrt(2)] * 2, atol=1e-12)
-
-    def test_orthogonal_to_ones(self):
-        rng = np.random.default_rng(18)
-        for _ in range(30):
-            n = int(rng.integers(2, 12))
-            g = random_weighted(rng, n, 0.7)
-            if not is_connected_bfs(g):
-                continue
-            v = fiedler_vector(g)
-            assert abs(v @ np.ones(n)) <= 1e-8
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_repeated_lambda2_warns_but_stays_orthogonal(self):
-        g = k3()  # lambda2 = lambda3 = 3
-        with pytest.warns(MultiplicityWarning):
-            v = fiedler_vector(g)
-        assert abs(v @ np.ones(3)) <= 1e-8
-
-    def test_disconnected_graph_stays_orthogonal(self):
-        g = WeightedGraph(n=3, weights=np.zeros((3, 3)))
-        with pytest.warns(MultiplicityWarning):
-            v = fiedler_vector(g)
-        assert abs(v @ np.ones(3)) <= 1e-8
