@@ -150,9 +150,11 @@ def spectral_tests(g: WeightedGraph, nodes, epsilons) -> list[SpectralTest]:
     """The spectral test of every node in ``nodes`` at every epsilon, node-major.
 
     ``g`` must be connected with n >= 3. lambda3 and its error bound tau
-    come from :func:`biconcert.spectral.perturbed_lambda3`. An epsilon or a
-    weight so large that a bound, a lambda3 or a tau overflows raises
-    :class:`GraphInputError`: the bounds are checked before any solve.
+    come from :func:`biconcert.spectral.perturbed_lambda3`. Weights whose
+    weighted degree, or twice the largest one (``||L||_1``), overflows, and
+    an epsilon or a weight so large that a bound, a lambda3 or a tau
+    overflows, raise :class:`GraphInputError`: the degrees and the bounds
+    are checked before any solve.
     """
     require_connected(g, 3)
     nodes = list(nodes)
@@ -160,6 +162,9 @@ def spectral_tests(g: WeightedGraph, nodes, epsilons) -> list[SpectralTest]:
     eps = np.array([c.epsilon for c in cfgs])
     for i in nodes:
         _check_node(g, i)
+    with np.errstate(over="ignore"):  # degrees are >= 0: a finite 2 max covers them all
+        if not np.isfinite(2.0 * g.weights.sum(axis=1).max()):
+            raise GraphInputError("a weighted degree, or twice the largest, overflows; rescale the weights")
     # Node i's weight vector is row i of the weights without its diagonal
     # entry; as a stack of one vector, its bounds come out node-major.
     simple = np.empty((len(nodes), len(eps)))
@@ -205,24 +210,23 @@ def locally_biconnected(g: WeightedGraph, i: NodeId) -> bool:
 
     Decided by connectivity of the subgraph induced on the open neighborhood
     N_i (a single neighbor counts as connected). Only 1-hop information about
-    the weights among i's neighbors is consulted.
+    the edges among i's neighbors is consulted: the search walks the cached
+    neighbour lists (:attr:`WeightedGraph.adjacency`) of N_i's members and
+    keeps the members of N_i it reaches, tested by set membership.
     """
     require_connected(g, 2)
     nbrs = g.neighbors(i)
-    if len(nbrs) == 1:
-        return True
     # The closed neighborhood {i} + N_i is a block iff the subgraph induced
     # on N_i alone is connected: i is adjacent to all of N_i, so i is the
     # only removal that can split it.
-    seen = {nbrs[0]}
-    queue = deque([nbrs[0]])
-    while queue:
-        u = queue.popleft()
-        for v in nbrs:
-            if v not in seen and g.weights[u, v] > 0.0:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(nbrs)
+    unseen = set(nbrs[1:])
+    stack = nbrs[:1]
+    while stack and unseen:
+        for v in g.adjacency[stack.pop()]:
+            if v in unseen:
+                unseen.remove(v)
+                stack.append(v)
+    return not unseen
 
 
 def _node_certificate(
@@ -290,7 +294,7 @@ def articulation_points_oracle(g: WeightedGraph) -> set[NodeId]:
     """Exact cut vertices via a single DFS low-link pass."""
     require_connected(g)
     n = g.n
-    adj = [g.neighbors(i) for i in range(n)]
+    adj = g.adjacency
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n

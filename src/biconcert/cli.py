@@ -25,7 +25,10 @@ numerical failure (an eigensolver, or the batched lambda3 solver's
 inertia count, did not converge).
 Identical invocations (including ``--seed``) produce byte-identical output
 files; randomness comes from numpy's seeded PCG64 generator, which is
-recorded in generated file metadata.
+recorded in generated file metadata. Every JSON file is byte-identical to
+``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline; the writer
+hands lists of numbers, such as a graph's edges and positions, to json's C
+encoder instead of its pure-Python indenting one.
 """
 
 from __future__ import annotations
@@ -162,8 +165,87 @@ def parse_eps_grid(spec: str) -> list[float]:
     return values
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+_SCALAR_TEXT = {
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, byte for byte.
+
+    Raises ``TypeError`` where ``json.dumps`` does; a container that holds
+    itself raises ``RecursionError``, where ``json.dumps`` raises
+    ``ValueError``. A list of scalars, or of non-empty rows of scalars (a
+    graph's ``edges`` and ``positions``), is written by json's C encoder,
+    which ignores ``indent`` but writes numbers as the pure-Python encoder
+    does (``int.__repr__``, ``float.__repr__``, ``NaN``, ``Infinity``): its
+    item separator carries the indent, and one replacement indents the rows'
+    brackets. Dicts and lists that hold strings, dicts or deeper lists
+    recurse.
+    """
+    return _indented(obj, "\n") + "\n"
+
+
+def _indented(o, nl: str) -> str:
+    """``o`` as indented JSON; ``nl`` is a newline and the indent of the line ``o`` starts on."""
+    scalar = _SCALAR_TEXT.get(type(o))
+    if scalar is not None:
+        return scalar(o)
+    if isinstance(o, str):
+        return json.encoder.encode_basestring_ascii(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        kinds = set(map(type, o))
+        if kinds <= _SCALAR_TEXT.keys():
+            return f"[{inner}{_c_encode(o, inner)[1:-1]}{nl}]"
+        if kinds <= {list, tuple} and all(o):
+            cell = inner + "  "
+            text = _c_encode(o, cell)
+            # Rows of scalars: one bracket per row and no string, which every
+            # non-empty dict holds as a key (an empty one reads {} either way).
+            if text.count("[") == len(o) + 1 and '"' not in text:
+                rows = text[2:-2].replace(f"],{cell}[", f"{inner}],{inner}[{cell}")
+                return f"[{inner}[{cell}{rows}{inner}]{nl}]"
+        items = f",{inner}".join([_indented(v, inner) for v in o])
+        return f"[{inner}{items}{nl}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        items = f",{inner}".join([f"{_key(k)}: {_indented(v, inner)}" for k, v in sorted(o.items())])
+        return f"{{{inner}{items}{nl}}}"
+    if isinstance(o, int):  # bool is in _SCALAR_TEXT
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    return json.JSONEncoder().default(o)  # raises TypeError
+
+
+def _c_encode(o: list | tuple, indent: str) -> str:
+    """``o`` by json's C encoder, items separated by a comma and ``indent``."""
+    return json.JSONEncoder(separators=("," + indent, ":"), check_circular=False).encode(o)
+
+
+def _key(k) -> str:
+    """A dict key as JSON: a string, or a bool, None, int or float written as one."""
+    if not isinstance(k, str):
+        if not (k is None or isinstance(k, (int, float))):  # bool is an int
+            raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+        k = _indented(k, "")
+    return json.encoder.encode_basestring_ascii(k)
 
 
 def _write_text(path: str | None, text: str) -> None:

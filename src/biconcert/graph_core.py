@@ -15,13 +15,23 @@ replace by one eigendecomposition of :func:`laplacian` (see
 one-matrix definition bit for bit.
 
 Weights are stored densely; the intended scale is a few hundred nodes, where
-dense O(n^2) storage and O(n^3) eigensolves are cheap. Neighbour lists, edge
-lists and the proximity model's candidate pairs come from numpy scans; the
-proximity model then decides and weighs each candidate with ``math.hypot``
-and ``math.exp``, whose results (unlike numpy's, which can differ in the last
-ulp) fix the bytes of generated graph files. Edge weights, node positions,
-epsilon and the proximity model's radius and sigma must be finite: ``inf``
-and ``nan`` are rejected with :class:`GraphInputError`.
+dense O(n^2) storage and O(n^3) eigensolves are cheap. Edge lists and the
+proximity model's candidate pairs come from numpy scans; the proximity model
+then decides and weighs each candidate with ``math.hypot`` and ``math.exp``,
+whose results (unlike numpy's, which can differ in the last ulp) fix the
+bytes of generated graph files. :attr:`WeightedGraph.adjacency`, every
+node's neighbour list, comes from one scan on first use and is kept, like
+``connected``; :meth:`WeightedGraph.neighbors`, the local test and the
+oracles read it.
+
+The loader is vectorized: :func:`graph_from_dict` checks the shape and the
+types of every edge entry in one pass over their types and lengths; it and
+:func:`from_edge_list` check endpoint range, self loops, duplicates and
+weights with numpy, then fill the weight matrix once. A malformed entry is
+named by the same message a per-edge loop would give: shape and type faults
+of all entries first, then the first edge with a faulty value. Edge weights,
+node positions, epsilon and the proximity model's radius and sigma must be
+finite: ``inf`` and ``nan`` are rejected with :class:`GraphInputError`.
 """
 
 from __future__ import annotations
@@ -92,10 +102,21 @@ class WeightedGraph:
         """Every node reachable from node 0; searched on first use, then kept."""
         return bool(reachable(self.weights > 0.0, 0).all())
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[NodeId, ...], ...]:
+        """Entry i holds the j with ``weights[i, j] > 0``, ascending, as Python ints.
+
+        One scan of the matrix on first use, then kept.
+        """
+        rows, cols = np.nonzero(self.weights > 0.0)
+        ends = np.cumsum(np.bincount(rows, minlength=self.n)).tolist()
+        cols = cols.tolist()
+        return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
+
     def neighbors(self, i: NodeId) -> list[NodeId]:
-        """Indices j with ``weights[i, j] > 0``, ascending, as Python ints."""
+        """Indices j with ``weights[i, j] > 0``, ascending, as Python ints; a new list."""
         _check_node(self, i)
-        return np.flatnonzero(self.weights[i] > 0.0).tolist()
+        return list(self.adjacency[i])
 
     def edges(self) -> list[tuple[NodeId, NodeId, float]]:
         """Every undirected edge once, as (i, j, w) with i < j, in index order."""
@@ -169,28 +190,59 @@ def from_edge_list(
     Self loops and duplicate edges are rejected rather than merged so that
     input mistakes surface immediately.
     """
+    return WeightedGraph(n=n, weights=_weight_matrix(n, *_columns(list(edges))))
+
+
+def _columns(edges: list) -> tuple[tuple, tuple, tuple]:
+    """The endpoint and weight columns of a list of (i, j, w) triples."""
+    return tuple(zip(*edges)) if edges else ((), (), ())
+
+
+def _weight_matrix(n: int, i: tuple, j: tuple, w: tuple) -> np.ndarray:
+    """The symmetric n x n weight matrix of the edges ``zip(i, j, w)``.
+
+    Raises :class:`GraphInputError` for the first edge, in input order, that
+    is out of range, a self loop, a repeat of an earlier edge or not of
+    positive finite weight, checked in that order.
+    """
     if n < 1:
         raise GraphInputError(f"node count must be >= 1, got {n}")
     try:
-        w = np.zeros((n, n))
+        weights = np.zeros((n, n))
     except (ValueError, MemoryError) as exc:
         raise GraphInputError(f"node count n={n} is too large for a dense weight matrix") from exc
-    seen: set[tuple[int, int]] = set()
-    for i, j, wt in edges:
-        if not (0 <= i < n and 0 <= j < n):
-            raise GraphInputError(f"edge ({i}, {j}) out of range for n={n}")
-        if i == j:
-            raise GraphInputError(f"self loop ({i}, {i}) is not allowed")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise GraphInputError(f"duplicate edge ({i}, {j})")
-        if not 0.0 < wt < math.inf:
-            raise GraphInputError(
-                f"edge ({i}, {j}) must have positive weight and be finite, got {wt}"
-            )
-        seen.add(key)
-        w[i, j] = w[j, i] = wt
-    return WeightedGraph(n=n, weights=w)
+    # Python's min and max read any integer, also one past int64, so numpy
+    # only sees the edges before the first endpoint out of range.
+    m = len(w)
+    good = m
+    if m and not (0 <= min(i) and 0 <= min(j) and max(i) < n and max(j) < n):
+        good = next(k for k in range(m) if not (0 <= i[k] < n and 0 <= j[k] < n))
+    a = np.array(i[:good], dtype=np.intp)
+    b = np.array(j[:good], dtype=np.intp)
+    x = np.array(w[:good], dtype=float)
+    # An edge repeats an earlier one when its key min * n + max does; the
+    # stable sort keeps equal keys in input order, so every one but the
+    # first of a run is a repeat.
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(good, dtype=bool)
+    repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    bad = (a == b) | repeat | ~((x > 0.0) & (x < math.inf))
+    first = int(bad.argmax()) if bad.any() else good
+    if first < m:
+        p, q = i[first], j[first]
+        if first == good:
+            raise GraphInputError(f"edge ({p}, {q}) out of range for n={n}")
+        if p == q:
+            raise GraphInputError(f"self loop ({p}, {p}) is not allowed")
+        if repeat[first]:
+            raise GraphInputError(f"duplicate edge ({p}, {q})")
+        raise GraphInputError(
+            f"edge ({p}, {q}) must have positive weight and be finite, got {w[first]}"
+        )
+    weights[a, b] = x
+    weights[b, a] = x
+    return weights
 
 
 def proximity_graph(positions, model: ProximityModel) -> WeightedGraph:
@@ -342,23 +394,32 @@ def graph_from_dict(d: dict) -> WeightedGraph:
     edges = d["edges"]
     if not isinstance(edges, list):
         raise GraphInputError("'edges' must be a list of [i, j, w] triples")
-    triples = []
+    weights = _weight_matrix(n, *_edge_columns(edges))
+    pos = d.get("positions")
+    if pos is not None and not all(map(_is_number, np.array(pos, dtype=object).ravel())):
+        raise GraphInputError("node positions must be numbers")
+    return WeightedGraph(n=n, weights=weights, positions=pos)
+
+
+def _edge_columns(edges: list) -> tuple[tuple, tuple, tuple]:
+    """The columns of a document's edge entries, each an [i, j, w] of two ints and a number.
+
+    One pass over the entries' types and lengths accepts the usual document,
+    whose entries are lists of two ints and a float. Any other entry sends
+    the list through a per-entry check, which names the first bad one.
+    """
+    if set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {3}:
+        i, j, w = _columns(edges)
+        if set(map(type, i)) | set(map(type, j)) <= {int} and set(map(type, w)) <= {float}:
+            return i, j, w
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 3:
             raise GraphInputError(f"edge entry {e!r} is not an [i, j, w] triple")
-        i, j, w = e
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in e[:2]):
             raise GraphInputError(f"edge endpoints must be integers, got {e!r}")
-        if not _is_number(w):
+        if not _is_number(e[2]):
             raise GraphInputError(f"edge weight in {e!r} is not a number")
-        triples.append((i, j, float(w)))
-    g = from_edge_list(n, triples)
-    pos = d.get("positions")
-    if pos is None:
-        return g
-    if not all(map(_is_number, np.array(pos, dtype=object).ravel())):
-        raise GraphInputError("node positions must be numbers")
-    return WeightedGraph(n=n, weights=g.weights, positions=pos)
+    return _columns([(e[0], e[1], float(e[2])) for e in edges])
 
 
 def _is_number(x) -> bool:  # true, "2.5" and integers past float range are not

@@ -471,6 +471,32 @@ class TestNonFiniteInput:
         assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
         assert list(tmp_path.iterdir()) == [g]
 
+    # Finite weights whose weighted degree overflows: the Laplacian would hold
+    # inf, so no eigensolve may start. The oracles read only the edges.
+    OVERFLOWING_DEGREE = {
+        "n": 5,
+        "edges": [[0, 1, 1e308], [1, 2, 1e308], [0, 2, 1e308], [3, 0, 1.0], [3, 1, 1.0], [3, 4, 1.0]],
+    }
+
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    def test_overflowing_degree_exit_four(self, tmp_path, capsys, command):
+        g = tmp_path / "big.json"
+        write_graph(g, self.OVERFLOWING_DEGREE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--input", str(g), "--output", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "weighted degree" in err
+        assert list(tmp_path.iterdir()) == [g]
+
+    @pytest.mark.parametrize("command", ["oracle", "export"])
+    def test_overflowing_degree_oracles_exit_zero(self, tmp_path, command):
+        g = tmp_path / "big.json"
+        write_graph(g, self.OVERFLOWING_DEGREE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--input", str(g), "--output", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
     @pytest.mark.parametrize("name", [name.replace("_", "-") for name in SUITE_TOLERANCES])
     def test_bad_tolerance_exit_four(self, capsys, name, value):

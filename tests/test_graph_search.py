@@ -1,8 +1,9 @@
 """The numpy graph scans against the per-element Python loops they replaced.
 
 The reference functions below are the scalar loops the package used before
-its neighbour lists, edge lists, proximity pair selection and connectivity
-searches became numpy scans. The arithmetic is unchanged (the proximity
+its neighbour lists (now one scan per graph, kept as
+``WeightedGraph.adjacency``), edge lists, proximity pair selection and
+connectivity searches became numpy scans. The arithmetic is unchanged (the proximity
 model still tests and weighs each pair with ``math``), so every comparison
 is exact equality, including Python types and list order. The random-graph
 references are the two Erdos-Renyi loops that ``random_graph`` and
@@ -129,9 +130,12 @@ def test_neighbors_and_edges_match_loops():
     for g in graphs():
         assert g.edges() == edges_loop(g)
         assert all(type(w) is float for _, _, w in g.edges())
+        assert len(g.adjacency) == g.n
+        assert g.adjacency is g.adjacency  # scanned once, then kept
         for i in range(g.n):
             assert g.neighbors(i) == neighbors_loop(g, i)
-            assert all(type(j) is int for j in g.neighbors(i))
+            assert g.adjacency[i] == tuple(np.flatnonzero(g.weights[i] > 0.0).tolist())
+            assert all(type(j) is int for j in g.adjacency[i])
 
 
 def test_reachable_matches_loop():
