@@ -16,7 +16,8 @@ them.
 Exit codes: 0 success or certified, 2 not certified, 3 precondition failure
 (disconnected input, impossible generation), 4 malformed input or usage
 (including non-finite weights, positions, epsilon or epsilon-grid values, a
-graph file whose ``n`` is too large for a dense weight matrix, a radius or
+graph file or ``gen --n`` whose node count is too large for a dense weight
+matrix, an epsilon-grid count too large to hold in memory, a radius or
 sigma that is not finite and positive, a ``--n``, ``--graphs`` or ``--trials``
 below 1, a ``--seed`` below 0, a ``--tol-*`` value that is not finite and
 >= 0, and an epsilon so large that a certificate bound, a lambda3 or its
@@ -61,6 +62,7 @@ from .graph_core import (
     WeightedGraph,
     graph_from_dict,
     graph_to_dict,
+    node_zeros,
     proximity_graph,
 )
 from .spectral import is_connected_bfs
@@ -153,7 +155,12 @@ def parse_eps_grid(spec: str) -> list[float]:
             raise GraphInputError(
                 f"bad grid spec {spec!r}: need positive finite bounds and count >= 1"
             )
-        return [float(x) for x in np.geomspace(lo, hi, count)]
+        try:
+            return np.geomspace(lo, hi, count).tolist()
+        except (ValueError, MemoryError) as exc:
+            raise GraphInputError(
+                f"bad grid spec {spec!r}: {count} values do not fit in memory"
+            ) from exc
     try:
         values = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
@@ -296,7 +303,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _write_text(args.output_path, _dump_json(doc))
         return EXIT_OK
     for attempt in range(GEN_MAX_ATTEMPTS):
-        g = proximity_graph(rng.random((args.n, 2)), model)
+        # rng.random fills the array as it would allocate it: same draws
+        g = proximity_graph(rng.random(out=node_zeros(args.n, 2)), model)
         if is_connected_bfs(g):
             doc = graph_to_dict(g)
             doc["meta"] = {**meta, "attempt": attempt}

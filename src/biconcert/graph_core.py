@@ -198,6 +198,18 @@ def _columns(edges: list) -> tuple[tuple, tuple, tuple]:
     return tuple(zip(*edges)) if edges else ((), (), ())
 
 
+def node_zeros(n: int, columns: int) -> np.ndarray:
+    """A zero ``(n, columns)`` float array: one row per node of an n-node graph.
+
+    Raises :class:`GraphInputError` when numpy cannot allocate it. The dense
+    n x n weight matrix is the largest such array, so the message names it.
+    """
+    try:
+        return np.zeros((n, columns))
+    except (ValueError, MemoryError) as exc:
+        raise GraphInputError(f"node count n={n} is too large for a dense weight matrix") from exc
+
+
 def _weight_matrix(n: int, i: tuple, j: tuple, w: tuple) -> np.ndarray:
     """The symmetric n x n weight matrix of the edges ``zip(i, j, w)``.
 
@@ -207,10 +219,7 @@ def _weight_matrix(n: int, i: tuple, j: tuple, w: tuple) -> np.ndarray:
     """
     if n < 1:
         raise GraphInputError(f"node count must be >= 1, got {n}")
-    try:
-        weights = np.zeros((n, n))
-    except (ValueError, MemoryError) as exc:
-        raise GraphInputError(f"node count n={n} is too large for a dense weight matrix") from exc
+    weights = node_zeros(n, n)
     # Python's min and max read any integer, also one past int64, so numpy
     # only sees the edges before the first endpoint out of range.
     m = len(w)
@@ -251,6 +260,7 @@ def proximity_graph(positions, model: ProximityModel) -> WeightedGraph:
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
         raise GraphInputError(f"positions must be an (n, 2) array, got {pts.shape}")
     n = pts.shape[0]
+    w = node_zeros(n, n)  # first: the candidate pairs below take more memory
     rows, cols = np.triu_indices(n, 1)
     dx = pts[rows, 0] - pts[cols, 0]
     dy = pts[rows, 1] - pts[cols, 1]
@@ -258,7 +268,6 @@ def proximity_graph(positions, model: ProximityModel) -> WeightedGraph:
     # would change generated files. numpy only preselects candidate pairs,
     # with slack far above that ulp; math decides and weighs each candidate.
     near = np.flatnonzero(np.hypot(dx, dy) <= model.radius * (1.0 + 1e-9))
-    w = np.zeros((n, n))
     for i, j, x, y in zip(
         rows[near].tolist(), cols[near].tolist(), dx[near].tolist(), dy[near].tolist()
     ):
@@ -358,12 +367,7 @@ def intermediate_matrix(
         raise PreconditionError("intermediate matrix needs n >= 2")
     _check_node(g, i)
     a = neighbor_weight_vector(g, i)
-    return _intermediate(laplacian(reduced_graph(g, i)), a, cfg.epsilon)
-
-
-def _intermediate(lr: np.ndarray, a: np.ndarray, eps: float) -> np.ndarray:
-    """``lr + eps * (diag(a) + outer(a, ones))``: the formula of :func:`intermediate_matrix`."""
-    return lr + eps * (np.diag(a) + np.outer(a, np.ones(len(a))))
+    return laplacian(reduced_graph(g, i)) + cfg.epsilon * (np.diag(a) + np.outer(a, np.ones(len(a))))
 
 
 def coupling_matrix(g: WeightedGraph, i: NodeId) -> np.ndarray:

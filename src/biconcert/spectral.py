@@ -6,10 +6,10 @@ general square matrices through the real-Schur based solver
 ``(..., k, k)`` of them: a stack is solved by one numpy gufunc call, which
 runs the same LAPACK routine on each member, so row ``r`` of a stack's result
 equals the one-matrix call on member ``r`` bit for bit while the per-call
-overhead is paid once. Results come back in small value types that carry
-the ordering guarantees the rest of the package relies on: ascending real
-eigenvalues for symmetric input, complex eigenvalues sorted by real then
-imaginary part otherwise, per row for a stack.
+overhead is paid once. Results come back as numpy arrays in the order the
+rest of the package relies on: ascending real eigenvalues for symmetric
+input, complex eigenvalues sorted by real then imaginary part otherwise, per
+row for a stack.
 
 :func:`perturbed_lambda3` owns lambda3 of the perturbed Laplacians
 ``L_i(eps)`` of one graph. Below a measured crossover it solves each one
@@ -28,8 +28,6 @@ cached ``connected``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,25 +59,6 @@ BATCH_MIN_WORK = 1024
 BATCH_DEGREE_RATIO = 10
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Ascending real eigenvalues, optionally with orthonormal eigenvectors.
-
-    ``eigenvectors[..., :, k]`` belongs to ``eigenvalues[..., k]``; for a
-    stack, the leading axes index its members.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class GeneralSpectrum:
-    """Complex eigenvalues sorted by real part, ties broken by imaginary part, per row."""
-
-    eigenvalues: np.ndarray
-
-
 def _square_stack(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -87,12 +66,14 @@ def _square_stack(m) -> np.ndarray:
     return m
 
 
-def symmetric_eigen(m, want_vectors: bool = False) -> Spectrum:
+def symmetric_eigen(m, want_vectors: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Full spectrum of a real symmetric matrix, or of each one in a stack, ascending.
 
-    Every member must be symmetric to within ``SYMMETRY_RTOL`` relative to
-    its largest entry; the first one worse than that is rejected with its
-    measured asymmetry.
+    Returns the eigenvalues, or with ``want_vectors`` the pair ``(eigenvalues,
+    eigenvectors)`` of ``numpy.linalg.eigh``, whose column ``[..., :, k]``
+    belongs to eigenvalue ``[..., k]``. Every member must be symmetric to
+    within ``SYMMETRY_RTOL`` relative to its largest entry; the first one
+    worse than that is rejected with its measured asymmetry.
     """
     m = _square_stack(m)
     if m.size:
@@ -108,17 +89,15 @@ def symmetric_eigen(m, want_vectors: bool = False) -> Spectrum:
                 f"exceeds {SYMMETRY_RTOL:.0e} * {float(scale[at]):.3e}"
             )
     try:
-        if want_vectors:
-            vals, vecs = np.linalg.eigh(m)
-            return Spectrum(eigenvalues=vals, eigenvectors=vecs)
-        return Spectrum(eigenvalues=np.linalg.eigvalsh(m))
+        return np.linalg.eigh(m) if want_vectors else np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise EigenConvergenceError(f"symmetric eigensolve failed: {exc}") from exc
 
 
-def general_eigen(m) -> GeneralSpectrum:
+def general_eigen(m) -> np.ndarray:
     """Complex spectrum of any real square matrix, or of each one in a stack.
 
+    Sorted by real part, ties broken by imaginary part, per row.
     numpy returns a real array when every eigenvalue of the call is real, so
     a stack's row can be complex with zero imaginary parts where the
     one-matrix call is real; the values are the same.
@@ -129,14 +108,14 @@ def general_eigen(m) -> GeneralSpectrum:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise EigenConvergenceError(f"general eigensolve failed: {exc}") from exc
     order = np.lexsort((vals.imag, vals.real), axis=-1)
-    return GeneralSpectrum(eigenvalues=np.take_along_axis(vals, order, axis=-1))
+    return np.take_along_axis(vals, order, axis=-1)
 
 
 def algebraic_connectivity(g: WeightedGraph) -> float:
     """Second smallest Laplacian eigenvalue; tiny negative roundoff is clamped."""
     if g.n < 2:
         raise PreconditionError("algebraic connectivity needs n >= 2")
-    lam2 = float(symmetric_eigen(laplacian(g)).eigenvalues[1])
+    lam2 = float(symmetric_eigen(laplacian(g))[1])
     if -1e-10 < lam2 < 0.0:
         return 0.0
     return lam2
@@ -189,7 +168,7 @@ def perturbed_lambda3(g: WeightedGraph, nodes, cfgs) -> tuple[np.ndarray, np.nda
     for start in range(0, len(dense), per):
         chunk = dense[start : start + per]
         stack = perturbed_laplacians(g, [nodes[k] for k in chunk], [cfgs[k] for k in chunk])
-        lam3[chunk] = symmetric_eigen(stack).eigenvalues[:, 2]
+        lam3[chunk] = symmetric_eigen(stack)[:, 2]
         with np.errstate(over="ignore"):  # tau = inf tells the caller
             cols = np.abs(stack, out=stack).sum(axis=1).max(axis=1)  # ||L_i(eps)||_1
         tau[chunk] = LAMBDA3_TAU_FACTOR * _roundoff_scale(g, cols)
@@ -235,8 +214,7 @@ def _lambda3_batched(
     """
     n = g.n
     w = g.weights
-    spec = symmetric_eigen(laplacian(g), want_vectors=True)
-    lam, q = spec.eigenvalues, spec.eigenvectors
+    lam, q = symmetric_eigen(laplacian(g), want_vectors=True)
     strength = w.sum(axis=1)
     nodes = np.asarray(nodes, dtype=np.intp)
     eps = np.asarray(eps, dtype=float)

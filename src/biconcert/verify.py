@@ -73,6 +73,7 @@ from .graph_core import (
     reduced_laplacians,
 )
 from .spectral import (
+    CONNECTIVITY_TOL,
     general_eigen,
     is_connected_bfs,
     is_connected_spectral,
@@ -193,7 +194,7 @@ class _GraphCase:
 
     @cached_property
     def lr_eigs(self) -> np.ndarray:
-        return symmetric_eigen(self.lr).eigenvalues
+        return symmetric_eigen(self.lr)
 
     @cached_property
     def components(self) -> list[int]:
@@ -231,7 +232,7 @@ class _GraphCase:
 
     def intermediate_eigs(self, eps: tuple[float, ...]) -> np.ndarray:
         if eps not in self._intermediate_eigs:
-            self._intermediate_eigs[eps] = general_eigen(self.intermediate(eps)).eigenvalues
+            self._intermediate_eigs[eps] = general_eigen(self.intermediate(eps))
         return self._intermediate_eigs[eps]
 
     def perturbed(self, eps: tuple[float, ...]) -> np.ndarray:
@@ -248,13 +249,8 @@ class _GraphCase:
         return alpha * self.lr[:, None] + beta * self.intermediate(tuple(p.epsilon for p in params))
 
     def rank_one(self, gamma: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """:func:`_rank_one` of every node at every ``(gamma, eta)`` pair of the two arrays."""
+        """:func:`rank_one_update_matrix` of every node at every ``(gamma, eta)`` pair of the two arrays."""
         return gamma[:, None, None] * self.lr[:, None] + eta[:, None, None] * self.a[:, None, :, None]
-
-
-def _rank_one(lr: np.ndarray, a: np.ndarray, gamma: float, eta: float) -> np.ndarray:
-    """``gamma * lr + eta * outer(a, ones)``: the formula of :func:`rank_one_update_matrix`."""
-    return gamma * lr + eta * np.outer(a, np.ones(len(a)))
 
 
 def _intermediate_spectrum(
@@ -262,7 +258,7 @@ def _intermediate_spectrum(
 ) -> list[CheckOutcome]:
     p_eigs = case.intermediate_eigs(eps)
     l_mat = case.perturbed(eps)
-    l_eigs = symmetric_eigen(l_mat).eigenvalues
+    l_eigs = symmetric_eigen(l_mat)
     real = np.abs(np.sort(p_eigs.real, axis=-1) - l_eigs[..., 1:]).max(axis=-1)
     imag = np.abs(p_eigs.imag).max(axis=-1)
     tol = tol_factor * np.maximum(1.0, _frobenius(l_mat))
@@ -297,7 +293,7 @@ def _combination_realness(
     case: _GraphCase, params: list[CombinationParams], tol_factor: float
 ) -> list[CheckOutcome]:
     f = case.combination(params)
-    err = np.abs(general_eigen(f).eigenvalues.imag).max(axis=-1)
+    err = np.abs(general_eigen(f).imag).max(axis=-1)
     tol = tol_factor * np.maximum(1.0, _frobenius(f))
     witness = [{"alpha": p.alpha, "beta": p.beta, "epsilon": p.epsilon} for p in params]
     return _outcomes(
@@ -356,7 +352,7 @@ def rank_one_update_matrix(
 ) -> np.ndarray:
     """``gamma * L_reduced + eta * outer(a, ones)`` for node i."""
     a = neighbor_weight_vector(g, i)
-    return _rank_one(laplacian(reduced_graph(g, i)), a, gamma, eta)
+    return gamma * laplacian(reduced_graph(g, i)) + eta * np.outer(a, np.ones(len(a)))
 
 
 def _rank_one_update_spectrum(
@@ -364,7 +360,7 @@ def _rank_one_update_spectrum(
 ) -> list[CheckOutcome]:
     """One outcome per node and ``(gamma, eta)`` pair of ``params``."""
     gamma, eta = np.array(params).T
-    q_eigs = general_eigen(case.rank_one(gamma, eta)).eigenvalues
+    q_eigs = general_eigen(case.rank_one(gamma, eta))
     l_null = np.array(case.null_multiplicity)[:, None]
     moving = eta * np.sum(case.a, axis=1)[:, None]
     # gamma times the nonzero reduced spectrum, l - 1 zeros, and the moving
@@ -434,7 +430,7 @@ def _match_moving_eigenvalue(
 
 def _null_drift_derivative(case: _GraphCase, step: float, tol: float) -> list[CheckOutcome]:
     # gamma = 1 at eta = +step and eta = -step
-    eigs = general_eigen(case.rank_one(np.ones(2), np.array([step, -step]))).eigenvalues.real
+    eigs = general_eigen(case.rank_one(np.ones(2), np.array([step, -step]))).real
     movers, null_drift = [], []
     for r, l_null in enumerate(case.null_multiplicity):
         stationary = np.concatenate([np.zeros(l_null - 1), case.lr_eigs[r][l_null:]])
@@ -631,7 +627,7 @@ SUITE_TOLERANCES = {
     "gap": GAP_TOL,
     "rank_one": RANK_ONE_TOL,
     "derivative": DERIVATIVE_TOL,
-    "connectivity": 1e-9,
+    "connectivity": CONNECTIVITY_TOL,
 }
 
 _SUITE_EPS = (1e-3, 1e-2, 0.1, 1.0)
@@ -725,9 +721,8 @@ def run_suite(
         per_case += _null_drift_derivative(case, FD_STEP, tol["derivative"])
 
         # Laplacian eigenvectors above the null space must be orthogonal to ones.
-        spec = symmetric_eigen(laplacian(g), want_vectors=True)
-        nonnull = spec.eigenvalues > NULL_TOL
-        ortho = np.max(np.abs(np.ones(g.n) @ spec.eigenvectors[:, nonnull]), initial=0.0)
+        lam, vecs = symmetric_eigen(laplacian(g), want_vectors=True)
+        ortho = np.max(np.abs(np.ones(g.n) @ vecs[:, lam > NULL_TOL]), initial=0.0)
         per_case += _outcomes(
             "laplacian-eigenvector-orthogonality", g, [0], [{}], ortho, ortho <= 1e-8
         )

@@ -178,6 +178,34 @@ class TestOracle:
         assert "n=10000000000" in err and "Traceback" not in err
 
 
+def one_error_line(capsys) -> str:
+    """The single stderr line a usage error leaves, without its "error: " prefix."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0][len("error: ") :]
+
+
+# Sizes this host's allocator refuses outright rather than reserving: an
+# n x n matrix of 728 TiB, 2**40 positions of 16 TiB, a grid of 7 PiB, and a
+# grid past numpy's largest array size.
+@pytest.mark.parametrize("n", [10_000_000, 2**40])
+def test_gen_n_too_large_for_a_dense_matrix_exit_four(tmp_path, capsys, n):
+    out = tmp_path / "g.json"
+    assert run(["gen", "--n", str(n), "--seed", "1", "--output", str(out)]) == 4
+    assert one_error_line(capsys) == f"node count n={n} is too large for a dense weight matrix"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [10**15, 2**70])
+def test_sweep_grid_count_too_large_exit_four(tmp_path, capsys, count):
+    g, out = tmp_path / "p3.json", tmp_path / "sweep.csv"
+    write_graph(g, P3_DOC)
+    grid = f"1e-4:1:{count}"
+    assert run(["sweep", "--input", str(g), "--eps-grid", grid, "--output", str(out)]) == 4
+    assert one_error_line(capsys).startswith(f"bad grid spec '{grid}': ")
+    assert not out.exists()
+
+
 class TestSweep:
     def test_output_is_bicon_rows(self, tmp_path):
         g = tmp_path / "k4.json"

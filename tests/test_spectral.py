@@ -37,14 +37,14 @@ def random_weighted(rng, n, p):
 class TestSymmetricEigen:
     def test_k3_spectrum(self):
         # complete graph spectrum: {0, n, ..., n}
-        eigs = symmetric_eigen(laplacian(k3())).eigenvalues
+        eigs = symmetric_eigen(laplacian(k3()))
         assert np.allclose(eigs, [0.0, 3.0, 3.0], atol=1e-12)
 
     def test_zero_matrix(self):
-        assert np.array_equal(symmetric_eigen(np.zeros((4, 4))).eigenvalues, np.zeros(4))
+        assert np.array_equal(symmetric_eigen(np.zeros((4, 4))), np.zeros(4))
 
     def test_path3_spectrum(self):
-        eigs = symmetric_eigen(laplacian(path3())).eigenvalues
+        eigs = symmetric_eigen(laplacian(path3()))
         assert np.allclose(eigs, [0.0, 1.0, 3.0], atol=1e-12)
 
     def test_ascending_order(self):
@@ -52,7 +52,7 @@ class TestSymmetricEigen:
         for _ in range(10):
             m = rng.normal(size=(7, 7))
             m = m + m.T
-            eigs = symmetric_eigen(m).eigenvalues
+            eigs = symmetric_eigen(m)
             assert np.all(np.diff(eigs) >= 0.0)
 
     def test_vectors_orthonormal_and_residual(self):
@@ -60,12 +60,11 @@ class TestSymmetricEigen:
         for _ in range(10):
             m = rng.normal(size=(8, 8))
             m = m + m.T
-            spec = symmetric_eigen(m, want_vectors=True)
-            v = spec.eigenvectors
+            lam, v = symmetric_eigen(m, want_vectors=True)
             assert np.max(np.abs(v.T @ v - np.eye(8))) <= 1e-8
             scale = max(1.0, np.linalg.norm(m))
             for k in range(8):
-                res = np.linalg.norm(m @ v[:, k] - spec.eigenvalues[k] * v[:, k])
+                res = np.linalg.norm(m @ v[:, k] - lam[k] * v[:, k])
                 assert res <= 1e-8 * scale
 
     def test_eigenvalue_sum_matches_trace(self):
@@ -73,7 +72,7 @@ class TestSymmetricEigen:
         for _ in range(20):
             m = rng.normal(size=(9, 9))
             m = m + m.T
-            eigs = symmetric_eigen(m).eigenvalues
+            eigs = symmetric_eigen(m)
             assert abs(eigs.sum() - np.trace(m)) <= 1e-8 * max(1.0, abs(np.trace(m)))
 
     def test_asymmetric_rejected_with_diagnostic(self):
@@ -84,7 +83,7 @@ class TestSymmetricEigen:
 
 class TestGeneralEigen:
     def test_rotation_matrix(self):
-        eigs = general_eigen(np.array([[0.0, 1.0], [-1.0, 0.0]])).eigenvalues
+        eigs = general_eigen(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert np.allclose(eigs, [-1j, 1j], atol=1e-12)
 
     def test_matches_symmetric_solver(self):
@@ -92,15 +91,15 @@ class TestGeneralEigen:
         for _ in range(15):
             m = rng.normal(size=(6, 6))
             m = m + m.T
-            ge = general_eigen(m).eigenvalues
+            ge = general_eigen(m)
             assert np.max(np.abs(ge.imag)) <= 1e-8
-            se = symmetric_eigen(m).eigenvalues
+            se = symmetric_eigen(m)
             assert np.max(np.abs(np.sort(ge.real) - se)) <= 1e-8
 
     def test_path3_intermediate_closed_form(self):
         eps = 0.1
         p = eps * np.array([[2.0, 1.0], [1.0, 2.0]])
-        eigs = general_eigen(p).eigenvalues
+        eigs = general_eigen(p)
         assert np.allclose(eigs, [eps, 3 * eps], atol=1e-12)
 
     def test_characteristic_polynomial_residual(self):
@@ -110,7 +109,7 @@ class TestGeneralEigen:
             n = int(rng.integers(2, 9))
             m = rng.normal(size=(n, n))
             norm = max(1.0, np.linalg.norm(m))
-            for lam in general_eigen(m).eigenvalues:
+            for lam in general_eigen(m):
                 res = abs(np.linalg.det(m - lam * np.eye(n)))
                 assert res <= 1e-7 * norm**n
 
@@ -124,12 +123,12 @@ class TestStacks:
 
     def test_symmetric_rows_equal_single_calls(self):
         stack = self.symmetric_stack(np.random.default_rng(16), (3, 4), 7)
-        spec = symmetric_eigen(stack, want_vectors=True)
-        assert spec.eigenvalues.shape == (3, 4, 7)
+        lam, vecs = symmetric_eigen(stack, want_vectors=True)
+        assert lam.shape == (3, 4, 7)
         for idx in np.ndindex(3, 4):
-            one = symmetric_eigen(stack[idx], want_vectors=True)
-            assert np.array_equal(spec.eigenvalues[idx], one.eigenvalues)
-            assert np.array_equal(spec.eigenvectors[idx], one.eigenvectors)
+            one_lam, one_vecs = symmetric_eigen(stack[idx], want_vectors=True)
+            assert np.array_equal(lam[idx], one_lam)
+            assert np.array_equal(vecs[idx], one_vecs)
 
     def test_asymmetric_member_rejected_with_its_asymmetry(self):
         stack = self.symmetric_stack(np.random.default_rng(17), (2, 3), 4)
@@ -144,9 +143,9 @@ class TestStacks:
         stack[1] = np.array(  # a complex pair tied in real part: sorted by imaginary part
             [[0.0, 1.0, 0, 0, 0], [-1.0, 0.0, 0, 0, 0], [0, 0, 2.0, 0, 0], [0, 0, 0, 2.0, 0], [0, 0, 0, 0, -1.0]]
         )
-        eigs = general_eigen(stack).eigenvalues
+        eigs = general_eigen(stack)
         for r in range(len(stack)):
-            one = general_eigen(stack[r]).eigenvalues
+            one = general_eigen(stack[r])
             assert np.array_equal(eigs[r].real, one.real)
             assert np.array_equal(eigs[r].imag, np.imag(one))
         assert np.array_equal(eigs[1], [-1.0, -1j, 1j, 2.0, 2.0])
@@ -154,12 +153,19 @@ class TestStacks:
     @pytest.mark.parametrize("count", [0, 1])
     def test_empty_and_one_member_stacks(self, count):
         stack = self.symmetric_stack(np.random.default_rng(19), (count,), 4)
-        sym = symmetric_eigen(stack).eigenvalues
-        gen = general_eigen(stack).eigenvalues
+        sym = symmetric_eigen(stack)
+        gen = general_eigen(stack)
         assert sym.shape == gen.shape == (count, 4)
         if count:
-            assert np.array_equal(sym[0], symmetric_eigen(stack[0]).eigenvalues)
-            assert np.array_equal(gen[0], general_eigen(stack[0]).eigenvalues)
+            assert np.array_equal(sym[0], symmetric_eigen(stack[0]))
+            assert np.array_equal(gen[0], general_eigen(stack[0]))
+
+    def test_results_are_plain_arrays(self):
+        m = self.symmetric_stack(np.random.default_rng(20), (2,), 3)
+        assert type(symmetric_eigen(m)) is np.ndarray
+        assert type(general_eigen(m)) is np.ndarray
+        lam, vecs = symmetric_eigen(m, want_vectors=True)
+        assert lam.shape == (2, 3) and vecs.shape == (2, 3, 3)
 
     def test_non_square_stack_rejected(self):
         with pytest.raises(ValueError, match="square"):

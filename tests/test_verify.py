@@ -29,8 +29,7 @@ from biconcert import (
 )
 from biconcert.graph_core import (
     PerturbationConfig,
-    _intermediate,
-    neighbor_weight_vector,
+    intermediate_matrix,
     perturbed_laplacian,
     reachable,
     reduced_laplacians,
@@ -433,28 +432,28 @@ def test_stacks_match_one_matrix_definitions(seed):
             "combination": case.combination(params),
             "rank_one": case.rank_one(gamma, eta),
         }
-        eigs = {name: general_eigen(m).eigenvalues for name, m in stacks.items()}
-        eigs["perturbed"] = symmetric_eigen(stacks["perturbed"]).eigenvalues
+        eigs = {name: general_eigen(m) for name, m in stacks.items()}
+        eigs["perturbed"] = symmetric_eigen(stacks["perturbed"])
         norms = {name: verify._frobenius(m) for name, m in stacks.items()}
         norms["gap"] = verify._frobenius(stacks["intermediate"] - case.lr[:, None])
         for r, i in enumerate(case.nodes):
             lr = laplacian(reduced_graph(g, i))
-            a = neighbor_weight_vector(g, i)
             assert bits_equal(case.lr[r], lr)
-            assert bits_equal(case.lr_eigs[r], symmetric_eigen(lr).eigenvalues)
+            assert bits_equal(case.lr_eigs[r], symmetric_eigen(lr))
             want = {
                 "perturbed": [perturbed_laplacian(g, i, PerturbationConfig(x)) for x in eps],
-                "intermediate": [_intermediate(lr, a, x) for x in eps],
+                "intermediate": [intermediate_matrix(g, i, PerturbationConfig(x)) for x in eps],
                 "combination": [
-                    p.alpha * lr + p.beta * _intermediate(lr, a, p.epsilon) for p in params
+                    p.alpha * lr + p.beta * intermediate_matrix(g, i, PerturbationConfig(p.epsilon))
+                    for p in params
                 ],
-                "rank_one": [verify._rank_one(lr, a, gm, et) for gm, et in rank_one],
+                "rank_one": [rank_one_update_matrix(g, i, gm, et) for gm, et in rank_one],
             }
             for name, matrices in want.items():
                 solve = symmetric_eigen if name == "perturbed" else general_eigen
                 for k, m in enumerate(matrices):
                     assert bits_equal(stacks[name][r, k], m), (name, i, k)
-                    assert bits_equal(eigs[name][r, k], solve(m).eigenvalues), (name, i, k)
+                    assert bits_equal(eigs[name][r, k], solve(m)), (name, i, k)
                     assert norms[name][r, k] == np.linalg.norm(m), (name, i, k)
             for k, m in enumerate(want["intermediate"]):
                 assert norms["gap"][r, k] == np.linalg.norm(m - lr)
