@@ -19,10 +19,12 @@ move only by exact eigenvalue counts (Sylvester inertia of small Schur
 complements); secant steps place the trial points, and the bracket, not the
 step rule, carries the error bound. Both paths return lambda3 with the
 same error bound ``tau``, which scales with ``max(||L||, ||L_i(eps)||)``;
-only a problem whose bracket did not converge is solved again densely. One
-loop narrows every bracket of a call and solves the Schur complements of
-all its open problems in one stacked ``eigvalsh`` per step; only forming
-them is chunked by ``_BATCH_BYTES``.
+only a problem whose bracket did not converge is solved again densely. The
+Schur complement is ``S(mu) = I / rho - M(mu)`` with ``rho = 1 - eps`` and
+an eps-free ``M(mu)`` per node, so one loop narrows every bracket of a call
+and each step solves ``M`` once per distinct (node, mu) among its open
+problems, all in one stacked ``eigvalsh``; only forming them is chunked by
+``_BATCH_BYTES``.
 numpy only: no scipy import. :func:`is_connected_bfs` returns the graph's
 cached ``connected``.
 """
@@ -43,10 +45,10 @@ CONNECTIVITY_TOL = 1e-9
 # multiple of n u ||L_i(eps)||; the batched bracket stops at n u of the max.
 LAMBDA3_TAU_FACTOR = 64.0
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
-# Bytes per chunk: of the batched solver's Schur working arrays (about three
-# n x deg floats per problem) and of one stacked dense solve's n x n matrices.
-# Bracket state and deg x deg Schur complements, kept for every problem of a
-# call, are not bounded by it.
+# Bytes per chunk: of the batched solver's working arrays (about three n x deg
+# floats per distinct (node, mu) of a step) and of one stacked dense solve's
+# n x n matrices. Bracket state, kept for every problem of a call, and the
+# deg x deg matrices M(mu) of a step are not bounded by it.
 _BATCH_BYTES = 1 << 20
 # A bracket of width at most about ||L_i(eps)|| shrinks to n u ||L|| in some
 # 60 halvings, and secant steps need fewer; the cap only stops a loop that
@@ -195,7 +197,7 @@ def _lambda3_batched(
     [U^T, I / rho]]`` with ``U = Q^T B_i`` gives the exact count
 
         #{eig of L_i(eps) < mu} = #{lam_k < mu} + neg(S) - [rho < 0] d,
-        S = I / rho - U^T (diag(lam) - mu)^-1 U,
+        S = I / rho - M(mu),   M(mu) = U^T (diag(lam) - mu)^-1 U,
 
     where neg counts negative eigenvalues of S and d is its order: the
     largest degree among ``nodes``, since every ``U`` is padded with zero
@@ -205,11 +207,19 @@ def _lambda3_batched(
     narrows every bracket of the call in one loop, moving its ends only by
     that count.
 
+    ``M(mu)`` depends on the node and mu but not on eps, so the eigenvalues
+    of S are ``1 / rho - m_j(mu)`` for the eigenvalues ``m_j`` of M. Each
+    step solves M once per distinct (node, mu) among the open problems, and
+    every problem at that pair reads its count from the same ``m_j``; the
+    eps < 1 problems of a node start from one bracket and share their first
+    trial points. Adding ``1 / rho`` after the solve keeps the large
+    diagonal ``I / rho`` out of the rounded matrix.
+
     No ``U`` is kept: each step builds ``U^T`` again from rows of ``Q`` and
     the node's neighbours and weights, for ``_BATCH_BYTES`` of n x d arrays
-    at a time, and keeps only ``S``. Besides arrays of at most n x n
-    entries, like ``Q``, memory is that budget plus O(d^2) floats per
-    problem. How the problems are split never changes a problem's
+    at a time, and keeps only M. Besides arrays of at most n x n entries,
+    like ``Q``, memory is that budget plus O(d^2) floats per (node, mu)
+    pair. How the problems are split or repeated never changes a problem's
     arithmetic: its lambda3 and tau are the same bit for bit.
     """
     n = g.n
@@ -221,15 +231,15 @@ def _lambda3_batched(
     adj = w > 0.0
     deg = adj.sum(axis=1)[nodes]
     width = max(int(deg.max(initial=0)), 1)
-    # Neighbours of i first; the padding's weights are 0. Sorted once per node.
+    # Per distinct node: neighbours first, the padding's weights 0.
     distinct, at = np.unique(nodes, return_inverse=True)
-    nbr = np.argsort(~adj[distinct], axis=1, kind="stable")[:, :width][at]
-    wn = w[nodes[:, None], nbr]
+    nbr = np.argsort(~adj[distinct], axis=1, kind="stable")[:, :width]
+    wn = w[distinct[:, None], nbr]
     root_w = np.sqrt(wn)
     rho = 1.0 - eps
     # n u max(||L||_1, ||L_i(eps)||_1): column j of L_i(eps) sums to
     # 2 (s_j - rho w_ij), column i to 2 eps s_i.
-    cols = 2.0 * np.maximum((strength[nbr] - rho[:, None] * wn).max(axis=1), eps * strength[nodes])
+    cols = 2.0 * np.maximum((strength[nbr[at]] - rho[:, None] * wn[at]).max(axis=1), eps * strength[nodes])
     scale = _roundoff_scale(g, cols)
     tau = LAMBDA3_TAU_FACTOR * scale
     neg = rho < 0.0
@@ -238,33 +248,43 @@ def _lambda3_batched(
     top = np.where(2 + deg < n, lam[np.minimum(2 + deg, n - 1)], lam[2] - 2.0 * rho * strength[nodes])
     lo = np.where(rho == 0.0, lam[2], np.where(neg, lam[2], 0.0) - tau)
     hi = np.where(rho == 0.0, lam[2], np.where(neg, top, lam[2]) + tau)
-    eye = np.eye(width)
     per = max(1, _BATCH_BYTES // (3 * 8 * n * width))
 
-    def schur(rows: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """S(mu[r]) of problem ``rows[r]`` for every r, ``per`` problems at a time."""
-        s = np.empty((len(rows), width, width))
-        for c in range(0, len(rows), per):
-            r = rows[c : c + per]
-            ut = q[nbr[r]]  # U^T per problem, built in place
-            np.subtract(q[nodes[r]][:, None, :], ut, out=ut)
-            ut *= root_w[r][:, :, None]
-            s[c : c + per] = inv_rho[r][:, None, None] * eye - (
-                ut / (lam - mu[c : c + per, None])[:, None, :]
-            ) @ ut.transpose(0, 2, 1)
-        return s
+    def schur_spectrum(rows: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues of S(mu[r]) of problem ``rows[r]``, solving M(mu) once per distinct (node, mu)."""
+        node = at[rows]
+        order = np.lexsort((mu, node))
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (np.diff(node[order]) != 0) | (np.diff(mu[order]) != 0)
+        group = np.empty(len(rows), dtype=np.intp)
+        group[order] = np.cumsum(first) - 1
+        heads = order[first]
+        m = np.empty((len(heads), width, width))
+        for c in range(0, len(heads), per):
+            r = heads[c : c + per]
+            d = node[r]
+            ut = q[nbr[d]]  # U^T per (node, mu), built in place
+            np.subtract(q[distinct[d]][:, None, :], ut, out=ut)
+            ut *= root_w[d][:, :, None]
+            m[c : c + per] = (ut / (lam - mu[r, None])[:, None, :]) @ ut.transpose(0, 2, 1)
+        try:
+            m = np.linalg.eigvalsh(m)
+        except np.linalg.LinAlgError as exc:
+            raise EigenConvergenceError(f"batched inertia count failed: {exc}") from exc
+        return inv_rho[rows, None] - m[group, ::-1]
 
-    lam3, converged = _shrink_brackets(lam, schur, shift, lo, hi, scale)
+    lam3, converged = _shrink_brackets(lam, schur_spectrum, shift, lo, hi, scale)
     # A bracket still wider than its scale has no error bound.
     tau[~converged] = np.inf
     return lam3, tau
 
 
-def _shrink_brackets(lam, schur, shift, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
+def _shrink_brackets(lam, schur_spectrum, shift, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
     """Narrow every bracket ``[lo, hi]`` around lambda3 to width ``scale``.
 
-    One entry per problem of :func:`_lambda3_batched`; ``schur(rows, mu)``
-    gives ``S(mu)`` of the problems ``rows``. Each step evaluates the
+    One entry per problem of :func:`_lambda3_batched`; ``schur_spectrum(rows,
+    mu)`` gives the ascending eigenvalues ``sigma`` of ``S(mu)`` of the
+    problems ``rows``, from one stacked ``eigvalsh``. Each step evaluates the
     count at one mu per problem and moves ``hi`` to mu if at least three
     eigenvalues lie below it, ``lo`` otherwise, so every bracket holds
     lambda3 whatever mu is. Only the choice of mu is heuristic: an
@@ -281,9 +301,9 @@ def _shrink_brackets(lam, schur, shift, lo, hi, scale) -> tuple[np.ndarray, np.n
     midpoint fallback alone. An end whose f
     is unknown or infinite (k outside S's order) gets the midpoint instead,
     and mu keeps ``scale / 2`` from both ends. Only problems still wider
-    than ``scale`` are evaluated, all of them in one stacked ``eigvalsh``
-    per step. Returns the bracket midpoints and which
-    brackets converged within ``_MAX_STEPS`` steps.
+    than ``scale`` are evaluated, all of them in one ``schur_spectrum``
+    call per step. Returns the bracket midpoints and which brackets
+    converged within ``_MAX_STEPS`` steps.
     """
     n = len(lam)
     mid = np.empty(len(lo))
@@ -314,10 +334,7 @@ def _shrink_brackets(lam, schur, shift, lo, hi, scale) -> tuple[np.ndarray, np.n
             if not tie.any():
                 break
             mu[tie] = np.nextafter(mu[tie], np.inf)
-        try:
-            sigma = np.linalg.eigvalsh(schur(idx, mu))
-        except np.linalg.LinAlgError as exc:
-            raise EigenConvergenceError(f"batched inertia count failed: {exc}") from exc
+        sigma = schur_spectrum(idx, mu)
         width = sigma.shape[1]
         above = below + (sigma < 0.0).sum(axis=1) - shift >= 3
         k = 2 - below + shift

@@ -308,6 +308,46 @@ def test_sweep_needs_at_most_20_inertia_counts_per_problem(tmp_path, monkeypatch
     assert counted["matrices"] <= 20 * 144 * 13
 
 
+def count_schur_matrices(monkeypatch):
+    """Count the matrices of every stacked (3-D) ``eigvalsh`` call."""
+    original = np.linalg.eigvalsh
+    counted = Counter()
+
+    def spy(m, *args, **kwargs):
+        if np.ndim(m) == 3:
+            counted["matrices"] += len(m)
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return counted
+
+
+def test_sweep_solves_one_schur_complement_per_node_and_trial_point(tmp_path, monkeypatch):
+    path = grid_file(tmp_path, 12)
+    counted = count_schur_matrices(monkeypatch)
+    assert main(["sweep", "--input", str(path), "--output", str(tmp_path / "s.csv")]) == 0
+    # 144 nodes x 13 epsilons; one solve per problem and step took 23,801,
+    # one per distinct (node, mu) of a step takes 14,089
+    assert counted["matrices"] <= 9 * 144 * 13
+
+
+@pytest.mark.parametrize("epsilons", [[1e-9, 0.05, 1.0, 3.0], [1e-4]], ids=["four-eps", "one-eps"])
+@pytest.mark.parametrize("graph", [grid(12, seed=1), disk_graph(1)], ids=["grid12", "disk200"])
+def test_repeated_problems_share_every_schur_solve(monkeypatch, graph, epsilons):
+    # one eps per node, as in check, leaves no two problems of the call
+    # at one (node, mu) until the copies come in
+    probe_nodes = np.repeat(np.arange(graph.n), len(epsilons))
+    probe_eps = np.tile(epsilons, graph.n)
+    counted = count_schur_matrices(monkeypatch)
+    lam3, tau = _lambda3_batched(graph, probe_nodes, probe_eps)
+    once = counted["matrices"]
+    twice = np.random.default_rng(0).permutation(np.tile(np.arange(len(probe_nodes)), 2))
+    lam3_twice, tau_twice = _lambda3_batched(graph, probe_nodes[twice], probe_eps[twice])
+    assert counted["matrices"] == 2 * once
+    assert lam3_twice.tobytes() == lam3[twice].tobytes()
+    assert tau_twice.tobytes() == tau[twice].tobytes()
+
+
 def test_sweep_makes_one_stacked_inertia_solve_per_step(tmp_path, monkeypatch):
     path = grid_file(tmp_path, 12)
     calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
