@@ -21,15 +21,19 @@ step rule, carries the error bound. Both paths return lambda3 with the
 same error bound ``tau``, which scales with ``max(||L||, ||L_i(eps)||)``;
 only a problem whose bracket did not converge is solved again densely. The
 Schur complement is ``S(mu) = I / rho - M(mu)`` with ``rho = 1 - eps`` and
-an eps-free ``M(mu)`` per node, so one loop narrows every bracket of a call
-and each step solves ``M`` once per distinct (node, mu) among its open
-problems, all in one stacked ``eigvalsh``; only forming them is chunked by
+an eps-free ``M(mu) = U^T (diag(lam) - mu)^-1 U`` whose factor ``U`` belongs
+to the node alone. Each node's ``U^T`` is built once per call, for chunks of
+nodes whose ``U^T`` fits in ``_FACTOR_BYTES``; one loop narrows every bracket
+of a chunk, and each step solves ``M`` once per distinct (node, mu) among its
+open problems, all in one stacked ``eigvalsh``, formed in sub-chunks of
 ``_BATCH_BYTES``.
 numpy only: no scipy import. :func:`is_connected_bfs` returns the graph's
 cached ``connected``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -45,11 +49,15 @@ CONNECTIVITY_TOL = 1e-9
 # multiple of n u ||L_i(eps)||; the batched bracket stops at n u of the max.
 LAMBDA3_TAU_FACTOR = 64.0
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
-# Bytes per chunk: of the batched solver's working arrays (about three n x deg
-# floats per distinct (node, mu) of a step) and of one stacked dense solve's
-# n x n matrices. Bracket state, kept for every problem of a call, and the
-# deg x deg matrices M(mu) of a step are not bounded by it.
+# Bytes per chunk: of the batched solver's working arrays (two n x deg floats
+# per distinct (node, mu) of a step, U^T and its quotient by lam - mu) and of
+# one stacked dense solve's n x n matrices.
 _BATCH_BYTES = 1 << 20
+# Bytes of U^T the batched solver keeps at once, deg x n floats per node with
+# deg the call's largest degree: the call's distinct nodes are split into
+# chunks that fit, each with its own bracket loop. 4 MiB keeps the 16 x 16
+# grid (2 MiB) in one loop; 1 MiB split it and lost most of the gain.
+_FACTOR_BYTES = 4 << 20
 # A bracket of width at most about ||L_i(eps)|| shrinks to n u ||L|| in some
 # 60 halvings, and secant steps need fewer; the cap only stops a loop that
 # no longer shrinks.
@@ -145,7 +153,7 @@ def _batched_pays(g: WeightedGraph, nodes) -> bool:
     nodes = set(nodes)
     for i in nodes:
         _check_node(g, i)
-    degree = max((np.count_nonzero(g.weights[i]) for i in nodes), default=0)  # weights are >= 0
+    degree = max((len(g.adjacency[i]) for i in nodes), default=0)
     return degree * BATCH_DEGREE_RATIO <= g.n
 
 
@@ -204,8 +212,8 @@ def _lambda3_batched(
     columns to that width. Brackets come from interlacing: lambda3 lies in
     ``[0, lam_3]`` for eps < 1 and in ``[lam_3, lam_{3+deg(i)}]`` for
     eps > 1; eps = 1 is ``lam_3`` itself. :func:`_shrink_brackets` then
-    narrows every bracket of the call in one loop, moving its ends only by
-    that count.
+    narrows every bracket of a node chunk in one loop, moving its ends only
+    by that count.
 
     ``M(mu)`` depends on the node and mu but not on eps, so the eigenvalues
     of S are ``1 / rho - m_j(mu)`` for the eigenvalues ``m_j`` of M. Each
@@ -215,12 +223,17 @@ def _lambda3_batched(
     trial points. Adding ``1 / rho`` after the solve keeps the large
     diagonal ``I / rho`` out of the rounded matrix.
 
-    No ``U`` is kept: each step builds ``U^T`` again from rows of ``Q`` and
-    the node's neighbours and weights, for ``_BATCH_BYTES`` of n x d arrays
-    at a time, and keeps only M. Besides arrays of at most n x n entries,
-    like ``Q``, memory is that budget plus O(d^2) floats per (node, mu)
-    pair. How the problems are split or repeated never changes a problem's
-    arithmetic: its lambda3 and tau are the same bit for bit.
+    ``U^T`` depends on the node alone, so it is built once per call from
+    rows of ``Q`` and the node's neighbours (``g.adjacency``) and weights,
+    d x n floats per node. The call's distinct nodes are split into chunks
+    whose ``U^T`` fits in ``_FACTOR_BYTES``, and each chunk runs its own
+    loop over its own problems; a step gathers ``U^T`` by node and forms M
+    for ``_BATCH_BYTES`` of n x d arrays at a time. Besides arrays of at
+    most n x n entries, like ``Q``, memory is those two budgets plus O(d^2)
+    floats per (node, mu) pair of one chunk's step. How the problems are
+    split or repeated never changes a problem's arithmetic, since d stays
+    the call's largest degree in every chunk: its lambda3 and tau are the
+    same bit for bit.
     """
     n = g.n
     w = g.weights
@@ -228,12 +241,16 @@ def _lambda3_batched(
     strength = w.sum(axis=1)
     nodes = np.asarray(nodes, dtype=np.intp)
     eps = np.asarray(eps, dtype=float)
-    adj = w > 0.0
-    deg = adj.sum(axis=1)[nodes]
-    width = max(int(deg.max(initial=0)), 1)
-    # Per distinct node: neighbours first, the padding's weights 0.
     distinct, at = np.unique(nodes, return_inverse=True)
-    nbr = np.argsort(~adj[distinct], axis=1, kind="stable")[:, :width]
+    adjacency = [g.adjacency[i] for i in distinct.tolist()]
+    width = max(max(map(len, adjacency), default=0), 1)
+    deg = np.array([len(a) for a in adjacency], dtype=np.intp)[at]
+    # Per distinct node: neighbours first, then the smallest other indices,
+    # whose weights are 0.
+    nbr = np.array(
+        [a + tuple(sorted(set(range(width)).difference(a)))[: width - len(a)] for a in adjacency],
+        dtype=np.intp,
+    ).reshape(len(distinct), width)
     wn = w[distinct[:, None], nbr]
     root_w = np.sqrt(wn)
     rho = 1.0 - eps
@@ -248,11 +265,11 @@ def _lambda3_batched(
     top = np.where(2 + deg < n, lam[np.minimum(2 + deg, n - 1)], lam[2] - 2.0 * rho * strength[nodes])
     lo = np.where(rho == 0.0, lam[2], np.where(neg, lam[2], 0.0) - tau)
     hi = np.where(rho == 0.0, lam[2], np.where(neg, top, lam[2]) + tau)
-    per = max(1, _BATCH_BYTES // (3 * 8 * n * width))
+    per = max(1, _BATCH_BYTES // (2 * 8 * n * width))
 
-    def schur_spectrum(rows: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """Ascending eigenvalues of S(mu[r]) of problem ``rows[r]``, solving M(mu) once per distinct (node, mu)."""
-        node = at[rows]
+    def schur_spectrum(ut, node, inv_rho, rows, mu):
+        """Ascending eigenvalues of S(mu[r]) of problem ``rows[r]``, with U^T ``ut[node[rows[r]]]``, one M per (node, mu)."""
+        node = node[rows]
         order = np.lexsort((mu, node))
         first = np.ones(len(rows), dtype=bool)
         first[1:] = (np.diff(node[order]) != 0) | (np.diff(mu[order]) != 0)
@@ -262,18 +279,25 @@ def _lambda3_batched(
         m = np.empty((len(heads), width, width))
         for c in range(0, len(heads), per):
             r = heads[c : c + per]
-            d = node[r]
-            ut = q[nbr[d]]  # U^T per (node, mu), built in place
-            np.subtract(q[distinct[d]][:, None, :], ut, out=ut)
-            ut *= root_w[d][:, :, None]
-            m[c : c + per] = (ut / (lam - mu[r, None])[:, None, :]) @ ut.transpose(0, 2, 1)
+            x = ut[node[r]]
+            m[c : c + per] = (x / (lam - mu[r, None])[:, None, :]) @ x.transpose(0, 2, 1)
         try:
             m = np.linalg.eigvalsh(m)
         except np.linalg.LinAlgError as exc:
             raise EigenConvergenceError(f"batched inertia count failed: {exc}") from exc
         return inv_rho[rows, None] - m[group, ::-1]
 
-    lam3, converged = _shrink_brackets(lam, schur_spectrum, shift, lo, hi, scale)
+    lam3 = np.empty(len(nodes))
+    converged = np.empty(len(nodes), dtype=bool)
+    per_chunk = max(1, _FACTOR_BYTES // (8 * n * width))
+    for start in range(0, len(distinct), per_chunk):
+        stop = start + per_chunk
+        ut = q[nbr[start:stop]]  # U^T of every node of the chunk, built in place
+        np.subtract(q[distinct[start:stop], None, :], ut, out=ut)
+        ut *= root_w[start:stop, :, None]
+        rows = np.flatnonzero((start <= at) & (at < stop))
+        spectrum = functools.partial(schur_spectrum, ut, at[rows] - start, inv_rho[rows])
+        lam3[rows], converged[rows] = _shrink_brackets(lam, spectrum, shift[rows], lo[rows], hi[rows], scale[rows])
     # A bracket still wider than its scale has no error bound.
     tau[~converged] = np.inf
     return lam3, tau

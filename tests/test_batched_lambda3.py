@@ -9,6 +9,7 @@ neither path certifies a node whose dense lambda3 does not clear it.
 
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -32,7 +33,7 @@ from biconcert import (
 )
 from biconcert.bicon import spectral_tests
 from biconcert.cli import EXIT_NUMERICAL, main
-from biconcert.spectral import _lambda3_batched
+from biconcert.spectral import _lambda3_batched, symmetric_eigen
 from biconcert.verify import random_connected_graph
 
 EPSILONS = (1e-16, 1e-9, 1e-4, 0.05, 0.5, 1.0, 3.0)
@@ -292,22 +293,6 @@ def test_one_eigendecomposition_per_command(tmp_path, monkeypatch, argv):
     assert build["perturbed_laplacians"] == 0
 
 
-def test_sweep_needs_at_most_20_inertia_counts_per_problem(tmp_path, monkeypatch):
-    path = grid_file(tmp_path, 12)
-    original = np.linalg.eigvalsh
-    counted = Counter()
-
-    def spy(m, *args, **kwargs):
-        if np.ndim(m) == 3:
-            counted["matrices"] += len(m)
-        return original(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    assert main(["sweep", "--input", str(path), "--output", str(tmp_path / "s.csv")]) == 0
-    # 144 nodes x 13 epsilons; pure bisection needs 39 counts per problem
-    assert counted["matrices"] <= 20 * 144 * 13
-
-
 def count_schur_matrices(monkeypatch):
     """Count the matrices of every stacked (3-D) ``eigvalsh`` call."""
     original = np.linalg.eigvalsh
@@ -320,6 +305,14 @@ def count_schur_matrices(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     return counted
+
+
+def test_sweep_needs_at_most_20_inertia_counts_per_problem(tmp_path, monkeypatch):
+    path = grid_file(tmp_path, 12)
+    counted = count_schur_matrices(monkeypatch)
+    assert main(["sweep", "--input", str(path), "--output", str(tmp_path / "s.csv")]) == 0
+    # 144 nodes x 13 epsilons; pure bisection needs 39 counts per problem
+    assert counted["matrices"] <= 20 * 144 * 13
 
 
 def test_sweep_solves_one_schur_complement_per_node_and_trial_point(tmp_path, monkeypatch):
@@ -364,13 +357,25 @@ def test_call_without_problems_solves_nothing(monkeypatch):
     assert calls["eigvalsh"] == 0
 
 
+def grid_with_hub(k=20, degree=40, seed=0):
+    """k x k grid plus node k * k joined to ``degree`` seeded grid nodes."""
+    g = grid(k, seed=seed)
+    spokes = np.random.default_rng(seed).choice(g.n, degree, replace=False)
+    return from_edge_list(g.n + 1, g.edges() + [(int(j), g.n, 1.0) for j in spokes])
+
+
+HUB = grid_with_hub()
+
+
 @pytest.mark.parametrize(
     "graph, nodes, epsilons",
     [
         (grid(12, seed=1), range(144), [float(x) for x in np.geomspace(1e-4, 1.0, 13)]),
         (disk_graph(1), None, [1e-4]),
+        # degrees 2 to 5 padded to the hub's 40: the hub, its spokes and 40 more
+        (HUB, [400, *HUB.adjacency[400], *range(0, 400, 10)], [1e-9, 0.05, 3.0]),
     ],
-    ids=["grid12-sweep", "disk200-check"],
+    ids=["grid12-sweep", "disk200-check", "grid20-hub40"],
 )
 def test_lambda3_and_tau_do_not_depend_on_the_chunk_size(monkeypatch, graph, nodes, epsilons):
     if nodes is None:  # the nodes check solves: those not locally biconnected
@@ -378,12 +383,33 @@ def test_lambda3_and_tau_do_not_depend_on_the_chunk_size(monkeypatch, graph, nod
     probe_nodes = np.repeat(nodes, len(epsilons))
     probe_eps = np.tile(epsilons, len(nodes))
     results = []
-    for budget in (1, spectral._BATCH_BYTES, 64 << 20):  # one problem per chunk, default, all
-        monkeypatch.setattr(spectral, "_BATCH_BYTES", budget)
+    # one (node, mu) per sub-chunk and one node per bracket loop, the
+    # defaults, everything in one
+    for batch, factor in [(1, 1), (spectral._BATCH_BYTES, spectral._FACTOR_BYTES), (64 << 20, 64 << 20)]:
+        monkeypatch.setattr(spectral, "_BATCH_BYTES", batch)
+        monkeypatch.setattr(spectral, "_FACTOR_BYTES", factor)
         results.append(_lambda3_batched(graph, probe_nodes, probe_eps))
     for lam3, tau in results[1:]:
         assert lam3.tobytes() == results[0][0].tobytes()
         assert tau.tobytes() == results[0][1].tobytes()
+
+
+def test_node_chunks_bound_the_memory_of_a_call(monkeypatch):
+    g = grid(16, seed=1)
+    g.adjacency  # built once and kept by the graph, not by the call
+    tracemalloc.start()
+    try:
+        symmetric_eigen(laplacian(g), want_vectors=True)
+        _, factorization = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        # the 256 nodes' U^T take 2 MiB; an eighth of that per chunk
+        monkeypatch.setattr(spectral, "_FACTOR_BYTES", 256 << 10)
+        monkeypatch.setattr(spectral, "_BATCH_BYTES", 256 << 10)
+        _lambda3_batched(g, np.arange(g.n), np.full(g.n, 1e-4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= factorization + spectral._FACTOR_BYTES + spectral._BATCH_BYTES
 
 
 def test_small_or_dense_graphs_stay_on_the_dense_path(monkeypatch):
