@@ -22,8 +22,10 @@ Two bound variants exist:
 :func:`spectral_tests` is the one certificate function: ``check``, ``sweep``
 and the counterexample search hand it all their (node, epsilon) problems,
 and it returns lambda3, its error bound tau, both bounds and the one
-comparison ``lambda3 - tau > bound`` for each. The CSV rows of ``check``
-and ``sweep`` come from :func:`report_csv_rows` and :func:`sweep_csv_rows`.
+comparison ``lambda3 - tau > bound`` for each. A :class:`NodeCertificate`
+holds the :class:`SpectralTest` it was judged by, tau included. The CSV rows
+of ``check`` and ``sweep`` come from :func:`report_csv_rows` and
+:func:`sweep_csv_rows`.
 
 The combinatorial oracles (DFS low-link articulation points, brute-force
 remove-and-check, vertex-capacity max flow for internally disjoint paths)
@@ -64,19 +66,23 @@ class BoundMode(Enum):
 
 @dataclass(frozen=True)
 class NodeCertificate:
-    """Per-node record of the local test and the spectral certificate.
+    """Per-node record of the local test and the spectral test it was judged by.
 
-    The spectral fields are ``None`` when the node passed the local
-    biconnectedness shortcut and the eigenvalue check was skipped.
+    ``certified`` is ``test.certified(mode)``. ``test`` is ``None``, and
+    ``certified`` false, when the node passed the local biconnectedness
+    shortcut and the eigenvalue check was skipped.
     """
 
     node: NodeId
     locally_biconnected: bool
-    lambda3_perturbed: float | None
-    simplified_bound: float | None
-    exact_norm_bound: float | None
+    test: SpectralTest | None
     certified: bool
     oracle_is_articulation: bool | None = None
+
+    @property
+    def lambda3_perturbed(self) -> float | None:
+        # Kept for perfbench/tracing.py, which counts eigensolved nodes by it.
+        return None if self.test is None else self.test.lambda3
 
 
 @dataclass(frozen=True)
@@ -229,23 +235,6 @@ def locally_biconnected(g: WeightedGraph, i: NodeId) -> bool:
     return not unseen
 
 
-def _node_certificate(
-    i: NodeId, local: bool, test: SpectralTest | None, mode: BoundMode, points: set[NodeId] | None = None
-) -> NodeCertificate:
-    oracle = None if points is None else i in points
-    if test is None:
-        return NodeCertificate(i, local, None, None, None, certified=False, oracle_is_articulation=oracle)
-    return NodeCertificate(
-        node=i,
-        locally_biconnected=local,
-        lambda3_perturbed=test.lambda3,
-        simplified_bound=test.simplified_bound,
-        exact_norm_bound=test.exact_norm_bound,
-        certified=test.certified(mode),
-        oracle_is_articulation=oracle,
-    )
-
-
 def spectral_certificate(
     g: WeightedGraph,
     i: NodeId,
@@ -259,7 +248,7 @@ def spectral_certificate(
     exceeds the selected bound.
     """
     (test,) = spectral_tests(g, [i], [cfg.epsilon])
-    return _node_certificate(i, locally_biconnected(g, i), test, mode)
+    return NodeCertificate(i, locally_biconnected(g, i), test, test.certified(mode))
 
 
 def certify_graph(
@@ -280,7 +269,10 @@ def certify_graph(
     tests = spectral_tests(g, [i for i in range(g.n) if not local[i]], [cfg.epsilon])
     by_node = {t.node: t for t in tests}
     points = articulation_points_oracle(g) if with_oracle else None
-    certs = [_node_certificate(i, local[i], by_node.get(i), mode, points) for i in range(g.n)]
+    certs = [
+        NodeCertificate(i, local[i], t, t is not None and t.certified(mode), None if points is None else i in points)
+        for i, t in enumerate(map(by_node.get, range(g.n)))
+    ]
     return BiconnectivityReport(
         nodes=tuple(certs),
         graph_certified=all(c.locally_biconnected or c.certified for c in certs),
@@ -434,9 +426,7 @@ def report_to_dict(r: BiconnectivityReport) -> dict:
             {
                 "node": c.node,
                 "locally_biconnected": c.locally_biconnected,
-                "lambda3": c.lambda3_perturbed,
-                "simplified_bound": c.simplified_bound,
-                "exact_norm_bound": c.exact_norm_bound,
+                **dict(zip(("lambda3", "simplified_bound", "exact_norm_bound"), _test_values(c.test))),
                 "certified": c.certified,
                 "oracle_is_articulation": c.oracle_is_articulation,
             }
@@ -453,15 +443,18 @@ def _csv_flag(x: bool | None) -> str:
     return "" if x is None else ("true" if x else "false")
 
 
+def _test_values(t: SpectralTest | None) -> tuple[float | None, ...]:
+    """lambda3 and both bounds of a test, or three ``None``: the report's and both CSVs' columns for it."""
+    return (None,) * 3 if t is None else (t.lambda3, t.simplified_bound, t.exact_norm_bound)
+
+
 def report_csv_rows(r: BiconnectivityReport) -> list[list[str]]:
     """``check``'s CSV: header plus one row per node; floats at 6 significant digits."""
     return [list(CSV_COLUMNS)] + [
         [
             str(c.node),
             _csv_flag(c.locally_biconnected),
-            _csv_num(c.lambda3_perturbed),
-            _csv_num(c.simplified_bound),
-            _csv_num(c.exact_norm_bound),
+            *map(_csv_num, _test_values(c.test)),
             _csv_flag(c.certified),
             _csv_flag(c.oracle_is_articulation),
         ]
@@ -474,7 +467,8 @@ def sweep_csv_rows(tests: list[SpectralTest]) -> list[list[str]]:
     return [list(SWEEP_COLUMNS)] + [
         [
             str(t.node),
-            *map(_csv_num, (t.epsilon, t.lambda3, t.simplified_bound, t.exact_norm_bound)),
+            _csv_num(t.epsilon),
+            *map(_csv_num, _test_values(t)),
             _csv_flag(t.certified(BoundMode.SIMPLIFIED)),
             _csv_flag(t.certified(BoundMode.EXACT_NORM)),
         ]

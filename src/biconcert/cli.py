@@ -20,10 +20,10 @@ graph file or ``gen --n`` whose node count is too large for a dense weight
 matrix, an epsilon-grid count too large to hold in memory, a radius or
 sigma that is not finite and positive, a ``--n``, ``--graphs`` or ``--trials``
 below 1, a ``--seed`` below 0, a ``--tol-*`` value that is not finite and
->= 0, and an epsilon so large that a certificate bound, a lambda3 or its
-error bound overflows; ``check`` and ``sweep`` then write no file), 5
-numerical failure (an eigensolver, or the batched lambda3 solver's
-inertia count, did not converge).
+>= 0, an epsilon so large that a certificate bound, a lambda3 or its error
+bound overflows, which makes ``check`` and ``sweep`` write no file; and an
+``--output`` path that cannot be written), 5 numerical failure (an
+eigensolver, or the batched lambda3 solver's inertia count, did not converge).
 Identical invocations (including ``--seed``) produce byte-identical output
 files; randomness comes from numpy's seeded PCG64 generator, which is
 recorded in generated file metadata. Every JSON file is byte-identical to
@@ -259,8 +259,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise GraphInputError(f"cannot write {path}: {exc}") from exc
 
 
 def _csv_text(rows: list[list[str]]) -> str:

@@ -168,8 +168,8 @@ def test_criterion_05_simplified_bound_discrepancy():
     cert = spectral_certificate(g, 1, PerturbationConfig(eps), BoundMode.SIMPLIFIED)
     hand_ok = (
         abs(cert.lambda3_perturbed - 3.0 * eps) <= 1e-12
-        and abs(cert.simplified_bound - eps * math.sqrt(6.0)) <= 1e-12
-        and abs(cert.exact_norm_bound - eps * math.sqrt(10.0)) <= 1e-12
+        and abs(cert.test.simplified_bound - eps * math.sqrt(6.0)) <= 1e-12
+        and abs(cert.test.exact_norm_bound - eps * math.sqrt(10.0)) <= 1e-12
         and cert.certified
         and 1 in articulation_points_oracle(g)
     )

@@ -294,11 +294,12 @@ def test_one_eigendecomposition_per_command(tmp_path, monkeypatch, argv):
 
 
 def count_schur_matrices(monkeypatch):
-    """Count the matrices of every stacked (3-D) ``eigvalsh`` call."""
+    """Count the ``eigvalsh`` calls, and the matrices of every stacked (3-D) one."""
     original = np.linalg.eigvalsh
     counted = Counter()
 
     def spy(m, *args, **kwargs):
+        counted["calls"] += 1
         if np.ndim(m) == 3:
             counted["matrices"] += len(m)
         return original(m, *args, **kwargs)
@@ -307,21 +308,32 @@ def count_schur_matrices(monkeypatch):
     return counted
 
 
-def test_sweep_needs_at_most_20_inertia_counts_per_problem(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def sweep_counts(tmp_path_factory):
+    """The ``eigvalsh`` counts of one default ``sweep`` of a 12x12 grid."""
+    tmp_path = tmp_path_factory.mktemp("sweep")
     path = grid_file(tmp_path, 12)
-    counted = count_schur_matrices(monkeypatch)
-    assert main(["sweep", "--input", str(path), "--output", str(tmp_path / "s.csv")]) == 0
+    with pytest.MonkeyPatch.context() as mp:
+        counted = count_schur_matrices(mp)
+        assert main(["sweep", "--input", str(path), "--output", str(tmp_path / "s.csv")]) == 0
+    return counted
+
+
+def test_sweep_needs_at_most_20_inertia_counts_per_problem(sweep_counts):
     # 144 nodes x 13 epsilons; pure bisection needs 39 counts per problem
-    assert counted["matrices"] <= 20 * 144 * 13
+    assert sweep_counts["matrices"] <= 20 * 144 * 13
 
 
-def test_sweep_solves_one_schur_complement_per_node_and_trial_point(tmp_path, monkeypatch):
-    path = grid_file(tmp_path, 12)
-    counted = count_schur_matrices(monkeypatch)
-    assert main(["sweep", "--input", str(path), "--output", str(tmp_path / "s.csv")]) == 0
+def test_sweep_solves_one_schur_complement_per_node_and_trial_point(sweep_counts):
     # 144 nodes x 13 epsilons; one solve per problem and step took 23,801,
     # one per distinct (node, mu) of a step takes 14,089
-    assert counted["matrices"] <= 9 * 144 * 13
+    assert sweep_counts["matrices"] <= 9 * 144 * 13
+
+
+def test_sweep_makes_one_stacked_inertia_solve_per_step(sweep_counts):
+    # one bracket loop for all 1,872 problems; chunks of 75 problems, each
+    # with its own loop, made 458 calls
+    assert sweep_counts["calls"] <= 40
 
 
 @pytest.mark.parametrize("epsilons", [[1e-9, 0.05, 1.0, 3.0], [1e-4]], ids=["four-eps", "one-eps"])
@@ -339,15 +351,6 @@ def test_repeated_problems_share_every_schur_solve(monkeypatch, graph, epsilons)
     assert counted["matrices"] == 2 * once
     assert lam3_twice.tobytes() == lam3[twice].tobytes()
     assert tau_twice.tobytes() == tau[twice].tobytes()
-
-
-def test_sweep_makes_one_stacked_inertia_solve_per_step(tmp_path, monkeypatch):
-    path = grid_file(tmp_path, 12)
-    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
-    assert main(["sweep", "--input", str(path), "--output", str(tmp_path / "s.csv")]) == 0
-    # one bracket loop for all 1,872 problems; chunks of 75 problems, each
-    # with its own loop, made 458 calls
-    assert calls["eigvalsh"] <= 40
 
 
 def test_call_without_problems_solves_nothing(monkeypatch):

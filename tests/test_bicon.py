@@ -22,6 +22,7 @@ from biconcert import (
     NodeCertificate,
     PerturbationConfig,
     PreconditionError,
+    ProximityModel,
     SpectralTest,
     WeightedGraph,
     articulation_points_bruteforce,
@@ -40,6 +41,7 @@ from biconcert import (
     locally_biconnected,
     neighbor_weight_vector,
     perturbed_laplacian,
+    proximity_graph,
     reduced_graph,
     report_csv_rows,
     report_to_dict,
@@ -103,10 +105,10 @@ class TestSpectralCertificate:
                 g, 1, PerturbationConfig(eps), BoundMode.SIMPLIFIED
             )
             assert cert_simple.lambda3_perturbed == pytest.approx(3 * eps, abs=1e-12)
-            assert cert_simple.simplified_bound == pytest.approx(
+            assert cert_simple.test.simplified_bound == pytest.approx(
                 eps * math.sqrt(6.0), abs=1e-12
             )
-            assert cert_simple.exact_norm_bound == pytest.approx(
+            assert cert_simple.test.exact_norm_bound == pytest.approx(
                 eps * math.sqrt(10.0), abs=1e-12
             )
             # simplified constant certifies an actual articulation point
@@ -494,13 +496,11 @@ class TestSerialization:
         # Hand-made records: the cell rules, not LAPACK's last bits, decide the text.
         report = BiconnectivityReport(
             nodes=(
-                NodeCertificate(1234567, True, None, None, None, certified=False),
+                NodeCertificate(1234567, True, None, certified=False),
                 NodeCertificate(
                     node=3,
                     locally_biconnected=False,
-                    lambda3_perturbed=0.123456789,
-                    simplified_bound=0.1,
-                    exact_norm_bound=2.0,
+                    test=SpectralTest(3, 0.05, 0.123456789, 0.1, 2.0, 0.001),
                     certified=True,
                     oracle_is_articulation=False,
                 ),
@@ -551,3 +551,42 @@ def test_oracle_only_adds_the_oracle_fields():
                 nodes=tuple(dataclasses.replace(c, oracle_is_articulation=None) for c in full.nodes),
                 oracle_biconnected=None,
             ) == plain
+
+
+def grid(k):
+    edges = [(r * k + c, r * k + c + 1, 1.0) for r in range(k) for c in range(k - 1)]
+    edges += [(r * k + c, (r + 1) * k + c, 1.0) for r in range(k - 1) for c in range(k)]
+    return from_edge_list(k * k, edges)
+
+
+def disk_graph(seed, n=200, radius=0.14):
+    rng = np.random.default_rng(seed)
+    while True:
+        g = proximity_graph(rng.random((n, 2)), ProximityModel(radius, 0.125))
+        if g.connected:
+            return g
+
+
+@pytest.mark.parametrize("mode", list(BoundMode), ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "make",
+    [path3, bowtie, lambda: cycle(5), lambda: grid(12), lambda: disk_graph(1)],
+    ids=["path3", "bowtie", "cycle5", "grid12", "disk200"],
+)
+def test_a_report_reproduces_its_own_verdicts(make, mode):
+    # every node that needs an eigensolve keeps the test it was judged by,
+    # tau included, and the report's numbers are that test's
+    g = make()
+    for eps in (1e-4, 0.05):
+        report = certify_graph(g, PerturbationConfig(eps), mode)
+        rows = report_to_dict(report)["nodes"]
+        for c, row in zip(report.nodes, rows, strict=True):
+            assert (c.test is None) == c.locally_biconnected
+            assert c.certified == (c.test is not None and c.test.certified(report.mode))
+            written = (row["lambda3"], row["simplified_bound"], row["exact_norm_bound"])
+            if c.test is None:
+                assert written == (None, None, None)
+                continue
+            assert (c.test.node, c.test.epsilon) == (c.node, eps)
+            assert math.isfinite(c.test.tau)
+            assert written == (c.test.lambda3, c.test.simplified_bound, c.test.exact_norm_bound)

@@ -206,6 +206,26 @@ def test_sweep_grid_count_too_large_exit_four(tmp_path, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "5", "--seed", "1", "--radius", "1"],
+        ["check"],
+        ["oracle"],
+        ["sweep"],
+        ["export"],
+        ["verify", "--seed", "1", "--graphs", "1", "--trials", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_exit_four(tmp_path, capsys, argv):
+    g, out = tmp_path / "p3.json", tmp_path / "missing" / "x.json"
+    write_graph(g, P3_DOC)
+    inputs = [] if argv[0] in ("gen", "verify") else ["--input", str(g)]
+    assert run([*argv, *inputs, "--output", str(out)]) == 4
+    assert one_error_line(capsys).startswith(f"cannot write {out}: ")
+
+
 class TestSweep:
     def test_output_is_bicon_rows(self, tmp_path):
         g = tmp_path / "k4.json"
