@@ -15,11 +15,15 @@ solves it with one call of
 :func:`biconcert.spectral.symmetric_eigen` or
 :func:`biconcert.spectral.general_eigen`; every member equals its
 one-matrix definition bit for bit, so the results are those of one solve
-per matrix, in node-major order. :func:`run_suite` builds one case per
-corpus graph over all of its nodes. The public ``check_*`` functions run the
-same check on a one-node case. Each, like ``run_suite`` per graph, first
-calls :func:`biconcert.bicon.require_connected` (connected input, and n >= 3
-where stated); the rank-one check also needs gamma != 0.
+per matrix, in node-major order. A check family returns its cases as the
+arrays it computed (errors, verdicts, detail columns), not as one object per
+case. :func:`run_suite` builds one case per corpus graph over all of its
+nodes and folds each check's arrays over the corpus: it builds outcomes only
+for the worst case and the first failure, whose witness it writes. The
+public ``check_*`` functions run the same check on a one-node case and build
+its outcome the same way. Each, like ``run_suite`` per graph, first calls
+:func:`biconcert.bicon.require_connected` (connected input, and n >= 3 where
+stated); the rank-one check also needs gamma != 0.
 
 The checks:
 
@@ -46,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -134,29 +137,31 @@ def _witness(g: WeightedGraph, i: NodeId, **params) -> dict:
     return {"graph": graph_to_dict(g), "node": i, **params}
 
 
-def _outcomes(
-    name: str, g: WeightedGraph, nodes, params: list[dict], err, passed, **details
-) -> list[CheckOutcome]:
-    """One outcome per node and entry of ``params``, node-major.
+class _Cases:
+    """One check's cases on one graph, as arrays: row r is ``nodes[r]``, column c ``params[c]``.
 
-    ``err``, ``passed`` and every ``details`` column broadcast to
-    ``(len(nodes), len(params))`` and come out as plain Python values;
-    ``params`` holds each column's witness parameters for failing cases.
+    ``params`` holds each column's witness parameters. ``err``, ``passed``
+    and every ``details`` column broadcast to ``(len(nodes), len(params))``;
+    ``err`` and ``passed`` are kept flat, in node-major case order.
     """
-    shape = (len(nodes), len(params))
-    err, passed, *columns = (
-        np.broadcast_to(x, shape).ravel().tolist() for x in (err, passed, *details.values())
-    )
-    return [
-        CheckOutcome(
-            name=name,
+
+    def __init__(self, name, g: WeightedGraph, nodes, params: list[dict], err, passed, **details):
+        self.name, self.g, self.nodes, self.params, self.details = name, g, nodes, params, details
+        self.shape = (len(nodes), len(params))
+        self.err = np.broadcast_to(err, self.shape).ravel()
+        self.passed = np.broadcast_to(passed, self.shape).ravel()
+
+    def outcome(self, k: int) -> CheckOutcome:
+        """Case k as its own outcome, in plain Python values; a failing case carries its witness."""
+        r, c = divmod(k, len(self.params))
+        ok = self.passed.item(k)
+        return CheckOutcome(
+            name=self.name,
             passed=ok,
-            max_error=e,
-            witness=None if ok else _witness(g, i, **p),
-            details=dict(zip(details, row)),
+            max_error=self.err.item(k),
+            witness=None if ok else _witness(self.g, self.nodes[r], **self.params[c]),
+            details={key: np.broadcast_to(x, self.shape).item(k) for key, x in self.details.items()},
         )
-        for (i, p), e, ok, *row in zip(product(nodes, params), err, passed, *columns)
-    ]
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
@@ -255,14 +260,14 @@ class _GraphCase:
 
 def _intermediate_spectrum(
     case: _GraphCase, eps: tuple[float, ...], tol_factor: float
-) -> list[CheckOutcome]:
+) -> _Cases:
     p_eigs = case.intermediate_eigs(eps)
     l_mat = case.perturbed(eps)
     l_eigs = symmetric_eigen(l_mat)
     real = np.abs(np.sort(p_eigs.real, axis=-1) - l_eigs[..., 1:]).max(axis=-1)
     imag = np.abs(p_eigs.imag).max(axis=-1)
     tol = tol_factor * np.maximum(1.0, _frobenius(l_mat))
-    return _outcomes(
+    return _Cases(
         "intermediate-spectrum-match",
         case.g,
         case.nodes,
@@ -285,18 +290,17 @@ def check_intermediate_spectrum(
     index; imaginary parts must vanish.
     """
     require_connected(g, 3)
-    (outcome,) = _intermediate_spectrum(_GraphCase(g, [i]), (eps,), tol_factor)
-    return outcome
+    return _intermediate_spectrum(_GraphCase(g, [i]), (eps,), tol_factor).outcome(0)
 
 
 def _combination_realness(
     case: _GraphCase, params: list[CombinationParams], tol_factor: float
-) -> list[CheckOutcome]:
+) -> _Cases:
     f = case.combination(params)
     err = np.abs(general_eigen(f).imag).max(axis=-1)
     tol = tol_factor * np.maximum(1.0, _frobenius(f))
     witness = [{"alpha": p.alpha, "beta": p.beta, "epsilon": p.epsilon} for p in params]
-    return _outcomes(
+    return _Cases(
         "combination-realness", case.g, case.nodes, witness, err, err <= tol, tolerance=tol
     )
 
@@ -309,19 +313,18 @@ def check_combination_realness(
 ) -> CheckOutcome:
     """``alpha * L_reduced + beta * P`` must have a purely real spectrum."""
     require_connected(g)
-    (outcome,) = _combination_realness(_GraphCase(g, [i]), [params], tol_factor)
-    return outcome
+    return _combination_realness(_GraphCase(g, [i]), [params], tol_factor).outcome(0)
 
 
 def _eigenvalue_gap_bound(
     case: _GraphCase, eps: tuple[float, ...], tol: float
-) -> list[CheckOutcome]:
+) -> _Cases:
     a_desc = np.sort(case.intermediate_eigs(eps).real, axis=-1)[..., ::-1]
     b_desc = np.sort(case.lr_eigs, axis=-1)[:, None, ::-1]
     gap = np.abs(a_desc - b_desc).max(axis=-1)
     norm = _frobenius(case.intermediate(eps) - case.lr[:, None])
     err = np.maximum(0.0, gap - norm)
-    return _outcomes(
+    return _Cases(
         "eigenvalue-gap-bound",
         case.g,
         case.nodes,
@@ -343,8 +346,7 @@ def check_eigenvalue_gap_bound(
     the matrix difference (plus ``tol`` of slack for roundoff).
     """
     require_connected(g)
-    (outcome,) = _eigenvalue_gap_bound(_GraphCase(g, [i]), (eps,), tol)
-    return outcome
+    return _eigenvalue_gap_bound(_GraphCase(g, [i]), (eps,), tol).outcome(0)
 
 
 def rank_one_update_matrix(
@@ -357,8 +359,8 @@ def rank_one_update_matrix(
 
 def _rank_one_update_spectrum(
     case: _GraphCase, params: list[tuple[float, float]], tol: float
-) -> list[CheckOutcome]:
-    """One outcome per node and ``(gamma, eta)`` pair of ``params``."""
+) -> _Cases:
+    """One case per node and ``(gamma, eta)`` pair of ``params``."""
     gamma, eta = np.array(params).T
     q_eigs = general_eigen(case.rank_one(gamma, eta))
     l_null = np.array(case.null_multiplicity)[:, None]
@@ -371,7 +373,7 @@ def _rank_one_update_spectrum(
     real = np.abs(np.sort(q_eigs.real, axis=-1) - np.sort(expected, axis=-1)).max(axis=-1)
     imag = np.abs(q_eigs.imag).max(axis=-1)
     err = np.maximum(real, imag)
-    return _outcomes(
+    return _Cases(
         "rank-one-update-spectrum",
         case.g,
         case.nodes,
@@ -403,50 +405,49 @@ def check_rank_one_update_spectrum(
     require_connected(g, 3)
     if gamma == 0.0:
         raise PreconditionError("gamma must be nonzero")
-    (outcome,) = _rank_one_update_spectrum(_GraphCase(g, [i]), [(gamma, eta)], tol)
-    return outcome
+    return _rank_one_update_spectrum(_GraphCase(g, [i]), [(gamma, eta)], tol).outcome(0)
 
 
-def _match_moving_eigenvalue(
-    actual: np.ndarray, stationary: np.ndarray
-) -> tuple[float, list[float]]:
-    """Split a spectrum into the stationary matches and the one leftover.
+def _match_movers(actual: np.ndarray, stationary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split each row of ``actual`` into the stationary matches and the one leftover.
 
-    Greedy nearest-value matching: for each expected stationary eigenvalue
-    (largest magnitude first) remove the closest remaining actual value; the
-    single value left over is the one that moved off the null cluster.
-    Returns (moving value, matched stationary actual values in expected order).
+    Greedy nearest-value matching, row by row: for each expected stationary
+    eigenvalue (largest magnitude first, equal magnitudes in index order)
+    take the closest actual value not yet taken, the first of equally close
+    ones; the single value left over is the one that moved off the null
+    cluster. ``actual`` has one column more than ``stationary``. Returns
+    (each row's moving value, matched actual values in expected order).
     """
-    pool = list(actual)
-    matched = [0.0] * len(stationary)
-    order = sorted(range(len(stationary)), key=lambda k: -abs(stationary[k]))
-    for k in order:
-        target = stationary[k]
-        best = min(range(len(pool)), key=lambda idx: abs(pool[idx] - target))
-        matched[k] = pool.pop(best)
-    assert len(pool) == 1
-    return pool[0], matched
+    rows = np.arange(len(actual))
+    taken = np.zeros(actual.shape, dtype=bool)
+    matched = np.empty(stationary.shape)
+    for k in np.argsort(-np.abs(stationary), axis=-1, kind="stable").T:
+        dist = np.abs(actual - stationary[rows, k][:, None])
+        dist[taken] = np.inf
+        best = np.argmin(dist, axis=-1)
+        taken[rows, best] = True
+        matched[rows, k] = actual[rows, best]
+    return actual[~taken], matched
 
 
-def _null_drift_derivative(case: _GraphCase, step: float, tol: float) -> list[CheckOutcome]:
+def _null_drift_derivative(case: _GraphCase, step: float, tol: float) -> _Cases:
     # gamma = 1 at eta = +step and eta = -step
     eigs = general_eigen(case.rank_one(np.ones(2), np.array([step, -step]))).real
-    movers, null_drift = [], []
-    for r, l_null in enumerate(case.null_multiplicity):
-        stationary = np.concatenate([np.zeros(l_null - 1), case.lr_eigs[r][l_null:]])
-        mover_plus, matched_plus = _match_moving_eigenvalue(eigs[r, 0], stationary)
-        mover_minus, matched_minus = _match_moving_eigenvalue(eigs[r, 1], stationary)
-        movers.append(mover_plus - mover_minus)
-        drift = np.subtract(matched_plus[: l_null - 1], matched_minus[: l_null - 1]) / (2.0 * step)
-        null_drift.append(np.max(np.abs(drift), initial=0.0))
-    derivative = np.array(movers)[:, None] / (2.0 * step)
+    count, _, m = eigs.shape
+    # the stationary spectrum: l - 1 zeros, then the reduced spectrum above its l null values
+    null = np.arange(m - 1) < np.array(case.null_multiplicity)[:, None] - 1
+    stationary = np.where(null, 0.0, case.lr_eigs[:, 1:])
+    moving, matched = _match_movers(eigs.reshape(2 * count, m), np.repeat(stationary, 2, axis=0))
+    moving, matched = moving.reshape(count, 2), matched.reshape(count, 2, m - 1)
+    derivative = (moving[:, :1] - moving[:, 1:]) / (2.0 * step)
+    drift = np.abs((matched[:, 0] - matched[:, 1]) / (2.0 * step))
+    null_drift = np.max(drift, axis=1, where=null, initial=0.0)[:, None]
     trace = np.sum(case.a, axis=1)[:, None]
     scaled = (case.g.n - 1) * trace
     err_trace = np.abs(derivative - trace) / np.maximum(1e-300, np.abs(trace))
     err_scaled = np.abs(derivative - scaled) / np.maximum(1e-300, np.abs(scaled))
-    null_drift = np.array(null_drift)[:, None]
     err = np.maximum(np.minimum(err_trace, err_scaled), null_drift)
-    return _outcomes(
+    return _Cases(
         "null-drift-derivative",
         case.g,
         case.nodes,
@@ -482,8 +483,7 @@ def check_null_drift_derivative(
     ``tol``.
     """
     require_connected(g, 3)
-    (outcome,) = _null_drift_derivative(_GraphCase(g, [i]), step, tol)
-    return outcome
+    return _null_drift_derivative(_GraphCase(g, [i]), step, tol).outcome(0)
 
 
 # ---------------------------------------------------------------------------
@@ -638,22 +638,28 @@ _SUITE_DRAWS = 5
 
 
 def _aggregate(
-    name: str, cases: list[CheckOutcome], found: list[dict] | None = None, **details
+    name: str, cases: list[_Cases], found: list[dict] | None = None, **details
 ) -> CheckOutcome:
     """The outcome of check ``name``, with ``details`` added to its own.
 
-    Over per-case outcomes it passes when every case passed, and carries the
-    worst error with that case's details, the case and failure counts, and
-    the first failure's witness. A certificate search has no cases but the
-    witnesses it ``found``: it carries their count and the first of them, and
-    every witness counts as a failure unless the search is informational.
+    Over the cases of a check it passes when every case passed, and carries
+    the worst error with that case's details (the case ``max`` picks: the
+    first maximum, a NaN only as the first case), the case and failure
+    counts, and the first failure's witness. A certificate search has no
+    cases but the witnesses it ``found``: it carries their count and the
+    first of them, and every witness counts as a failure unless the search
+    is informational.
     """
     if found is None:
-        failed = [c for c in cases if not c.passed]
-        worst = max(cases, key=lambda c: c.max_error, default=None)
+        err = np.concatenate([np.zeros(0), *(c.err for c in cases)])
+        failed = np.flatnonzero(~np.concatenate([np.ones(0, bool), *(c.passed for c in cases)]))
+        worst = None
+        if err.size:
+            nan = np.isnan(err)
+            worst = _case(cases, 0 if nan[0] else np.argmax(np.where(nan, -np.inf, err)))
         error = worst.max_error if worst else 0.0
-        witness = failed[0].witness if failed else None
-        counts = {"cases": len(cases), "failures": len(failed)}
+        witness = _case(cases, failed[0]).witness if failed.size else None
+        counts = {"cases": err.size, "failures": failed.size}
         details = {**(worst.details if worst else {}), **counts, **details}
     else:
         failed = [] if name in INFORMATIONAL_CHECKS else found
@@ -661,8 +667,17 @@ def _aggregate(
         witness = found[0] if found else None
         details = {"witnesses": len(found), **details}
     return CheckOutcome(
-        name=name, passed=not failed, max_error=error, witness=witness, details=details
+        name=name, passed=not len(failed), max_error=error, witness=witness, details=details
     )
+
+
+def _case(cases: list[_Cases], k) -> CheckOutcome:
+    """Case k of one check's cases, counted across graphs in order."""
+    for c in cases:
+        if k < c.err.size:
+            return c.outcome(int(k))
+        k -= c.err.size
+    raise IndexError(k)
 
 
 def suite_corpus(rng: np.random.Generator, n_graphs: int) -> list[WeightedGraph]:
@@ -702,61 +717,46 @@ def run_suite(
     rng = np.random.default_rng(seed)
     graphs = suite_corpus(rng, n_graphs)
 
-    per_case: list[CheckOutcome] = []
+    blocks: list[_Cases] = []
     for g in graphs:
         require_connected(g, 3)
         ab = rng.uniform(-2.0, 2.0, size=(_SUITE_DRAWS, 2))
         case = _GraphCase(g, range(g.n))
-        per_case += _intermediate_spectrum(case, _SUITE_EPS, tol["spectrum"])
-        per_case += _eigenvalue_gap_bound(case, _SUITE_EPS, tol["gap"])
         params = [
             CombinationParams(float(alpha), float(beta), 0.1)
             for alpha, beta in ab
             if not (alpha == 0.0 and beta == 0.0)
         ]
-        per_case += _combination_realness(case, params, tol["realness"])
-        per_case += _rank_one_update_spectrum(
-            case, [(gamma, _SUITE_ETA) for gamma in _SUITE_GAMMAS], tol["rank_one"]
-        )
-        per_case += _null_drift_derivative(case, FD_STEP, tol["derivative"])
-
         # Laplacian eigenvectors above the null space must be orthogonal to ones.
         lam, vecs = symmetric_eigen(laplacian(g), want_vectors=True)
         ortho = np.max(np.abs(np.ones(g.n) @ vecs[:, lam > NULL_TOL]), initial=0.0)
-        per_case += _outcomes(
-            "laplacian-eigenvector-orthogonality", g, [0], [{}], ortho, ortho <= 1e-8
-        )
         # brute force: removing i disconnects g
         cut_vertices = {i for i, count in zip(case.nodes, case.components) if count > 1}
         agree = articulation_points_oracle(g) == cut_vertices
-        per_case += _outcomes(
-            "articulation-oracle-agreement", g, [0], [{}], float(not agree), agree
-        )
+        blocks += [
+            _intermediate_spectrum(case, _SUITE_EPS, tol["spectrum"]),
+            _combination_realness(case, params, tol["realness"]),
+            _eigenvalue_gap_bound(case, _SUITE_EPS, tol["gap"]),
+            _rank_one_update_spectrum(
+                case, [(gamma, _SUITE_ETA) for gamma in _SUITE_GAMMAS], tol["rank_one"]
+            ),
+            _null_drift_derivative(case, FD_STEP, tol["derivative"]),
+            _Cases("laplacian-eigenvector-orthogonality", g, [0], [{}], ortho, ortho <= 1e-8),
+            _Cases("articulation-oracle-agreement", g, [0], [{}], float(not agree), agree),
+        ]
 
     for _ in range(max(1, 4 * n_graphs)):
         n = int(rng.integers(2, 24))
         g = random_graph(rng, n, float(rng.uniform(0.0, 0.6)))
         agree = is_connected_spectral(g, tol["connectivity"]) == is_connected_bfs(g)
-        per_case += _outcomes(
-            "connectivity-oracle-agreement", g, [0], [{}], float(not agree), agree
-        )
+        blocks.append(_Cases("connectivity-oracle-agreement", g, [0], [{}], float(not agree), agree))
 
-    cases = {
-        name: [c for c in per_case if c.name == name]
-        for name in (
-            "intermediate-spectrum-match",
-            "combination-realness",
-            "eigenvalue-gap-bound",
-            "rank-one-update-spectrum",
-            "laplacian-eigenvector-orthogonality",
-            "articulation-oracle-agreement",
-            "connectivity-oracle-agreement",
-            "null-drift-derivative",
-        )
-    }
+    cases: dict[str, list[_Cases]] = {}  # by check name, in the order of the report
+    for c in blocks:
+        cases.setdefault(c.name, []).append(c)
     drift = cases.pop("null-drift-derivative")
     matches = {
-        key: sum(c.details["matched_candidate"] == key for c in drift)
+        key: sum(int(np.sum(c.details["matched_candidate"] == key)) for c in drift)
         for key in ("trace", "scaled", "none")
     }
     exact = counterexample_search(trials, BoundMode.EXACT_NORM, seed + 1)

@@ -20,6 +20,7 @@ from biconcert import (
     counterexample_search,
     from_edge_list,
     graph_from_dict,
+    graph_to_dict,
     laplacian,
     random_connected_graph,
     reduced_graph,
@@ -35,7 +36,13 @@ from biconcert.graph_core import (
     reduced_laplacians,
 )
 from biconcert.spectral import general_eigen
-from biconcert.verify import _aggregate, outcome_to_dict, rank_one_update_matrix, suite_corpus
+from biconcert.verify import (
+    CheckOutcome,
+    _aggregate,
+    outcome_to_dict,
+    rank_one_update_matrix,
+    suite_corpus,
+)
 
 
 def path3():
@@ -268,6 +275,170 @@ class TestSuite:
             run_suite(seed=1, **{"n_graphs": 2, "trials": 2, **kwargs})
 
 
+def aggregate_reference(name, outcomes):
+    """Per-case outcomes folded one by one: the worst by ``max``, the first failure's witness."""
+    failed = [c for c in outcomes if not c.passed]
+    worst = max(outcomes, key=lambda c: c.max_error, default=None)
+    counts = {"cases": len(outcomes), "failures": len(failed)}
+    return CheckOutcome(
+        name=name,
+        passed=not failed,
+        max_error=worst.max_error if worst else 0.0,
+        witness=failed[0].witness if failed else None,
+        details={**(worst.details if worst else {}), **counts},
+    )
+
+
+def hand_built(g, err, passed):
+    """Cases of one graph from an (nodes, params) error table; ``tag`` numbers them in order."""
+    err = np.array(err, dtype=float)
+    params = [{"column": c} for c in range(err.shape[1])]
+    tag = np.arange(err.size).reshape(err.shape)
+    nodes = list(range(len(err)))
+    return verify._Cases("hand-built", g, nodes, params, err, passed, tag=tag, scale=2.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "tables, worst",
+    [
+        ([([[1.0, 3.0], [3.0, 0.5]], True)], (0, 1)),
+        ([([[2.0]], True), ([[0.5, 2.0]], True)], (0, 0)),
+        ([([[NAN, 5.0], [1.0, 2.0]], True)], (0, 0)),
+        ([([[1.0, NAN, 2.0]], True)], (0, 2)),
+        ([([[1.0, NAN, 0.5]], True)], (0, 0)),
+        ([([[1.0]], True), ([[NAN, 3.0]], True)], (1, 1)),
+        ([([[0.5, 4.0]], [[True, True]]), ([[9.0], [1.0]], [[True], [False]])], (1, 0)),
+        ([([[1.0, 2.0]], [[True, False]]), ([[5.0]], [[False]])], (1, 0)),
+        ([(np.zeros((0, 2)), True), ([[1.0, 1.0]], [[False, False]])], (1, 0)),
+        ([], None),
+        ([(np.zeros((0, 3)), True)], None),
+    ],
+    ids=[
+        "tie-keeps-first",
+        "tie-across-graphs-keeps-first",
+        "leading-nan-is-worst",
+        "later-nan-skipped",
+        "later-nan-never-worst",
+        "nan-first-in-a-later-graph-skipped",
+        "witness-in-a-later-graph",
+        "witness-of-the-first-failure",
+        "graph-without-cases",
+        "no-graphs",
+        "only-a-graph-without-cases",
+    ],
+)
+def test_aggregate_folds_arrays_as_per_case_outcomes(tables, worst):
+    graphs = [path3(), k3()]
+    blocks = [hand_built(graphs[b % 2], err, passed) for b, (err, passed) in enumerate(tables)]
+    got = _aggregate("hand-built", blocks)
+    want = aggregate_reference(
+        "hand-built", [c.outcome(k) for c in blocks for k in range(c.err.size)]
+    )
+    # json.dumps compares NaN errors and the order of keys as well
+    assert json.dumps(outcome_to_dict(got)) == json.dumps(outcome_to_dict(want))
+    failures = sum(int(np.sum(~c.passed)) for c in blocks)
+    assert got.details["cases"] == sum(c.err.size for c in blocks)
+    assert got.details["failures"] == failures and got.passed == (failures == 0)
+    if worst is None:
+        assert got.max_error == 0.0 and got.details == {"cases": 0, "failures": 0}
+    else:
+        block, tag = worst
+        assert got.details["tag"] == tag and got.details["scale"] == 2.0
+        assert np.array_equal(got.max_error, blocks[block].err[tag], equal_nan=True)
+    if failures:
+        first = next(c for c in blocks if not c.passed.all())
+        node, column = divmod(int(np.argmin(first.passed)), len(first.params))
+        want = {"graph": graph_to_dict(first.g), "node": node, "column": column}
+        assert got.witness == want
+
+
+def match_moving_eigenvalue(actual, stationary):
+    """Greedy nearest-value matching of one spectrum, as a scan of Python lists.
+
+    For each expected stationary eigenvalue (largest magnitude first) remove
+    the closest remaining actual value; the one value left over is the mover.
+    """
+    pool = list(actual)
+    matched = [0.0] * len(stationary)
+    order = sorted(range(len(stationary)), key=lambda k: -abs(stationary[k]))
+    for k in order:
+        target = stationary[k]
+        best = min(range(len(pool)), key=lambda idx: abs(pool[idx] - target))
+        matched[k] = pool.pop(best)
+    assert len(pool) == 1
+    return pool[0], matched
+
+
+def test_mover_match_equals_the_scalar_scan_on_tied_spectra():
+    rng = np.random.default_rng(41)
+    for m in (2, 3, 5, 9):
+        # small integers, some zeros negative: exact ties in distance and magnitude
+        actual = rng.integers(-3, 4, size=(300, m)) * rng.choice([1.0, -1.0], size=(300, m))
+        signs = rng.choice([1.0, -1.0], size=(300, m - 1))
+        stationary = rng.integers(-3, 4, size=(300, m - 1)) * signs
+        moving, matched = verify._match_movers(actual, stationary)
+        for r in range(len(actual)):
+            want_moving, want_matched = match_moving_eigenvalue(actual[r], stationary[r])
+            assert bits_equal(moving[r], want_moving)
+            assert bits_equal(matched[r], want_matched)
+
+
+def null_drift_reference(case, step):
+    """fd_derivative and null_drift of every node, one spectrum at a time."""
+    eigs = general_eigen(case.rank_one(np.ones(2), np.array([step, -step]))).real
+    movers, null_drift = [], []
+    for r, l_null in enumerate(case.null_multiplicity):
+        stationary = np.concatenate([np.zeros(l_null - 1), case.lr_eigs[r][l_null:]])
+        mover_plus, matched_plus = match_moving_eigenvalue(eigs[r, 0], stationary)
+        mover_minus, matched_minus = match_moving_eigenvalue(eigs[r, 1], stationary)
+        movers.append(mover_plus - mover_minus)
+        drift = np.subtract(matched_plus[: l_null - 1], matched_minus[: l_null - 1]) / (2.0 * step)
+        null_drift.append(np.max(np.abs(drift), initial=0.0))
+    return np.array(movers)[:, None] / (2.0 * step), np.array(null_drift)[:, None]
+
+
+def test_null_drift_matches_the_scalar_scan_on_every_node():
+    rng = np.random.default_rng(42)
+    corpus = verify.seed_graphs() + [
+        random_connected_graph(rng, int(rng.integers(3, 14)), style)
+        for style in ["er"] * 12 + ["geometric"] * 12
+    ]
+    multiplicities = []
+    for g in corpus:
+        case = verify._GraphCase(g, range(g.n))
+        multiplicities.append(max(case.null_multiplicity))
+        got = verify._null_drift_derivative(case, verify.FD_STEP, verify.DERIVATIVE_TOL)
+        derivative, null_drift = null_drift_reference(case, verify.FD_STEP)
+        assert bits_equal(got.details["fd_derivative"], derivative)
+        assert bits_equal(got.details["null_drift"], null_drift)
+    # path3's middle, the bowtie's and the star's centres: repeated zero targets
+    assert multiplicities[:3] == [2, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "tolerances", [None, {"spectrum": 0.0, "rank_one": 0.0}], ids=["default", "failing"]
+)
+def test_suite_builds_a_fixed_number_of_outcomes_per_check(monkeypatch, tolerances):
+    built = Counter()
+
+    def outcome_spy(**fields):
+        built[fields["name"]] += 1
+        return CheckOutcome(**fields)
+
+    monkeypatch.setattr(verify, "CheckOutcome", outcome_spy)
+    counts = []
+    for n_graphs in (8, 20):
+        built.clear()
+        run_suite(seed=3, n_graphs=n_graphs, trials=5, tolerances=tolerances)
+        counts.append(dict(built))
+    assert counts[0] == counts[1]
+    # the worst case, the first failure and the aggregate
+    assert max(counts[0].values()) <= 3
+
+
 PER_NODE_CHECKS = (
     "intermediate-spectrum-match",
     "combination-realness",
@@ -313,7 +484,7 @@ def per_node_checks_by_public_api(seed, n_graphs, tolerances=None):
             cases["null-drift-derivative"].append(
                 check_null_drift_derivative(g, i, tol=tol["derivative"])
             )
-    out = {name: outcome_to_dict(_aggregate(name, c)) for name, c in cases.items()}
+    out = {name: outcome_to_dict(aggregate_reference(name, c)) for name, c in cases.items()}
     matches = Counter({"trace": 0, "scaled": 0, "none": 0})
     matches.update(c.details["matched_candidate"] for c in cases["null-drift-derivative"])
     out["null-drift-derivative"]["details"]["candidate_matches"] = dict(matches)
