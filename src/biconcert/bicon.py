@@ -19,13 +19,16 @@ Two bound variants exist:
   is the standard counterexample). It is kept for comparison and for the
   counterexample search in :mod:`biconcert.verify`.
 
-:func:`spectral_tests` is the one certificate function: ``check``, ``sweep``
-and the counterexample search hand it all their (node, epsilon) problems,
-and it returns lambda3, its error bound tau, both bounds and the one
-comparison ``lambda3 - tau > bound`` for each. A :class:`NodeCertificate`
-holds the :class:`SpectralTest` it was judged by, tau included. The CSV rows
-of ``check`` and ``sweep`` come from :func:`report_csv_rows` and
-:func:`sweep_csv_rows`.
+:func:`spectral_tests_many` is the one certificate function: it takes a
+list of cases ``(graph, nodes, epsilons)`` and returns, for each (node,
+epsilon) problem of each case, lambda3, its error bound tau, both bounds and
+the one comparison ``lambda3 - tau > bound``. The dense problems of all
+cases of one order are solved in shared stacks. ``check`` and ``sweep``
+hand all their problems to :func:`spectral_tests`, its one-case call; the
+counterexample search hands it a block of trials at a time. A
+:class:`NodeCertificate` holds the :class:`SpectralTest` it was judged by,
+tau included. The CSV rows of ``check`` and ``sweep`` come from
+:func:`report_csv_rows` and :func:`sweep_csv_rows`.
 
 The combinatorial oracles (DFS low-link articulation points, brute-force
 remove-and-check, vertex-capacity max flow for internally disjoint paths)
@@ -50,7 +53,7 @@ from .graph_core import (
     reduced_graph,
 )
 # symmetric_eigen is bound here for perfbench/selftest.py's tracer check only.
-from .spectral import is_connected_bfs, perturbed_lambda3, symmetric_eigen
+from .spectral import is_connected_bfs, perturbed_lambda3_many, symmetric_eigen
 
 # Bytes of the weight rows the bounds read at a time. Blocks of 1 MiB raised
 # a grid-eigen cycle's peak RSS by 0.5 MB.
@@ -155,45 +158,66 @@ class SpectralTest:
 def spectral_tests(g: WeightedGraph, nodes, epsilons) -> list[SpectralTest]:
     """The spectral test of every node in ``nodes`` at every epsilon, node-major.
 
-    ``g`` must be connected with n >= 3. lambda3 and its error bound tau
-    come from :func:`biconcert.spectral.perturbed_lambda3`. Weights whose
-    weighted degree, or twice the largest one (``||L||_1``), overflows, and
-    an epsilon or a weight so large that a bound, a lambda3 or a tau
-    overflows, raise :class:`GraphInputError`: the degrees and the bounds
-    are checked before any solve.
+    The one-case call of :func:`spectral_tests_many`.
     """
-    require_connected(g, 3)
-    nodes = list(nodes)
-    cfgs = [PerturbationConfig(eps) for eps in epsilons]
-    eps = np.array([c.epsilon for c in cfgs])
-    for i in nodes:
-        _check_node(g, i)
-    with np.errstate(over="ignore"):  # degrees are >= 0: a finite 2 max covers them all
-        if not np.isfinite(2.0 * g.weights.sum(axis=1).max()):
-            raise GraphInputError("a weighted degree, or twice the largest, overflows; rescale the weights")
-    # Node i's weight vector is row i of the weights without its diagonal
-    # entry; as a stack of one vector, its bounds come out node-major.
-    simple = np.empty((len(nodes), len(eps)))
-    exact = np.empty_like(simple)
-    rows = max(1, _BOUND_BLOCK_BYTES // (8 * g.n))
-    for start in range(0, len(nodes), rows):
-        block = np.array(nodes[start : start + rows])
-        a = g.weights[block][np.arange(g.n) != block[:, None]].reshape(len(block), 1, g.n - 1)
-        with np.errstate(over="ignore"):  # an overflow is reported below
-            simple[start : start + rows] = simplified_bound(eps, g.n, a)
-            exact[start : start + rows] = exact_norm_bound(eps, a)
-    simple, exact = simple.ravel(), exact.ravel()
-    _require_finite("a certificate bound", eps, simple, exact)
-    # One problem per (node, epsilon), node-major like the bounds.
-    nodes, cfgs = [i for i in nodes for _ in cfgs], cfgs * len(nodes)
-    lam3, tau = perturbed_lambda3(g, nodes, cfgs)
-    _require_finite("lambda3 or its error bound", eps, lam3, tau)
-    return [
-        SpectralTest(i, cfg.epsilon, lam, s, e, t)
-        for i, cfg, lam, s, e, t in zip(
-            nodes, cfgs, lam3.tolist(), simple.tolist(), exact.tolist(), tau.tolist()
+    return spectral_tests_many([(g, nodes, epsilons)])[0]
+
+
+def spectral_tests_many(cases) -> list[list[SpectralTest]]:
+    """The spectral tests of every case ``(g, nodes, epsilons)``, one list per case.
+
+    A case's list holds the test of every node in ``nodes`` at every
+    epsilon, node-major. Each ``g`` must be connected with n >= 3. lambda3
+    and its error bound tau come from one call of
+    :func:`biconcert.spectral.perturbed_lambda3_many`, which solves the dense
+    problems of all cases of one order in shared stacks; a test's values do
+    not depend on the other cases. Weights whose weighted degree, or twice
+    the largest one (``||L||_1``), overflows, and an epsilon or a weight so
+    large that a bound, a lambda3 or a tau overflows, raise
+    :class:`GraphInputError`: the degrees and the bounds of every case are
+    checked before any solve.
+    """
+    problems, bounds = [], []
+    for g, nodes, epsilons in cases:
+        require_connected(g, 3)
+        nodes = list(nodes)
+        cfgs = [PerturbationConfig(eps) for eps in epsilons]
+        eps = np.array([c.epsilon for c in cfgs])
+        for i in nodes:
+            _check_node(g, i)
+        with np.errstate(over="ignore"):  # degrees are >= 0: a finite 2 max covers them all
+            if not np.isfinite(2.0 * g.weights.sum(axis=1).max()):
+                raise GraphInputError("a weighted degree, or twice the largest, overflows; rescale the weights")
+        # Node i's weight vector is row i of the weights without its diagonal
+        # entry; as a stack of one vector, its bounds come out node-major.
+        simple = np.empty((len(nodes), len(eps)))
+        exact = np.empty_like(simple)
+        rows = max(1, _BOUND_BLOCK_BYTES // (8 * g.n))
+        for start in range(0, len(nodes), rows):
+            block = np.array(nodes[start : start + rows])
+            a = g.weights[block][np.arange(g.n) != block[:, None]].reshape(len(block), 1, g.n - 1)
+            with np.errstate(over="ignore"):  # an overflow is reported below
+                simple[start : start + rows] = simplified_bound(eps, g.n, a)
+                exact[start : start + rows] = exact_norm_bound(eps, a)
+        simple, exact = simple.ravel(), exact.ravel()
+        _require_finite("a certificate bound", eps, simple, exact)
+        # One problem per (node, epsilon), node-major like the bounds.
+        problems.append((g, [i for i in nodes for _ in cfgs], cfgs * len(nodes)))
+        bounds.append((eps, simple, exact))
+    tests = []
+    for (_, nodes, cfgs), (eps, simple, exact), (lam3, tau) in zip(
+        problems, bounds, perturbed_lambda3_many(problems)
+    ):
+        _require_finite("lambda3 or its error bound", eps, lam3, tau)
+        tests.append(
+            [
+                SpectralTest(i, cfg.epsilon, lam, s, e, t)
+                for i, cfg, lam, s, e, t in zip(
+                    nodes, cfgs, lam3.tolist(), simple.tolist(), exact.tolist(), tau.tolist()
+                )
+            ]
         )
-    ]
+    return tests
 
 
 def _require_finite(what: str, eps: np.ndarray, *values: np.ndarray) -> None:

@@ -11,12 +11,14 @@ rest of the package relies on: ascending real eigenvalues for symmetric
 input, complex eigenvalues sorted by real then imaginary part otherwise, per
 row for a stack.
 
-:func:`perturbed_lambda3` owns lambda3 of the perturbed Laplacians
-``L_i(eps)`` of one graph. Below a measured crossover it solves each one
-densely; past it, :func:`_lambda3_batched` takes them all from a single
-eigendecomposition of ``L``. That narrows a bracket per problem whose ends
-move only by exact eigenvalue counts (Sylvester inertia of small Schur
-complements); secant steps place the trial points, and the bracket, not the
+:func:`perturbed_lambda3_many` owns lambda3 of the perturbed Laplacians
+``L_i(eps)`` of a list of cases, each one graph and its problems;
+:func:`perturbed_lambda3` is its one-case call. Below a measured crossover
+a case's problems are solved densely, in stacks shared by every case of the
+same order; past it, :func:`_lambda3_batched` takes them all from a single
+eigendecomposition of the case's ``L``. That narrows a bracket per problem
+whose ends move only by exact eigenvalue counts (Sylvester inertia of small
+Schur complements); secant steps place the trial points, and the bracket, not the
 step rule, carries the error bound. Both paths return lambda3 with the
 same error bound ``tau``, which scales with ``max(||L||, ||L_i(eps)||)``;
 only a problem whose bracket did not converge is solved again densely. The
@@ -34,6 +36,8 @@ cached ``connected``.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 
 import numpy as np
 
@@ -164,25 +168,54 @@ def perturbed_lambda3(g: WeightedGraph, nodes, cfgs) -> tuple[np.ndarray, np.nda
     problem. Returns ``(lam3, tau)``: each lambda3 lies within its ``tau =
     LAMBDA3_TAU_FACTOR * n * u * max(||L||_1, ||L_i(eps)||_1)`` of the exact
     one, on either path; it is ``inf`` where ``||L_i(eps)||_1`` overflows.
-    Past the crossover of :func:`_batched_pays`, only a problem whose bracket
-    did not converge (``tau = inf``) is solved densely; every dense problem
-    reads ``||L_i(eps)||_1`` from its own matrix (largest column sum) and is
-    solved in stacks of at most ``_BATCH_BYTES``.
+    The one-case call of :func:`perturbed_lambda3_many`.
     """
-    if _batched_pays(g, nodes):
-        lam3, tau = _lambda3_batched(g, nodes, [cfg.epsilon for cfg in cfgs])
-        dense = np.flatnonzero(np.isinf(tau)).tolist()
-    else:
-        lam3, tau, dense = np.empty(len(nodes)), np.empty(len(nodes)), list(range(len(nodes)))
-    per = max(1, _BATCH_BYTES // (8 * g.n * g.n))
-    for start in range(0, len(dense), per):
-        chunk = dense[start : start + per]
-        stack = perturbed_laplacians(g, [nodes[k] for k in chunk], [cfgs[k] for k in chunk])
-        lam3[chunk] = symmetric_eigen(stack)[:, 2]
-        with np.errstate(over="ignore"):  # tau = inf tells the caller
-            cols = np.abs(stack, out=stack).sum(axis=1).max(axis=1)  # ||L_i(eps)||_1
-        tau[chunk] = LAMBDA3_TAU_FACTOR * _roundoff_scale(g, cols)
-    return lam3, tau
+    return perturbed_lambda3_many([(g, nodes, cfgs)])[0]
+
+
+def perturbed_lambda3_many(cases) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`perturbed_lambda3` of every case ``(g, nodes, cfgs)``, one ``(lam3, tau)`` per case.
+
+    Past the crossover of :func:`_batched_pays`, a case's problems go to
+    :func:`_lambda3_batched`, and only those whose bracket did not converge
+    (``tau = inf``) are solved densely. The dense problems of every case of
+    one order n share their stacks: in case order, at most ``_BATCH_BYTES``
+    of n x n matrices per ``symmetric_eigen`` call. Every dense problem reads
+    ``||L_i(eps)||_1`` from its own matrix (largest column sum). A stack's
+    member is solved as it would be alone, so how the cases are grouped
+    never changes a lambda3 or a tau.
+    """
+    results, dense = [], {}
+    for c, (g, nodes, cfgs) in enumerate(cases):
+        if _batched_pays(g, nodes):
+            lam3, tau = _lambda3_batched(g, nodes, [cfg.epsilon for cfg in cfgs])
+            todo = np.flatnonzero(np.isinf(tau)).tolist()
+        else:
+            lam3, tau, todo = np.empty(len(nodes)), np.empty(len(nodes)), range(len(nodes))
+        results.append((lam3, tau))
+        dense.setdefault(g.n, []).extend((c, k) for k in todo)
+    for n, problems in dense.items():
+        per = max(1, _BATCH_BYTES // (8 * n * n))
+        for start in range(0, len(problems), per):
+            runs = [
+                (c, [k for _, k in run])
+                for c, run in itertools.groupby(problems[start : start + per], key=operator.itemgetter(0))
+            ]
+            parts = [
+                perturbed_laplacians(cases[c][0], [cases[c][1][k] for k in ks], [cases[c][2][k] for k in ks])
+                for c, ks in runs
+            ]
+            stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            lam = symmetric_eigen(stack)[:, 2]
+            with np.errstate(over="ignore"):  # tau = inf tells the caller
+                cols = np.abs(stack, out=stack).sum(axis=1).max(axis=1)  # ||L_i(eps)||_1
+            at = 0
+            for c, ks in runs:
+                lam3, tau = results[c]
+                lam3[ks] = lam[at : at + len(ks)]
+                tau[ks] = LAMBDA3_TAU_FACTOR * _roundoff_scale(cases[c][0], cols[at : at + len(ks)])
+                at += len(ks)
+    return results
 
 
 def _roundoff_scale(g: WeightedGraph, cols: np.ndarray) -> np.ndarray:

@@ -43,7 +43,13 @@ The checks:
   forms (``sum(a)`` and ``(n - 1) * sum(a)``); which one matches is reported,
   not assumed.
 * :func:`counterexample_search` - randomized hunt for unsound certificates
-  under a chosen bound mode.
+  under a chosen bound mode. It draws its trials in blocks of
+  ``SEARCH_BLOCK`` and solves a block's trials of one order together, through
+  one :func:`biconcert.bicon.spectral_tests_many` call per block.
+
+:func:`random_graph` reads its uniforms in blocks, never drawing more than
+the pairs left need, so its stream, and every seeded corpus, is that of one
+draw at a time.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from .bicon import (
     BoundMode,
     articulation_points_oracle,
     require_connected,
-    spectral_tests,
+    spectral_tests_many,
 )
 from .errors import PreconditionError
 from .graph_core import (
@@ -91,6 +97,8 @@ RANK_ONE_TOL = 1e-7
 DERIVATIVE_TOL = 1e-3
 NULL_TOL = 1e-9
 FD_STEP = 1e-5
+# Trials of counterexample_search drawn and tested together.
+SEARCH_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -538,14 +546,36 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> WeightedGraph:
 
     Each pair i < j, in row-major order, draws one uniform; below p, a second
     draw gives the edge its weight. The seeded corpora depend on this order.
+    The uniforms are read in blocks with ``rng.random(k)``, which yields the
+    stream of k single draws: when a block runs out at pair k, the next one
+    holds ``pairs - k`` draws, since every pair from k on needs at least
+    one more draw. So no draw is wasted, and ``rng`` ends where single draws
+    leave it. ``p`` must lie in [0, 1].
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    w = np.zeros((n, n))
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"need 0 <= p <= 1, got {p}")
+    pairs = n * (n - 1) // 2
+    u, at, k = [], 0, 0
+    rows, cols, weights = [], [], []
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < p:
-                w[i, j] = w[j, i] = 1.0 - rng.random()
+            if at == len(u):
+                u, at = rng.random(pairs - k).tolist(), 0
+            hit = u[at] < p
+            at += 1
+            if hit:
+                if at == len(u):
+                    u, at = rng.random(pairs - k).tolist(), 0
+                rows.append(i)
+                cols.append(j)
+                weights.append(1.0 - u[at])
+                at += 1
+            k += 1
+    w = np.zeros((n, n))
+    w[rows, cols] = weights
+    w[cols, rows] = weights
     return WeightedGraph(n=n, weights=w)
 
 
@@ -577,7 +607,13 @@ def counterexample_search(
     The corpus starts with :func:`seed_graphs` and continues with random
     connected graphs; each trial draws one epsilon from {1e-3, 1e-2, 1e-1}
     and certifies every node. Deterministic for a fixed seed. Returns one
-    witness dict per violation.
+    witness dict per violation, in (trial, node) order.
+
+    Trials are drawn in blocks of ``SEARCH_BLOCK``, and every trial of a
+    block is tested by one :func:`biconcert.bicon.spectral_tests_many` call,
+    which solves the trials of one order together; only a trial with a
+    certified node runs the articulation oracle. The draws, and so every
+    graph and witness, are those of one trial after another.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -585,27 +621,33 @@ def counterexample_search(
     eps_choices = (1e-3, 1e-2, 1e-1)
     seeds = seed_graphs()
     witnesses: list[dict] = []
-    for t in range(trials):
-        if t < len(seeds):
-            g = seeds[t]
-        else:
-            style = "geometric" if t % 3 == 2 else "er"
-            g = random_connected_graph(rng, int(rng.integers(3, 13)), style=style)
-        eps = float(rng.choice(eps_choices))
-        points = articulation_points_oracle(g)
-        for test in spectral_tests(g, range(g.n), [eps]):
-            if test.certified(mode) and test.node in points:
-                witnesses.append(
-                    _witness(
-                        g,
-                        test.node,
-                        trial=t,
-                        epsilon=eps,
-                        mode=mode.value,
-                        lambda3=test.lambda3,
-                        bound=test.bound(mode),
-                    )
+    for start in range(0, trials, SEARCH_BLOCK):
+        block = []
+        for t in range(start, min(trials, start + SEARCH_BLOCK)):
+            if t < len(seeds):
+                g = seeds[t]
+            else:
+                style = "geometric" if t % 3 == 2 else "er"
+                g = random_connected_graph(rng, int(rng.integers(3, 13)), style=style)
+            # the draw of rng.choice(eps_choices), without its per-call overhead
+            block.append((t, g, eps_choices[int(rng.integers(0, len(eps_choices)))]))
+        found = spectral_tests_many([(g, range(g.n), [eps]) for _, g, eps in block])
+        for (t, g, eps), tests in zip(block, found):
+            certified = [test for test in tests if test.certified(mode)]
+            points = articulation_points_oracle(g) if certified else ()
+            witnesses += [
+                _witness(
+                    g,
+                    test.node,
+                    trial=t,
+                    epsilon=eps,
+                    mode=mode.value,
+                    lambda3=test.lambda3,
+                    bound=test.bound(mode),
                 )
+                for test in certified
+                if test.node in points
+            ]
     return witnesses
 
 

@@ -426,6 +426,53 @@ def test_small_or_dense_graphs_stay_on_the_dense_path(monkeypatch):
     spectral_tests(hub, range(80), [0.05])  # degree 79 > n / 10
 
 
+def mixed_cases():
+    """Cases of orders 7, 5 and 9, interleaved, and a 9 x 9 grid past the crossover."""
+    rng = np.random.default_rng(8)
+    cases = [(grid(9), range(81), [1e-4])]
+    for n in (7, 5, 7, 9, 5, 7):
+        g = random_connected_graph(rng, n)
+        cases.append((g, range(g.n), [1e-4, 0.05]))
+    cases.append((cases[1][0], [3, 3, 0], [0.5, 1.0, 3.0]))  # a graph twice, repeated nodes
+    return cases
+
+
+@pytest.mark.parametrize("per_chunk", [1, 5, None])
+def test_spectral_tests_many_equals_one_call_per_case(monkeypatch, per_chunk):
+    cases = mixed_cases()
+    want = [spectral_tests(*case) for case in cases]  # SpectralTest ==: every float bit for bit
+    original = np.linalg.eigvalsh
+    stacks = []
+
+    def spy(m, *args, **kwargs):
+        stacks.append(m.shape)
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    if per_chunk:
+        monkeypatch.setattr(spectral, "_BATCH_BYTES", per_chunk * 8 * 7 * 7)
+    assert bicon.spectral_tests_many(cases) == want
+    dense = [(count, n) for count, n, _ in stacks if n in (5, 7, 9)]  # the grid's Schur solves are 4 x 4
+    if per_chunk is None:
+        # every dense problem of one order in one stack, orders as they first appear
+        assert dense == [(3 * 7 * 2 + 9, 7), (2 * 5 * 2, 5), (9 * 2, 9)]
+    else:
+        assert all(count <= max(1, spectral._BATCH_BYTES // (8 * n * n)) for count, n in dense)
+        assert sum(count for count, n in dense if n == 7) == 3 * 7 * 2 + 9
+
+
+def test_spectral_tests_many_checks_every_case_before_any_solve(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("solved before every case was checked")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    cases = mixed_cases()
+    with pytest.raises(GraphInputError, match="a certificate bound overflows"):
+        bicon.spectral_tests_many(cases + [(cases[1][0], [0], [1e308])])
+    with pytest.raises(GraphInputError, match="node 7 out of range"):
+        bicon.spectral_tests_many(cases + [(cases[1][0], [7], [0.1])])
+
+
 @pytest.mark.parametrize("per_chunk", [1, 5])
 def test_dense_chunks_match_one_stack(monkeypatch, per_chunk):
     g = grid(7, seed=3)  # n below the crossover: every problem is dense

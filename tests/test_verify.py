@@ -1,17 +1,22 @@
 """Numerical checks: closed-form cases, determinism, and witness plumbing."""
 
+import hashlib
 import json
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import biconcert.bicon
+import biconcert.spectral as spectral
 import biconcert.verify as verify
 from biconcert import (
     BoundMode,
     CombinationParams,
     PreconditionError,
+    WeightedGraph,
+    articulation_points_oracle,
     check_combination_realness,
     check_eigenvalue_gap_bound,
     check_intermediate_spectrum,
@@ -25,6 +30,7 @@ from biconcert import (
     random_connected_graph,
     reduced_graph,
     run_suite,
+    spectral_tests,
     suite_passed,
     symmetric_eigen,
 )
@@ -240,6 +246,130 @@ class TestCounterexampleSearch:
             assert cert.certified
 
 
+def random_graph_reference(rng, n, p):
+    """random_graph's stream drawn one uniform at a time, pair by pair."""
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                w[i, j] = w[j, i] = 1.0 - rng.random()
+    return WeightedGraph(n=n, weights=w)
+
+
+def search_reference(trials, mode, seed):
+    """counterexample_search one trial at a time: one spectral_tests call and one oracle per trial."""
+    rng = np.random.default_rng(seed)
+    seeds = verify.seed_graphs()
+    witnesses = []
+    for t in range(trials):
+        if t < len(seeds):
+            g = seeds[t]
+        else:
+            style = "geometric" if t % 3 == 2 else "er"
+            g = random_connected_graph(rng, int(rng.integers(3, 13)), style=style)
+        eps = float(rng.choice((1e-3, 1e-2, 1e-1)))
+        points = articulation_points_oracle(g)
+        for test in spectral_tests(g, range(g.n), [eps]):
+            if test.certified(mode) and test.node in points:
+                witnesses.append(
+                    {
+                        "graph": graph_to_dict(g),
+                        "node": test.node,
+                        "trial": t,
+                        "epsilon": eps,
+                        "mode": mode.value,
+                        "lambda3": test.lambda3,
+                        "bound": test.bound(mode),
+                    }
+                )
+    return witnesses
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("mode", list(BoundMode), ids=lambda m: m.value)
+def test_search_equals_the_per_trial_reference(monkeypatch, seed, mode):
+    counts = (1, 4, 60, 2 * verify.SEARCH_BLOCK + 1)  # the last spans three blocks
+    with monkeypatch.context() as m:
+        m.setattr(verify, "random_graph", random_graph_reference)
+        want = [search_reference(trials, mode, seed) for trials in counts]
+    for trials, witnesses in zip(counts, want):
+        # == on the witness dicts: every float bit for bit
+        assert counterexample_search(trials, mode, seed) == witnesses, trials
+    if mode is BoundMode.SIMPLIFIED:
+        assert want[0]  # path3, the first trial, is always a witness
+
+
+def test_search_solves_hold_one_block_of_trials(monkeypatch):
+    """Every stacked dense solve of the search holds trials of one block and one order."""
+    blocks, solves, members = [], [], []
+    many, build, solve = verify.spectral_tests_many, spectral.perturbed_laplacians, spectral.symmetric_eigen
+
+    def many_spy(cases):
+        cases = list(cases)
+        blocks.append([g for g, _, _ in cases])
+        return many(cases)
+
+    def build_spy(g, nodes, cfgs):
+        members.append(g)
+        return build(g, nodes, cfgs)
+
+    def solve_spy(m, *args, **kwargs):
+        solves.append((len(blocks) - 1, members[:]))
+        members.clear()
+        return solve(m, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "spectral_tests_many", many_spy)
+    monkeypatch.setattr(spectral, "perturbed_laplacians", build_spy)
+    monkeypatch.setattr(spectral, "symmetric_eigen", solve_spy)
+    block = verify.SEARCH_BLOCK
+    counterexample_search(2 * block + 5, BoundMode.SIMPLIFIED, seed=3)
+    assert [len(b) for b in blocks] == [block, block, 5]
+    for b, graphs in solves:
+        assert graphs and all(any(g is h for h in blocks[b]) for g in graphs)
+        assert len({g.n for g in graphs}) == 1
+    # a block's trials of one order fit one _BATCH_BYTES stack: one solve each
+    assert len(solves) == sum(len({g.n for g in b}) for b in blocks)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_random_graph_matches_the_per_pair_stream(n):
+    pairs = n * (n - 1) // 2
+    for p in (0.0, 0.3, 0.9, 1.0):
+        for seed in range(3):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            rng.integers(3, 13), ref.integers(3, 13)  # leaves a buffered 32-bit half
+            got = verify.random_graph(rng, n, p)
+            want = random_graph_reference(ref, n, p)
+            assert got.weights.tobytes() == want.weights.tobytes(), (p, seed)
+            if p in (0.0, 1.0):  # every pair draws once at p = 0, twice at p = 1
+                fresh = np.random.default_rng(seed)
+                fresh.integers(3, 13)
+                fresh.random(pairs * (1 if p == 0.0 else 2))
+                assert rng.bit_generator.state == fresh.bit_generator.state
+            assert rng.random() == ref.random() and rng.integers(1 << 30) == ref.integers(1 << 30)
+
+
+@pytest.mark.parametrize("p", [math.nan, -0.1, 1.5, 2.0, -math.inf, math.inf])
+def test_random_graph_rejects_p_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match="0 <= p <= 1"):
+        verify.random_graph(np.random.default_rng(0), 5, p)
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (0, "d091cbd02e8a1a6cae1ae1a01d5b03faa41895fde4b49a44c72dc5e00297c617"),
+        (1, "8bc875104904aba9921494eef77ef84ef2e0fb536a6a909a6165e04973d22b02"),
+    ],
+)
+def test_suite_corpus_weights_are_pinned(seed, digest):
+    """The weight bytes of a 40-graph corpus, as drawn one uniform at a time."""
+    h = hashlib.sha256()
+    for g in suite_corpus(np.random.default_rng(seed), 40):
+        h.update(g.weights.tobytes())
+    assert h.hexdigest() == digest
+
+
 class TestSuite:
     def test_suite_passes_and_is_deterministic(self):
         out1 = run_suite(seed=101, n_graphs=10, trials=20)
@@ -254,7 +384,6 @@ class TestSuite:
         assert by_name["certificate-search-exact"].details["witnesses"] == 0
         drift = by_name["null-drift-derivative"]
         assert drift.details["candidate_matches"]["none"] == 0
-
 
     @pytest.mark.parametrize(
         "kwargs, message",
