@@ -23,7 +23,8 @@ Two bound variants exist:
 list of cases ``(graph, nodes, epsilons)`` and returns, for each (node,
 epsilon) problem of each case, lambda3, its error bound tau, both bounds and
 the one comparison ``lambda3 - tau > bound``. The dense problems of all
-cases of one order are solved in shared stacks. ``check`` and ``sweep``
+cases of one order form one flat list, solved a stack at a time; each reads
+``||L||_1`` from its own graph's cached ``degrees``. ``check`` and ``sweep``
 hand all their problems to :func:`spectral_tests`, its one-case call; the
 counterexample search hands it a block of trials at a time. A
 :class:`NodeCertificate` holds the :class:`SpectralTest` it was judged by,
@@ -171,11 +172,11 @@ def spectral_tests_many(cases) -> list[list[SpectralTest]]:
     and its error bound tau come from one call of
     :func:`biconcert.spectral.perturbed_lambda3_many`, which solves the dense
     problems of all cases of one order in shared stacks; a test's values do
-    not depend on the other cases. Weights whose weighted degree, or twice
-    the largest one (``||L||_1``), overflows, and an epsilon or a weight so
-    large that a bound, a lambda3 or a tau overflows, raise
-    :class:`GraphInputError`: the degrees and the bounds of every case are
-    checked before any solve.
+    not depend on the other cases. Weights whose weighted degree
+    (``g.degrees``), or twice the largest one (``||L||_1``), overflows, and
+    an epsilon or a weight so large that a bound, a lambda3 or a tau
+    overflows, raise :class:`GraphInputError`: the degrees and the bounds of
+    every case are checked before any solve.
     """
     problems, bounds = [], []
     for g, nodes, epsilons in cases:
@@ -185,9 +186,8 @@ def spectral_tests_many(cases) -> list[list[SpectralTest]]:
         eps = np.array([c.epsilon for c in cfgs])
         for i in nodes:
             _check_node(g, i)
-        with np.errstate(over="ignore"):  # degrees are >= 0: a finite 2 max covers them all
-            if not np.isfinite(2.0 * g.weights.sum(axis=1).max()):
-                raise GraphInputError("a weighted degree, or twice the largest, overflows; rescale the weights")
+        if not np.isfinite(2.0 * float(g.degrees.max())):  # degrees are >= 0: a finite 2 max covers them all
+            raise GraphInputError("a weighted degree, or twice the largest, overflows; rescale the weights")
         # Node i's weight vector is row i of the weights without its diagonal
         # entry; as a stack of one vector, its bounds come out node-major.
         simple = np.empty((len(nodes), len(eps)))

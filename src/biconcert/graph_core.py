@@ -5,7 +5,8 @@ adjacency, degree and Laplacian matrices, node removal, per-node edge
 scaling, the per-node intermediate matrix whose spectrum mirrors the scaled
 Laplacian, and the disk-based proximity model for planar layouts.
 :attr:`WeightedGraph.connected` runs :func:`reachable`, the one graph search,
-on first use and keeps the answer.
+on first use and keeps the answer; :attr:`WeightedGraph.degrees`, the one sum
+of the weighted degrees ``W 1``, is kept the same way.
 :func:`perturbed_laplacian` builds ``L_i(eps)`` densely: it is the reference
 path of the certificate, which large batches of (node, epsilon) problems
 replace by one eigendecomposition of :func:`laplacian` (see
@@ -21,8 +22,8 @@ then decides and weighs each candidate with ``math.hypot`` and ``math.exp``,
 whose results (unlike numpy's, which can differ in the last ulp) fix the
 bytes of generated graph files. :attr:`WeightedGraph.adjacency`, every
 node's neighbour list, comes from one scan on first use and is kept, like
-``connected``; :meth:`WeightedGraph.neighbors`, the local test and the
-oracles read it.
+``connected`` and ``degrees``; :meth:`WeightedGraph.neighbors`, the local
+test and the oracles read it.
 
 The loader is vectorized: :func:`graph_from_dict` checks the shape and the
 types of every edge entry in one pass over their types and lengths; it and
@@ -101,6 +102,15 @@ class WeightedGraph:
     def connected(self) -> bool:
         """Every node reachable from node 0; searched on first use, then kept."""
         return bool(reachable(self.weights > 0.0, 0).all())
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Weighted degrees ``weights.sum(axis=1)``, read-only; summed on first use, then kept.
+
+        A degree past the float range is ``inf``, without a warning.
+        """
+        with np.errstate(over="ignore"):
+            return _readonly(self.weights.sum(axis=1))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[NodeId, ...], ...]:
@@ -278,8 +288,7 @@ def proximity_graph(positions, model: ProximityModel) -> WeightedGraph:
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """Degree matrix minus adjacency: symmetric PSD with zero row sums."""
-    w = g.weights
-    return np.diag(w.sum(axis=1)) - w
+    return np.diag(g.degrees) - g.weights
 
 
 def neighbor_weight_vector(g: WeightedGraph, i: NodeId) -> np.ndarray:

@@ -12,15 +12,16 @@ input, complex eigenvalues sorted by real then imaginary part otherwise, per
 row for a stack.
 
 :func:`perturbed_lambda3_many` owns lambda3 of the perturbed Laplacians
-``L_i(eps)`` of a list of cases, each one graph and its problems;
-:func:`perturbed_lambda3` is its one-case call. Below a measured crossover
-a case's problems are solved densely, in stacks shared by every case of the
-same order; past it, :func:`_lambda3_batched` takes them all from a single
-eigendecomposition of the case's ``L``. That narrows a bracket per problem
-whose ends move only by exact eigenvalue counts (Sylvester inertia of small
+``L_i(eps)`` of a list of cases, each one graph and its problems. Below a
+measured crossover a case's problems are solved densely: the dense problems
+of every case of one order form one flat list, cut into stacks of
+``_BATCH_BYTES``; past it, :func:`_lambda3_batched` takes them all from a
+single eigendecomposition of the case's ``L``. That narrows a bracket per
+problem whose ends move only by exact eigenvalue counts (Sylvester inertia of small
 Schur complements); secant steps place the trial points, and the bracket, not the
 step rule, carries the error bound. Both paths return lambda3 with the
-same error bound ``tau``, which scales with ``max(||L||, ||L_i(eps)||)``;
+same error bound ``tau``, which scales with ``max(||L||, ||L_i(eps)||)``,
+``||L||_1`` twice the largest of the graph's cached ``degrees``;
 only a problem whose bracket did not converge is solved again densely. The
 Schur complement is ``S(mu) = I / rho - M(mu)`` with ``rho = 1 - eps`` and
 an eps-free ``M(mu) = U^T (diag(lam) - mu)^-1 U`` whose factor ``U`` belongs
@@ -36,13 +37,11 @@ cached ``connected``.
 from __future__ import annotations
 
 import functools
-import itertools
-import operator
 
 import numpy as np
 
 from .errors import EigenConvergenceError, PreconditionError
-from .graph_core import WeightedGraph, _check_node, laplacian, perturbed_laplacians
+from .graph_core import WeightedGraph, _check_node, laplacian, perturbed_laplacian
 
 SYMMETRY_RTOL = 1e-10
 CONNECTIVITY_TOL = 1e-9
@@ -161,31 +160,24 @@ def _batched_pays(g: WeightedGraph, nodes) -> bool:
     return degree * BATCH_DEGREE_RATIO <= g.n
 
 
-def perturbed_lambda3(g: WeightedGraph, nodes, cfgs) -> tuple[np.ndarray, np.ndarray]:
-    """lambda3 of ``perturbed_laplacian(g, i, cfg)`` and its error bound, for every pair of ``zip(nodes, cfgs)``.
-
-    ``g`` must have n >= 3; ``nodes`` and ``cfgs`` hold one entry per
-    problem. Returns ``(lam3, tau)``: each lambda3 lies within its ``tau =
-    LAMBDA3_TAU_FACTOR * n * u * max(||L||_1, ||L_i(eps)||_1)`` of the exact
-    one, on either path; it is ``inf`` where ``||L_i(eps)||_1`` overflows.
-    The one-case call of :func:`perturbed_lambda3_many`.
-    """
-    return perturbed_lambda3_many([(g, nodes, cfgs)])[0]
-
-
 def perturbed_lambda3_many(cases) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`perturbed_lambda3` of every case ``(g, nodes, cfgs)``, one ``(lam3, tau)`` per case.
+    """lambda3 of ``perturbed_laplacian(g, i, cfg)`` and its error bound, for every case ``(g, nodes, cfgs)``.
 
-    Past the crossover of :func:`_batched_pays`, a case's problems go to
-    :func:`_lambda3_batched`, and only those whose bracket did not converge
-    (``tau = inf``) are solved densely. The dense problems of every case of
-    one order n share their stacks: in case order, at most ``_BATCH_BYTES``
-    of n x n matrices per ``symmetric_eigen`` call. Every dense problem reads
-    ``||L_i(eps)||_1`` from its own matrix (largest column sum). A stack's
-    member is solved as it would be alone, so how the cases are grouped
-    never changes a lambda3 or a tau.
+    Each ``g`` must have n >= 3; ``nodes`` and ``cfgs`` hold one entry per
+    problem. Returns one ``(lam3, tau)`` per case: each lambda3 lies within
+    its ``tau = LAMBDA3_TAU_FACTOR * n * u * max(||L||_1, ||L_i(eps)||_1)``
+    of the exact one, on either path; it is ``inf`` where ``||L_i(eps)||_1``
+    overflows. Past the crossover of :func:`_batched_pays`, a case's
+    problems go to :func:`_lambda3_batched`, and only those whose bracket
+    did not converge (``tau = inf``) are solved densely. The dense problems
+    of every case of one order n form one list, in case order, cut into
+    stacks of at most ``_BATCH_BYTES`` of n x n matrices per
+    ``symmetric_eigen`` call. Every dense problem reads ``||L_i(eps)||_1``
+    from its own matrix (largest column sum) and ``||L||_1`` from its own
+    case. A stack's member is solved as it would be alone, so how the cases
+    are grouped never changes a lambda3 or a tau.
     """
-    results, dense = [], {}
+    results, dense, norms = [], {}, []
     for c, (g, nodes, cfgs) in enumerate(cases):
         if _batched_pays(g, nodes):
             lam3, tau = _lambda3_batched(g, nodes, [cfg.epsilon for cfg in cfgs])
@@ -194,33 +186,24 @@ def perturbed_lambda3_many(cases) -> list[tuple[np.ndarray, np.ndarray]]:
             lam3, tau, todo = np.empty(len(nodes)), np.empty(len(nodes)), range(len(nodes))
         results.append((lam3, tau))
         dense.setdefault(g.n, []).extend((c, k) for k in todo)
+        norms.append(2.0 * float(g.degrees.max()))  # ||L||_1
     for n, problems in dense.items():
         per = max(1, _BATCH_BYTES // (8 * n * n))
         for start in range(0, len(problems), per):
-            runs = [
-                (c, [k for _, k in run])
-                for c, run in itertools.groupby(problems[start : start + per], key=operator.itemgetter(0))
-            ]
-            parts = [
-                perturbed_laplacians(cases[c][0], [cases[c][1][k] for k in ks], [cases[c][2][k] for k in ks])
-                for c, ks in runs
-            ]
-            stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            chunk = problems[start : start + per]
+            stack = np.array([perturbed_laplacian(cases[c][0], cases[c][1][k], cases[c][2][k]) for c, k in chunk])
             lam = symmetric_eigen(stack)[:, 2]
             with np.errstate(over="ignore"):  # tau = inf tells the caller
                 cols = np.abs(stack, out=stack).sum(axis=1).max(axis=1)  # ||L_i(eps)||_1
-            at = 0
-            for c, ks in runs:
-                lam3, tau = results[c]
-                lam3[ks] = lam[at : at + len(ks)]
-                tau[ks] = LAMBDA3_TAU_FACTOR * _roundoff_scale(cases[c][0], cols[at : at + len(ks)])
-                at += len(ks)
+            tau = LAMBDA3_TAU_FACTOR * _roundoff_scale(n, np.array([norms[c] for c, _ in chunk]), cols)
+            for (c, k), x, t in zip(chunk, lam.tolist(), tau.tolist()):
+                results[c][0][k], results[c][1][k] = x, t
     return results
 
 
-def _roundoff_scale(g: WeightedGraph, cols: np.ndarray) -> np.ndarray:
-    """``n * u * max(||L||_1, ||L_i(eps)||_1)`` per problem, given ``cols = ||L_i(eps)||_1``."""
-    return g.n * _UNIT_ROUNDOFF * np.maximum(cols, 2.0 * float(g.weights.sum(axis=1).max()))
+def _roundoff_scale(n: int, norm, cols: np.ndarray) -> np.ndarray:
+    """``n * u * max(||L||_1, ||L_i(eps)||_1)`` per problem, given ``norm = ||L||_1`` and ``cols = ||L_i(eps)||_1``."""
+    return n * _UNIT_ROUNDOFF * np.maximum(cols, norm)
 
 
 def _lambda3_batched(
@@ -271,7 +254,7 @@ def _lambda3_batched(
     n = g.n
     w = g.weights
     lam, q = symmetric_eigen(laplacian(g), want_vectors=True)
-    strength = w.sum(axis=1)
+    strength = g.degrees
     nodes = np.asarray(nodes, dtype=np.intp)
     eps = np.asarray(eps, dtype=float)
     distinct, at = np.unique(nodes, return_inverse=True)
@@ -290,7 +273,7 @@ def _lambda3_batched(
     # n u max(||L||_1, ||L_i(eps)||_1): column j of L_i(eps) sums to
     # 2 (s_j - rho w_ij), column i to 2 eps s_i.
     cols = 2.0 * np.maximum((strength[nbr[at]] - rho[:, None] * wn[at]).max(axis=1), eps * strength[nodes])
-    scale = _roundoff_scale(g, cols)
+    scale = _roundoff_scale(n, 2.0 * float(strength.max()), cols)
     tau = LAMBDA3_TAU_FACTOR * scale
     neg = rho < 0.0
     shift = np.where(neg, width, 0)

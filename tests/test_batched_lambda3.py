@@ -233,17 +233,17 @@ def test_perturbed_lambda3_solves_densely_exactly_the_problems_on_a_threshold_or
         return fake_lam3.copy(), fake_tau.copy()
 
     built = []
-    original = spectral.perturbed_laplacians
+    original = spectral.perturbed_laplacian
 
-    def spy(graph, probe_nodes, probe_cfgs):
-        built.append((list(probe_nodes), [c.epsilon for c in probe_cfgs]))
-        return original(graph, probe_nodes, probe_cfgs)
+    def spy(graph, i, cfg):
+        built.append((i, cfg.epsilon))
+        return original(graph, i, cfg)
 
     force_batched(monkeypatch)
     monkeypatch.setattr(spectral, "_lambda3_batched", batched)
-    monkeypatch.setattr(spectral, "perturbed_laplacians", spy)
-    lam3, tau = spectral.perturbed_lambda3(g, nodes, cfgs)
-    assert built == [([9], [0.05])]
+    monkeypatch.setattr(spectral, "perturbed_laplacian", spy)
+    lam3, tau = spectral.perturbed_lambda3_many([(g, nodes, cfgs)])[0]
+    assert built == [(9, 0.05)]
     assert lam3[2] == dense_lambda3(g, 9, 0.05)
     assert tau[2] == pytest.approx(dense_tau(g, 9, 0.05), rel=1e-12)
     assert lam3[[0, 1, 3]].tolist() == fake_lam3[[0, 1, 3]].tolist()
@@ -254,7 +254,7 @@ def test_perturbed_lambda3_solves_densely_exactly_the_problems_on_a_threshold_or
 def test_perturbed_lambda3_rejects_a_node_out_of_range_on_the_batched_path(monkeypatch, node):
     force_batched(monkeypatch)
     with pytest.raises(GraphInputError, match=f"node {node} out of range"):
-        spectral.perturbed_lambda3(grid(8), [node], [PerturbationConfig(0.1)])
+        spectral.perturbed_lambda3_many([(grid(8), [node], [PerturbationConfig(0.1)])])
 
 
 def count_calls(monkeypatch, module, name):
@@ -285,12 +285,12 @@ def grid_file(tmp_path, k):
 def test_one_eigendecomposition_per_command(tmp_path, monkeypatch, argv):
     path = grid_file(tmp_path, 12)
     eigen = count_calls(monkeypatch, spectral, "symmetric_eigen")
-    build = count_calls(monkeypatch, spectral, "perturbed_laplacians")
+    build = count_calls(monkeypatch, spectral, "perturbed_laplacian")
     out = tmp_path / "out"
     assert main([argv[0], "--input", str(path), *argv[1:], "--output", str(out)]) == 0
     # 144 and 1,872 dense solves on the dense path
     assert eigen["symmetric_eigen"] == 1
-    assert build["perturbed_laplacians"] == 0
+    assert build["perturbed_laplacian"] == 0
 
 
 def count_schur_matrices(monkeypatch):
@@ -427,13 +427,20 @@ def test_small_or_dense_graphs_stay_on_the_dense_path(monkeypatch):
 
 
 def mixed_cases():
-    """Cases of orders 7, 5 and 9, interleaved, and a 9 x 9 grid past the crossover."""
+    """Cases of orders 7, 5, 9 and 6, interleaved, and a 9 x 9 grid past the crossover.
+
+    The two cases of order 6 are one graph at weights x 1 and x 1e8: a tau
+    read with the other case's ``||L||_1`` would be off by a factor 1e8.
+    """
     rng = np.random.default_rng(8)
     cases = [(grid(9), range(81), [1e-4])]
     for n in (7, 5, 7, 9, 5, 7):
         g = random_connected_graph(rng, n)
         cases.append((g, range(g.n), [1e-4, 0.05]))
     cases.append((cases[1][0], [3, 3, 0], [0.5, 1.0, 3.0]))  # a graph twice, repeated nodes
+    g = random_connected_graph(rng, 6)
+    for scale in (1.0, 1e8):
+        cases.append((WeightedGraph(g.n, g.weights * scale), range(g.n), [1e-4, 0.05]))
     return cases
 
 
@@ -452,10 +459,10 @@ def test_spectral_tests_many_equals_one_call_per_case(monkeypatch, per_chunk):
     if per_chunk:
         monkeypatch.setattr(spectral, "_BATCH_BYTES", per_chunk * 8 * 7 * 7)
     assert bicon.spectral_tests_many(cases) == want
-    dense = [(count, n) for count, n, _ in stacks if n in (5, 7, 9)]  # the grid's Schur solves are 4 x 4
+    dense = [(count, n) for count, n, _ in stacks if n in (5, 6, 7, 9)]  # the grid's Schur solves are 4 x 4
     if per_chunk is None:
         # every dense problem of one order in one stack, orders as they first appear
-        assert dense == [(3 * 7 * 2 + 9, 7), (2 * 5 * 2, 5), (9 * 2, 9)]
+        assert dense == [(3 * 7 * 2 + 9, 7), (2 * 5 * 2, 5), (9 * 2, 9), (2 * 6 * 2, 6)]
     else:
         assert all(count <= max(1, spectral._BATCH_BYTES // (8 * n * n)) for count, n in dense)
         assert sum(count for count, n in dense if n == 7) == 3 * 7 * 2 + 9

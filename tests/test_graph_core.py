@@ -7,6 +7,7 @@ matrices involved.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,22 @@ class TestConstruction:
         g = path3()
         with pytest.raises(ValueError):
             g.weights[0, 1] = 5.0
+
+    def test_degrees_are_the_kept_read_only_row_sums(self):
+        rng = np.random.default_rng(4)
+        w = np.triu(rng.random((9, 9)) * (rng.random((9, 9)) < 0.5), 1)
+        g = WeightedGraph(n=9, weights=w + w.T)
+        d = g.degrees
+        assert d.tobytes() == g.weights.sum(axis=1).tobytes()
+        assert g.degrees is d
+        with pytest.raises(ValueError):
+            d[0] = 5.0
+        # the triangle of weights 1e308 plus a tail: nodes 0, 1 and 2 overflow
+        edges = [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308), (3, 0, 1.0), (3, 1, 1.0), (3, 4, 1.0)]
+        big = from_edge_list(5, edges)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert big.degrees.tolist() == [math.inf, math.inf, math.inf, 3.0, 1.0]
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(GraphInputError):

@@ -302,16 +302,16 @@ def test_search_equals_the_per_trial_reference(monkeypatch, seed, mode):
 def test_search_solves_hold_one_block_of_trials(monkeypatch):
     """Every stacked dense solve of the search holds trials of one block and one order."""
     blocks, solves, members = [], [], []
-    many, build, solve = verify.spectral_tests_many, spectral.perturbed_laplacians, spectral.symmetric_eigen
+    many, build, solve = verify.spectral_tests_many, spectral.perturbed_laplacian, spectral.symmetric_eigen
 
     def many_spy(cases):
         cases = list(cases)
         blocks.append([g for g, _, _ in cases])
         return many(cases)
 
-    def build_spy(g, nodes, cfgs):
+    def build_spy(g, i, cfg):
         members.append(g)
-        return build(g, nodes, cfgs)
+        return build(g, i, cfg)
 
     def solve_spy(m, *args, **kwargs):
         solves.append((len(blocks) - 1, members[:]))
@@ -319,7 +319,7 @@ def test_search_solves_hold_one_block_of_trials(monkeypatch):
         return solve(m, *args, **kwargs)
 
     monkeypatch.setattr(verify, "spectral_tests_many", many_spy)
-    monkeypatch.setattr(spectral, "perturbed_laplacians", build_spy)
+    monkeypatch.setattr(spectral, "perturbed_laplacian", build_spy)
     monkeypatch.setattr(spectral, "symmetric_eigen", solve_spy)
     block = verify.SEARCH_BLOCK
     counterexample_search(2 * block + 5, BoundMode.SIMPLIFIED, seed=3)
