@@ -13,7 +13,9 @@ replace by one eigendecomposition of :func:`laplacian` (see
 :mod:`biconcert.spectral`). :func:`perturbed_laplacians` and
 :func:`reduced_laplacians` build many such matrices of one graph as one
 ``(count, k, k)`` stack for a stacked eigensolve; each member equals its
-one-matrix definition bit for bit.
+one-matrix definition bit for bit. Both turn the weights they copy into
+Laplacians in place, equal bit for bit to a diagonal matrix minus ``W``
+like :func:`laplacian`, without a second matrix of that size.
 
 Weights are stored densely; the intended scale is a few hundred nodes, where
 dense O(n^2) storage and O(n^3) eigensolves are cheap. Edge lists and the
@@ -327,16 +329,11 @@ def perturbed_laplacian(
     w = g.weights.copy()
     w[i, :] *= cfg.epsilon
     w[:, i] *= cfg.epsilon
-    return np.diag(w.sum(axis=1)) - w
+    return _laplacians_in_place(w)
 
 
 def reduced_laplacians(g: WeightedGraph, nodes) -> np.ndarray:
-    """``laplacian(reduced_graph(g, i))`` for every i in ``nodes``: a ``(len(nodes), n - 1, n - 1)`` stack.
-
-    Built as a diagonal matrix minus W, like :func:`laplacian`. Negating W
-    and filling in its diagonal would leave -0.0 off the diagonal, and
-    LAPACK's Householder reflections see that sign.
-    """
+    """``laplacian(reduced_graph(g, i))`` for every i in ``nodes``: a ``(len(nodes), n - 1, n - 1)`` stack."""
     if g.n < 2:
         raise PreconditionError("cannot remove a node from a single-node graph")
     nodes = np.asarray(nodes, dtype=np.intp)
@@ -344,10 +341,21 @@ def reduced_laplacians(g: WeightedGraph, nodes) -> np.ndarray:
         _check_node(g, i)
     j = np.arange(g.n - 1)
     keep = j + (j >= nodes[:, None])  # every node but i, in order
-    w = g.weights[keep[:, :, None], keep[:, None, :]]
-    d = np.zeros(w.shape)
-    d.reshape(len(nodes), (g.n - 1) ** 2)[:, :: g.n] = w.sum(axis=-1)
-    return d - w
+    return _laplacians_in_place(g.weights[keep[:, :, None], keep[:, None, :]])
+
+
+def _laplacians_in_place(w: np.ndarray) -> np.ndarray:
+    """Turn a C-contiguous stack of zero-diagonal weight matrices into their Laplacians, in place; returns ``w``.
+
+    Each member equals ``np.diag(w.sum(axis=-1)) - w`` bit for bit. Off the
+    diagonal that is ``0.0 - w``, never ``-w``: negating a zero weight
+    would give -0.0, and LAPACK's Householder reflections see that sign.
+    """
+    n = w.shape[-1]
+    d = w.sum(axis=-1)
+    np.subtract(0.0, w, out=w)
+    w.reshape(w.shape[:-2] + (n * n,))[..., :: n + 1] = d
+    return w
 
 
 def perturbed_laplacians(g: WeightedGraph, nodes, cfgs) -> np.ndarray:

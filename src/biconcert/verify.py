@@ -44,7 +44,8 @@ The checks:
   not assumed.
 * :func:`counterexample_search` - randomized hunt for unsound certificates
   under a chosen bound mode. It draws its trials in blocks of
-  ``SEARCH_BLOCK`` and solves a block's trials of one order together, through
+  ``SEARCH_BLOCK``, runs the articulation oracle on every trial, and solves
+  only the cut vertices, a block's trials of one order together, through
   one :func:`biconcert.bicon.spectral_tests_many` call per block.
 
 :func:`random_graph` reads its uniforms in blocks, never drawing more than
@@ -605,15 +606,19 @@ def counterexample_search(
     """Hunt for unsound certificates: certified nodes the oracle calls cut vertices.
 
     The corpus starts with :func:`seed_graphs` and continues with random
-    connected graphs; each trial draws one epsilon from {1e-3, 1e-2, 1e-1}
-    and certifies every node. Deterministic for a fixed seed. Returns one
-    witness dict per violation, in (trial, node) order.
+    connected graphs; each trial draws one epsilon from {1e-3, 1e-2, 1e-1}.
+    The certificate is sufficient, so only a cut vertex can be a violation:
+    each trial runs the articulation oracle and certifies only its cut
+    vertices. Deterministic for a fixed seed. Returns one witness dict per
+    violation, in (trial, node) order.
 
-    Trials are drawn in blocks of ``SEARCH_BLOCK``, and every trial of a
-    block is tested by one :func:`biconcert.bicon.spectral_tests_many` call,
-    which solves the trials of one order together; only a trial with a
-    certified node runs the articulation oracle. The draws, and so every
-    graph and witness, are those of one trial after another.
+    Trials are drawn in blocks of ``SEARCH_BLOCK``. The cut vertices of a
+    block's trials, ascending per trial, are tested by one
+    :func:`biconcert.bicon.spectral_tests_many` call, which solves the
+    trials of one order together; a trial without cut vertices solves
+    nothing. A test's values do not depend on the other cases, and the
+    draws, and so every graph and witness, are those of one trial after
+    another.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -630,24 +635,25 @@ def counterexample_search(
                 style = "geometric" if t % 3 == 2 else "er"
                 g = random_connected_graph(rng, int(rng.integers(3, 13)), style=style)
             # the draw of rng.choice(eps_choices), without its per-call overhead
-            block.append((t, g, eps_choices[int(rng.integers(0, len(eps_choices)))]))
-        found = spectral_tests_many([(g, range(g.n), [eps]) for _, g, eps in block])
-        for (t, g, eps), tests in zip(block, found):
-            certified = [test for test in tests if test.certified(mode)]
-            points = articulation_points_oracle(g) if certified else ()
-            witnesses += [
-                _witness(
-                    g,
-                    test.node,
-                    trial=t,
-                    epsilon=eps,
-                    mode=mode.value,
-                    lambda3=test.lambda3,
-                    bound=test.bound(mode),
-                )
-                for test in certified
-                if test.node in points
-            ]
+            eps = eps_choices[int(rng.integers(0, len(eps_choices)))]
+            points = sorted(articulation_points_oracle(g))
+            if points:
+                block.append((t, g, eps, points))
+        found = spectral_tests_many([(g, points, [eps]) for _, g, eps, points in block])
+        witnesses += [
+            _witness(
+                g,
+                test.node,
+                trial=t,
+                epsilon=eps,
+                mode=mode.value,
+                lambda3=test.lambda3,
+                bound=test.bound(mode),
+            )
+            for (t, g, eps, _), tests in zip(block, found)
+            for test in tests
+            if test.certified(mode)
+        ]
     return witnesses
 
 

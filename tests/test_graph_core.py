@@ -29,6 +29,7 @@ from biconcert import (
     proximity_graph,
     reduced_graph,
 )
+from biconcert.graph_core import reduced_laplacians
 
 
 def path3():
@@ -284,6 +285,33 @@ class TestPerturbedLaplacian:
             lp = perturbed_laplacian(g, i, PerturbationConfig(float(rng.uniform(0.01, 2))))
             assert np.array_equal(lp, lp.T)
             assert np.max(np.abs(lp @ np.ones(n))) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
+    def test_in_place_build_matches_diag_minus_w_bit_for_bit(self, scale):
+        """The builders' bytes equal a diagonal matrix minus W, the formula they replaced.
+
+        Half the weights are zero, so a -0.0 off the diagonal would show.
+        """
+        rng = np.random.default_rng(24)
+        for n in (2, 3, 5, 8, 13, 40, 64):
+            w = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.5), 1)
+            w = (w + w.T) * scale
+            g = WeightedGraph(n=n, weights=w)
+            for eps in (1e-4, 0.05, 1.0, 2.5):
+                i = int(rng.integers(0, n))
+                want = g.weights.copy()
+                want[i, :] *= eps
+                want[:, i] *= eps
+                want = np.diag(want.sum(axis=1)) - want
+                got = perturbed_laplacian(g, i, PerturbationConfig(eps))
+                assert got.tobytes() == want.tobytes(), (n, eps)
+            nodes = np.arange(n)
+            j = np.arange(n - 1)
+            keep = j + (j >= nodes[:, None])
+            sub = g.weights[keep[:, :, None], keep[:, None, :]]
+            d = np.zeros(sub.shape)
+            d.reshape(n, (n - 1) ** 2)[:, ::n] = sub.sum(axis=-1)
+            assert reduced_laplacians(g, nodes).tobytes() == (d - sub).tobytes(), n
 
 
 class TestIntermediateMatrix:

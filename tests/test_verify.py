@@ -300,13 +300,18 @@ def test_search_equals_the_per_trial_reference(monkeypatch, seed, mode):
 
 
 def test_search_solves_hold_one_block_of_trials(monkeypatch):
-    """Every stacked dense solve of the search holds trials of one block and one order."""
-    blocks, solves, members = [], [], []
+    """The search certifies only each trial's cut vertices, in one stacked dense solve per block and order."""
+    graphs, blocks, solves, members = [], [], [], []
     many, build, solve = verify.spectral_tests_many, spectral.perturbed_laplacian, spectral.symmetric_eigen
+    draw = verify.random_connected_graph
+
+    def draw_spy(*args, **kwargs):
+        graphs.append(draw(*args, **kwargs))
+        return graphs[-1]
 
     def many_spy(cases):
         cases = list(cases)
-        blocks.append([g for g, _, _ in cases])
+        blocks.append(cases)
         return many(cases)
 
     def build_spy(g, i, cfg):
@@ -318,17 +323,50 @@ def test_search_solves_hold_one_block_of_trials(monkeypatch):
         members.clear()
         return solve(m, *args, **kwargs)
 
+    monkeypatch.setattr(verify, "random_connected_graph", draw_spy)
     monkeypatch.setattr(verify, "spectral_tests_many", many_spy)
     monkeypatch.setattr(spectral, "perturbed_laplacian", build_spy)
     monkeypatch.setattr(spectral, "symmetric_eigen", solve_spy)
     block = verify.SEARCH_BLOCK
     counterexample_search(2 * block + 5, BoundMode.SIMPLIFIED, seed=3)
-    assert [len(b) for b in blocks] == [block, block, 5]
-    for b, graphs in solves:
-        assert graphs and all(any(g is h for h in blocks[b]) for g in graphs)
-        assert len({g.n for g in graphs}) == 1
+    trials = verify.seed_graphs()[:4] + graphs
+    assert len(trials) == 2 * block + 5 and len(blocks) == 3
+    for b, cases in enumerate(blocks):
+        # the block's trials with cut vertices, in draw order; the seed
+        # graphs are built afresh, so they are compared by their weights
+        want = [h for h in trials[b * block : (b + 1) * block] if articulation_points_oracle(h)]
+        assert [g.weights.tobytes() for g, _, _ in cases] == [h.weights.tobytes() for h in want]
+        assert all(nodes == sorted(articulation_points_oracle(g)) for g, nodes, _ in cases)
+    for b, built in solves:
+        assert built and all(any(g is h for h, _, _ in blocks[b]) for g in built)
+        assert len({g.n for g in built}) == 1
     # a block's trials of one order fit one _BATCH_BYTES stack: one solve each
-    assert len(solves) == sum(len({g.n for g in b}) for b in blocks)
+    assert len(solves) == sum(len({g.n for g, _, _ in cases}) for cases in blocks)
+
+
+def test_search_without_cut_vertices_solves_nothing(monkeypatch):
+    """Trials with no cut vertex hold no violation, so the search builds and solves no matrix."""
+    calls = Counter()
+    build, solve = spectral.perturbed_laplacian, spectral.symmetric_eigen
+
+    def build_spy(*args):
+        calls["build"] += 1
+        return build(*args)
+
+    def solve_spy(*args, **kwargs):
+        calls["solve"] += 1
+        return solve(*args, **kwargs)
+
+    cycle5 = from_edge_list(5, [(k, (k + 1) % 5, 1.0) for k in range(5)])
+    k4 = from_edge_list(4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)])
+    monkeypatch.setattr(verify, "seed_graphs", lambda: [cycle5, k4, cycle5, k4])
+    monkeypatch.setattr(spectral, "perturbed_laplacian", build_spy)
+    monkeypatch.setattr(spectral, "symmetric_eigen", solve_spy)
+    for mode in BoundMode:
+        for trials in range(1, 5):
+            assert counterexample_search(trials, mode, seed=7) == []
+    assert verify.spectral_tests_many([]) == []
+    assert calls == Counter()
 
 
 @pytest.mark.parametrize("n", range(1, 25))
