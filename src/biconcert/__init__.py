@@ -5,6 +5,9 @@ articulation points from eigenvalues of a locally perturbed Laplacian,
 validates every certificate against exact combinatorial oracles, and ships a
 numerical verification suite for the spectral identities the certificate
 rests on.
+
+:mod:`biconcert.verify`, that suite, is imported on the first read of one of
+its names here (PEP 562), or by the ``verify`` command, not with the package.
 """
 
 __version__ = "0.1.0"
@@ -52,20 +55,30 @@ from .spectral import (
     is_connected_spectral,
     symmetric_eigen,
 )
-from .verify import (
-    CheckOutcome,
-    CombinationParams,
-    check_combination_realness,
-    check_eigenvalue_gap_bound,
-    check_intermediate_spectrum,
-    check_null_drift_derivative,
-    check_rank_one_update_spectrum,
-    counterexample_search,
-    random_connected_graph,
-    random_graph,
-    run_suite,
-    suite_passed,
-)
+
+_VERIFY_NAMES = frozenset({
+    "CheckOutcome",
+    "CombinationParams",
+    "check_combination_realness",
+    "check_eigenvalue_gap_bound",
+    "check_intermediate_spectrum",
+    "check_null_drift_derivative",
+    "check_rank_one_update_spectrum",
+    "counterexample_search",
+    "random_connected_graph",
+    "random_graph",
+    "run_suite",
+    "suite_passed",
+})
+
+
+def __getattr__(name: str):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

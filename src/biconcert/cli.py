@@ -11,7 +11,9 @@ differ from a direct dense eigensolve in its last digits. Either way a node
 is certified only when lambda3 minus its error bound clears the bound, so a
 verdict never rests on those digits and does not change with the unit of the
 weights. Their CSV rows come from :mod:`biconcert.bicon`; this module writes
-them.
+them. Only ``verify`` imports :mod:`biconcert.verify`, and its parser adds
+the ``--tol-*`` flags on its first parse: without a bytecode cache every start
+compiles what it imports, and the other commands never run the suite.
 
 Exit codes: 0 success or certified, 2 not certified, 3 precondition failure
 (disconnected input, impossible generation), 4 malformed input or usage
@@ -66,13 +68,6 @@ from .graph_core import (
     proximity_graph,
 )
 from .spectral import is_connected_bfs
-from .verify import (
-    INFORMATIONAL_CHECKS,
-    SUITE_TOLERANCES,
-    outcome_to_dict,
-    run_suite,
-    suite_passed,
-)
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 2
@@ -88,10 +83,20 @@ DEFAULT_EPS_GRID = "1e-4:1:13"
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors, which collides with the
     # not-certified exit code; surface them as input errors instead.
+    # add_arguments_on_first_parse(parser), when given, adds arguments named
+    # in a module that only this parser's command needs: that module is then
+    # imported when the command is first parsed, not when the parser is built.
+    def __init__(self, *args, add_arguments_on_first_parse=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.add_arguments_on_first_parse = add_arguments_on_first_parse
+
     def error(self, message: str) -> None:
         raise GraphInputError(message)
 
     def parse_known_args(self, args=None, namespace=None):
+        if self.add_arguments_on_first_parse is not None:
+            add, self.add_arguments_on_first_parse = self.add_arguments_on_first_parse, None
+            add(self)
         # argparse stops at a missing required flag or a bad value before it
         # reports unrecognised flags, so name those in the error too. Each
         # parser scans its own tokens: those up to a subcommand's name, which
@@ -385,6 +390,14 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the numerical check suite; informational checks never gate."""
+    from .verify import (
+        INFORMATIONAL_CHECKS,
+        SUITE_TOLERANCES,
+        outcome_to_dict,
+        run_suite,
+        suite_passed,
+    )
+
     outcomes = run_suite(
         seed=args.seed,
         n_graphs=args.graphs,
@@ -465,20 +478,29 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--input", dest="input_path", required=True)
     export.add_argument("--output", dest="output_path")
 
-    verify = sub.add_parser("verify", help="run the numerical check suite")
+    verify = sub.add_parser(
+        "verify", help="run the numerical check suite", add_arguments_on_first_parse=_add_tolerances
+    )
     verify.add_argument("--seed", type=_seed, required=True)
     verify.add_argument("--trials", type=_count, default=200, help="counterexample search trials")
     verify.add_argument("--graphs", type=_count, default=60, help="corpus size for the checks")
     verify.add_argument("--output", dest="output_path")
+    return parser
+
+
+def _add_tolerances(verify: argparse.ArgumentParser) -> None:
+    """One ``--tol-*`` flag per name in :data:`biconcert.verify.SUITE_TOLERANCES`."""
+    from .verify import SUITE_TOLERANCES
+
     for name in SUITE_TOLERANCES:
         verify.add_argument(f"--tol-{name.replace('_', '-')}", dest=f"tol_{name}", type=_tolerance)
-    return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # Built on the first call of main, not at import, then reused: parsing
-    # leaves no state behind in the parser.
+    # leaves no state behind in the parser, save verify's --tol-* flags,
+    # which its first parse adds once.
     return build_parser()
 
 

@@ -5,8 +5,10 @@ adjacency, degree and Laplacian matrices, node removal, per-node edge
 scaling, the per-node intermediate matrix whose spectrum mirrors the scaled
 Laplacian, and the disk-based proximity model for planar layouts.
 :attr:`WeightedGraph.connected` runs :func:`reachable`, the one graph search,
-on first use and keeps the answer; :attr:`WeightedGraph.degrees`, the one sum
-of the weighted degrees ``W 1``, is kept the same way.
+on first use and keeps the answer; the search also takes a stack of
+adjacency matrices with one start each and searches every member at once.
+:attr:`WeightedGraph.degrees`, the one sum of the weighted degrees ``W 1``,
+is kept the same way as ``connected``.
 :func:`perturbed_laplacian` builds ``L_i(eps)`` densely: it is the reference
 path of the certificate, which large batches of (node, epsilon) problems
 replace by one eigendecomposition of :func:`laplacian` (see
@@ -171,20 +173,34 @@ class ProximityModel:
             )
 
 
-def reachable(adj, start: int) -> np.ndarray:
+def reachable(adj, start) -> np.ndarray:
     """Boolean mask of the nodes reachable from ``start`` over ``adj``.
 
     ``adj`` is a square boolean adjacency matrix (for a graph,
     ``g.weights > 0``). The search expands the whole frontier in one numpy
     step, so it takes O(diameter) steps and O(n^2) work in total: each node
     joins the frontier once and contributes its row once.
+
+    ``adj`` may also be a ``(..., n, n)`` stack, with ``start`` an integer
+    array of one start per member (shape ``adj.shape[:-2]``). The result is
+    then the ``(..., n)`` stack of each member's mask, equal to its 2-D call.
+    One step expands every member's frontier by a boolean matrix product, so
+    the search takes as many steps as the largest member's eccentricity from
+    its start, each O(n^2) per member.
     """
     adj = np.asarray(adj, dtype=bool)
-    seen = np.zeros(adj.shape[0], dtype=bool)
-    seen[start] = True
+    seen = np.zeros(adj.shape[:-1], dtype=bool)
+    if adj.ndim == 2:
+        seen[start] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        return seen
+    np.put_along_axis(seen, np.asarray(start)[..., None], True, axis=-1)
     frontier = seen.copy()
     while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~seen
+        frontier = (frontier[..., None, :] @ adj)[..., 0, :] & ~seen
         seen |= frontier
     return seen
 

@@ -212,15 +212,20 @@ class _GraphCase:
 
     @cached_property
     def components(self) -> list[int]:
-        """Component count of each reduced graph: its edges are its Laplacian's negative entries."""
-        counts = []
-        for adj in self.lr < 0.0:
-            seen, count = np.zeros(len(adj), dtype=bool), 0
-            while not seen.all():
-                seen |= reachable(adj, int(np.argmin(seen)))
-                count += 1
-            counts.append(count)
-        return counts
+        """Component count of each reduced graph: its edges are its Laplacian's negative entries.
+
+        Each round searches, in one stacked call, every reduced graph not yet
+        fully reached, each from its first unseen node.
+        """
+        adj = self.lr < 0.0
+        seen = np.zeros(adj.shape[:-1], dtype=bool)
+        counts = np.zeros(len(adj), dtype=int)
+        rest = np.flatnonzero(~seen.all(axis=1))
+        while rest.size:
+            seen[rest] |= reachable(adj[rest], np.argmin(seen[rest], axis=1))
+            counts[rest] += 1
+            rest = rest[~seen[rest].all(axis=1)]
+        return counts.tolist()
 
     @cached_property
     def null_multiplicity(self) -> list[int]:

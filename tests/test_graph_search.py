@@ -147,6 +147,19 @@ def test_reachable_matches_loop():
         assert is_connected_bfs(g) == (len(reachable_loop(g, 0)) == g.n)
 
 
+@pytest.mark.parametrize("n", range(1, 25))
+def test_stacked_reachable_matches_each_member(n):
+    # A (3, 5) stack of directed adjacency matrices, from empty to dense,
+    # each searched from its own random start, against one 2-D call each.
+    rng = np.random.default_rng(n)
+    adj = rng.random((3, 5, n, n)) < rng.uniform(0.0, 0.5, size=(3, 5, 1, 1))
+    start = rng.integers(0, n, size=(3, 5))
+    got = reachable(adj, start)
+    assert got.shape == (3, 5, n) and got.dtype == bool
+    for index in np.ndindex(3, 5):
+        assert np.array_equal(got[index], reachable(adj[index], int(start[index])))
+
+
 def test_component_count_matches_loop():
     for g in suite_corpus(np.random.default_rng(5), 40):
         want = [components_loop(reduced_graph(g, i)) for i in range(g.n)]

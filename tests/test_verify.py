@@ -706,7 +706,7 @@ def test_each_case_derived_once(monkeypatch, searched):
 
     def reachable_spy(adj, start):
         seen = reachable(adj, start)
-        searches.append((np.array(adj), seen))
+        searches.append((np.array(adj), np.array(start), seen))
         return seen
 
     monkeypatch.setattr(verify, "suite_corpus", corpus_spy)
@@ -726,19 +726,25 @@ def test_each_case_derived_once(monkeypatch, searched):
         # one stacked eigensolve of the reduced Laplacians, covering every node
         assert counts["eigen", id(g)] == 1
         assert covered[id(g)] == tuple(range(g.n))
-        for i in range(g.n):
-            # No reduced graph is built. One component search of each reduced
-            # Laplacian's edges, node by node, reaches every node of it once;
-            # the brute-force cut vertices and the null-multiplicity
-            # cross-check both read its counts.
-            assert counts["reduced", id(g), i] == 0
-            want = reduced_graph(g, i).weights > 0.0
-            reached = np.zeros(g.n - 1, dtype=int)
-            while not reached.all():
-                adj, seen = next(calls)
-                assert np.array_equal(adj, want)
-                reached += seen
-            assert (reached == 1).all()
+        # No reduced graph is built. One component search of the reduced
+        # Laplacians' edges reaches every node of each reduced graph once;
+        # the brute-force cut vertices and the null-multiplicity cross-check
+        # both read its counts. Each stacked round searches, in node order,
+        # the reduced graphs not yet fully reached, each from its first
+        # unseen node.
+        assert all(counts["reduced", id(g), i] == 0 for i in range(g.n))
+        want = [reduced_graph(g, i).weights > 0.0 for i in range(g.n)]
+        reached = np.zeros((g.n, g.n - 1), dtype=int)
+        rest = list(range(g.n))
+        while rest:
+            adj, start, seen = next(calls)
+            assert len(adj) == len(start) == len(seen) == len(rest)
+            for member, i in enumerate(rest):
+                assert np.array_equal(adj[member], want[i])
+                assert start[member] == np.argmin(reached[i])
+                reached[i] += seen[member]
+            rest = [i for i in rest if not reached[i].all()]
+        assert (reached == 1).all()
     assert next(calls, None) is None
 
 
