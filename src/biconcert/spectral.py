@@ -18,8 +18,9 @@ of every case of one order form one flat list, cut into stacks of
 ``_BATCH_BYTES``; past it, :func:`_lambda3_batched` takes them all from a
 single eigendecomposition of the case's ``L``. That narrows a bracket per
 problem whose ends move only by exact eigenvalue counts (Sylvester inertia of small
-Schur complements); secant steps place the trial points, and the bracket, not the
-step rule, carries the error bound. Both paths return lambda3 with the
+Schur complements); interpolation on a determinant freed of the poles next
+to the bracket places the trial points, and the bracket, not the step rule,
+carries the error bound. Both paths return lambda3 with the
 same error bound ``tau``, which scales with ``max(||L||, ||L_i(eps)||)``,
 ``||L||_1`` twice the largest of the graph's cached ``degrees``;
 only a problem whose bracket did not converge is solved again densely. The
@@ -27,9 +28,10 @@ Schur complement is ``S(mu) = I / rho - M(mu)`` with ``rho = 1 - eps`` and
 an eps-free ``M(mu) = U^T (diag(lam) - mu)^-1 U`` whose factor ``U`` belongs
 to the node alone. Each node's ``U^T`` is built once per call, for chunks of
 nodes whose ``U^T`` fits in ``_FACTOR_BYTES``; one loop narrows every bracket
-of a chunk, and each step solves ``M`` once per distinct (node, mu) among its
-open problems, all in one stacked ``eigvalsh``, formed in sub-chunks of
-``_BATCH_BYTES``.
+of a chunk, and each step solves ``M`` once per run of a node's problems that
+share a bracket and so a trial point, all in one stacked ``eigvalsh``, formed
+in sub-chunks of ``_BATCH_BYTES``; every problem of the run reads its count
+there.
 numpy only: no scipy import. :func:`is_connected_bfs` returns the graph's
 cached ``connected``.
 """
@@ -65,6 +67,15 @@ _FACTOR_BYTES = 4 << 20
 # 60 halvings, and secant steps need fewer; the cap only stops a loop that
 # no longer shrinks.
 _MAX_STEPS = 200
+# The step rule of :func:`_shrink_brackets`: a bracket that has not halved
+# in this many steps takes its midpoint, or, with only lo verified, first a
+# probe below hi; a one-sided trial point goes this share of its step past
+# the linear and the quadratic model's root. Fitted on the benchmark grids,
+# n = 200 disk graphs and the test families (complete graphs, stars).
+_HALVING_STEPS = 6
+_PROBE_STEPS = 4
+_LINEAR_OVERSHOOT = 0.5
+_QUADRATIC_OVERSHOOT = 0.05
 # The crossover of :func:`_batched_pays`, measured on unit grids and disk
 # graphs (n = 64 to 400) with 2 cores and OpenBLAS.
 BATCH_MIN_ORDER = 64
@@ -233,11 +244,14 @@ def _lambda3_batched(
 
     ``M(mu)`` depends on the node and mu but not on eps, so the eigenvalues
     of S are ``1 / rho - m_j(mu)`` for the eigenvalues ``m_j`` of M. Each
-    step solves M once per distinct (node, mu) among the open problems, and
-    every problem at that pair reads its count from the same ``m_j``; the
-    eps < 1 problems of a node start from one bracket and share their first
-    trial points. Adding ``1 / rho`` after the solve keeps the large
-    diagonal ``I / rho`` out of the rounded matrix.
+    step solves M once per run of a node's problems that share a bracket,
+    and so a trial point, and each problem of the run reads its own count
+    from the same ``m_j``: the eps < 1 problems of a node start from one
+    bracket and share their points until the counts part them. A point
+    parts a run into brackets that no longer overlap, so no problem of
+    another run holds it, but for the eps < 1 and eps > 1 brackets, which
+    meet only within tau of ``lam_3``. Comparing ``m_j`` with ``1 / rho``
+    keeps the large diagonal ``I / rho`` out of the rounded matrix.
 
     ``U^T`` depends on the node alone, so it is built once per call from
     rows of ``Q`` and the node's neighbours (``g.adjacency``) and weights,
@@ -246,10 +260,10 @@ def _lambda3_batched(
     loop over its own problems; a step gathers ``U^T`` by node and forms M
     for ``_BATCH_BYTES`` of n x d arrays at a time. Besides arrays of at
     most n x n entries, like ``Q``, memory is those two budgets plus O(d^2)
-    floats per (node, mu) pair of one chunk's step. How the problems are
-    split or repeated never changes a problem's arithmetic, since d stays
-    the call's largest degree in every chunk: its lambda3 and tau are the
-    same bit for bit.
+    floats per solve of one chunk's step. How the problems are split or
+    repeated never changes a problem's arithmetic, since d stays the call's
+    largest degree in every chunk and a repeated problem joins its twin's
+    run: its lambda3 and tau are the same bit for bit.
     """
     n = g.n
     w = g.weights
@@ -283,25 +297,16 @@ def _lambda3_batched(
     hi = np.where(rho == 0.0, lam[2], np.where(neg, top, lam[2]) + tau)
     per = max(1, _BATCH_BYTES // (2 * 8 * n * width))
 
-    def schur_spectrum(ut, node, inv_rho, rows, mu):
-        """Ascending eigenvalues of S(mu[r]) of problem ``rows[r]``, with U^T ``ut[node[rows[r]]]``, one M per (node, mu)."""
-        node = node[rows]
-        order = np.lexsort((mu, node))
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (np.diff(node[order]) != 0) | (np.diff(mu[order]) != 0)
-        group = np.empty(len(rows), dtype=np.intp)
-        group[order] = np.cumsum(first) - 1
-        heads = order[first]
-        m = np.empty((len(heads), width, width))
-        for c in range(0, len(heads), per):
-            r = heads[c : c + per]
-            x = ut[node[r]]
-            m[c : c + per] = (x / (lam - mu[r, None])[:, None, :]) @ x.transpose(0, 2, 1)
+    def schur_eigenvalues(ut, node, mu):
+        """Ascending eigenvalues of M(mu[h]) with U^T ``ut[node[h]]``, one per (node, mu) pair ``h``."""
+        m = np.empty((len(node), width, width))
+        for c in range(0, len(node), per):
+            x = ut[node[c : c + per]]
+            m[c : c + per] = (x / (lam - mu[c : c + per, None])[:, None, :]) @ x.transpose(0, 2, 1)
         try:
-            m = np.linalg.eigvalsh(m)
+            return np.linalg.eigvalsh(m)
         except np.linalg.LinAlgError as exc:
             raise EigenConvergenceError(f"batched inertia count failed: {exc}") from exc
-        return inv_rho[rows, None] - m[group, ::-1]
 
     lam3 = np.empty(len(nodes))
     converged = np.empty(len(nodes), dtype=bool)
@@ -312,85 +317,283 @@ def _lambda3_batched(
         np.subtract(q[distinct[start:stop], None, :], ut, out=ut)
         ut *= root_w[start:stop, :, None]
         rows = np.flatnonzero((start <= at) & (at < stop))
-        spectrum = functools.partial(schur_spectrum, ut, at[rows] - start, inv_rho[rows])
-        lam3[rows], converged[rows] = _shrink_brackets(lam, spectrum, shift[rows], lo[rows], hi[rows], scale[rows])
+        lam3[rows], converged[rows] = _shrink_brackets(
+            lam, functools.partial(schur_eigenvalues, ut), at[rows] - start,
+            inv_rho[rows], shift[rows], lo[rows], hi[rows], scale[rows],
+        )
     # A bracket still wider than its scale has no error bound.
     tau[~converged] = np.inf
     return lam3, tau
 
 
-def _shrink_brackets(lam, schur_spectrum, shift, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
-    """Narrow every bracket ``[lo, hi]`` around lambda3 to width ``scale``.
+def _off_poles(lam, mu, lo, hi, scale) -> np.ndarray:
+    """Move each trial point ``mu`` at least ``scale`` away from every eigenvalue ``lam`` of L.
 
-    One entry per problem of :func:`_lambda3_batched`; ``schur_spectrum(rows,
-    mu)`` gives the ascending eigenvalues ``sigma`` of ``S(mu)`` of the
-    problems ``rows``, from one stacked ``eigvalsh``. Each step evaluates the
-    count at one mu per problem and moves ``hi`` to mu if at least three
-    eigenvalues lie below it, ``lo`` otherwise, so every bracket holds
-    lambda3 whatever mu is. Only the choice of mu is heuristic: an
-    Anderson-Bjorck regula falsi step on ``f(mu) = sigma_k(S(mu))``,
-    ``k = 2 - #{lam_j < mu} + shift``, the eigenvalue of S whose sign decides
-    the count (``f < 0`` exactly when the count reaches 3). ``f`` decreases
-    between the eigenvalues of L, and across a simple pole at ``lam`` too,
-    where k drops by one as one eigenvalue of S passes from -inf to +inf.
-    At an eigenvalue of L of multiplicity m, or one whose rows of ``U^T``
-    vanish or nearly vanish (a removable pole), k drops by up to m while S
-    stays bounded, so f jumps there. The bracket stays sound, since it moves
-    only by counts, but the secant model is wrong at such a point, and
-    convergence near it rests on the Anderson-Bjorck scaling and the
-    midpoint fallback alone. An end whose f
-    is unknown or infinite (k outside S's order) gets the midpoint instead,
-    and mu keeps ``scale / 2`` from both ends. Only problems still wider
-    than ``scale`` are evaluated, all of them in one ``schur_spectrum``
-    call per step. Returns the bracket midpoints and which brackets
-    converged within ``_MAX_STEPS`` steps.
+    Within about ``u lam_k`` of an eigenvalue ``lam_k`` one term of ``S(mu)``
+    swamps the others, and the count read there can be wrong. A point within
+    ``scale`` of some ``lam_k`` moves to ``scale`` below the lowest, or above
+    the highest, eigenvalue of the run of ``lam`` spaced less than ``2
+    scale`` apart around it, whichever is nearer and still at least ``scale
+    / 2`` inside its bracket ``[lo, hi]``. Where neither is, it stays, but
+    never on an eigenvalue, where ``M(mu)`` would divide by zero.
     """
     n = len(lam)
-    mid = np.empty(len(lo))
-    converged = np.zeros(len(lo), dtype=bool)
-    idx = np.arange(len(lo))
-    f_lo = np.full(len(lo), np.nan)
-    f_hi = np.full(len(lo), np.nan)
-    last = np.zeros(len(lo))  # end the last step moved: -1 lo, +1 hi
-    for _ in range(_MAX_STEPS):
-        wide = hi - lo > scale
-        if not wide.all():
-            done = idx[~wide]
-            mid[done] = 0.5 * (lo[~wide] + hi[~wide])
-            converged[done] = True
-            idx, lo, hi, f_lo, f_hi, last, shift, scale = (
-                x[wide] for x in (idx, lo, hi, f_lo, f_hi, last, shift, scale)
-            )
-        if not idx.size:
+    k = np.searchsorted(lam, mu)
+    near = np.flatnonzero(np.minimum(mu - lam[np.maximum(k - 1, 0)], lam[np.minimum(k, n - 1)] - mu) < scale)
+    if not near.size:
+        return mu
+    x, lo, hi, scale = mu[near], lo[near], hi[near], scale[near]
+    moved = []
+    for side in (-1, 1):
+        point = x.copy()
+        todo = np.arange(len(x))
+        last = np.full(len(x), n if side < 0 else -1)  # the run's end so far: each pass passes one more
+        while todo.size:
+            y, s = point[todo], scale[todo]
+            if side < 0:  # the lowest eigenvalue above y - s
+                k = np.searchsorted(lam, y - s, side="right")
+                keep = (k < last[todo]) & (lam[np.minimum(k, n - 1)] < y + s)
+            else:  # the highest eigenvalue below y + s
+                k = np.searchsorted(lam, y + s, side="left") - 1
+                keep = (k > last[todo]) & (lam[np.maximum(k, 0)] > y - s)
+            todo, k = todo[keep], k[keep]
+            last[todo] = k
+            point[todo] = lam[k] + side * scale[todo]
+            room = point[todo] - lo[todo] if side < 0 else hi[todo] - point[todo]
+            todo = todo[room >= 0.5 * scale[todo]]
+        moved.append(point)
+    down, up = moved
+    fits_down = (down != x) & (down - lo >= 0.5 * scale)
+    fits_up = (up != x) & (hi - up >= 0.5 * scale)
+    x = np.where(fits_up & (~fits_down | (up - x < x - down)), up, np.where(fits_down, down, x))
+    while True:
+        tie = lam[np.minimum(np.searchsorted(lam, x), n - 1)] == x
+        if not tie.any():
             break
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            mu = lo + f_lo / (f_lo - f_hi) * (hi - lo)
-        known = np.isfinite(f_lo) & np.isfinite(f_hi) & np.isfinite(mu)
-        mu = np.where(known, mu, 0.5 * (lo + hi))
-        mu = np.minimum(np.maximum(mu, lo + 0.5 * scale), hi - 0.5 * scale)
-        while True:  # mu = lam_k would divide by zero: step off it
-            below = np.searchsorted(lam, mu)
-            tie = lam[np.minimum(below, n - 1)] == mu
-            if not tie.any():
+        x[tie] = np.nextafter(x[tie], np.inf)
+    mu = mu.copy()
+    mu[near] = x
+    return mu
+
+
+def _secant(a, fa, b, fb):
+    """Root of the line through ``(a, fa)`` and ``(b, fb)``."""
+    return a - fa * (a - b) / (fa - fb)
+
+
+def _pole_terms(lam, lo, hi, scale):
+    """Per bracket: the eigenvalues ``p`` and ``q`` of L next to ``lo``, their multiplicities, and how many lie inside.
+
+    ``p`` is the lowest eigenvalue above ``lo``, ``q`` the highest at or
+    below it; each counts the eigenvalues within ``scale`` of it. ``q`` is
+    never ``lam_1 = 0``, whose term of ``M`` vanishes on a connected graph.
+    """
+    n = len(lam)
+    first = np.searchsorted(lam, lo, side="right")
+    p = lam[np.minimum(first, n - 1)]
+    p_mult = np.where(first < n, np.searchsorted(lam, p + scale, side="right") - first, 0)
+    q = lam[np.maximum(first - 1, 0)]
+    q_mult = np.maximum(first - np.maximum(np.searchsorted(lam, q - scale, side="left"), 1), 0)
+    inner = np.searchsorted(lam, hi, side="left") - first
+    return first, p, p_mult, q, q_mult, inner
+
+
+def _trial_points(lam, node, lo, hi, scale, state, single) -> tuple[np.ndarray, np.ndarray]:
+    """One trial point per open bracket of :func:`_shrink_brackets`, which describes the rule.
+
+    Problems come sorted by node, then eps. Returns the points and the
+    first problem of each run that shares one: the problems of one node
+    next to each other that share a bracket take the point of their
+    lower-median eps.
+    """
+    run = np.arange(len(lo))
+    if not single:
+        new = np.ones(len(lo), dtype=bool)
+        new[1:] = (np.diff(node) != 0) | (np.diff(lo) != 0) | (np.diff(hi) != 0) | (np.diff(scale) != 0)
+        start = np.flatnonzero(new)
+        if len(start) < len(lo):
+            run = np.cumsum(new) - 1
+            pick = start + (np.diff(np.r_[start, len(lo)]) - 1) // 2
+            mu, _ = _trial_points(lam, node[pick], lo[pick], hi[pick], scale[pick], state[:, pick], True)
+            return mu[run], run
+    n = len(lam)
+    g_lo, g_hi, s_lo, s_hi, x2, g2, x3, g3, v_lo, v_hi, stuck = state[:11]
+    mu = 0.5 * (lo + hi)
+    # only hi verified: probe at the geometric mean of width and scale above lo
+    r = np.flatnonzero((v_hi > v_lo) & (stuck < _HALVING_STEPS))
+    mu[r] = lo[r] + np.sqrt((hi[r] - lo[r]) * scale[r])
+    # both ends verified: regula falsi on the pole-free det, else on sigma
+    r = np.flatnonzero((v_lo + v_hi == 2.0) & (stuck < _HALVING_STEPS))
+    if r.size:
+        a, b, sc = lo[r], hi[r], scale[r]
+        first, p, p_mult, q, q_mult, inner = _pole_terms(lam, a, b, sc)
+        det = _secant(a, g_lo[r] * np.abs(p - a) ** p_mult * np.abs(a - q) ** q_mult,
+                      b, g_hi[r] * np.abs(p - b) ** p_mult * np.abs(b - q) ** q_mult)
+        det_ok = np.isfinite(det) & (inner <= np.where(p < b, p_mult, 0))
+        mu[r[det_ok]] = det[det_ok]
+        w = np.flatnonzero(~det_ok)
+        if w.size:
+            a, b, p, q, first, inner, fa, fb = a[w], b[w], p[w], q[w], first[w], inner[w], s_lo[r[w]], s_hi[r[w]]
+            at_q = (np.abs(fa) > np.abs(fb)) & (first >= 2)
+            t = np.where(at_q, _secant(1.0 / (a - q), fa, 1.0 / (b - q), fb), _secant(1.0 / (p - a), fa, 1.0 / (p - b), fb))
+            sigma = np.where((inner <= 0) & (first < n), np.where(at_q, q + 1.0 / t, p - 1.0 / t), _secant(a, fa, b, fb))
+            mu[r[w]] = np.where(np.isfinite(sigma), sigma, mu[r[w]])
+    # only lo verified: extrapolate the pole-free det through the last points
+    # below the root toward hi, by a parabola through three or a line through
+    # two; where that has not halved the bracket in _PROBE_STEPS steps (a
+    # multiple root), probe below hi as above lo
+    r = np.flatnonzero((v_lo > v_hi) & (stuck >= _PROBE_STEPS) & (stuck < _HALVING_STEPS))
+    mu[r] = hi[r] - np.sqrt((hi[r] - lo[r]) * scale[r])
+    r = np.flatnonzero((v_lo > v_hi) & np.isfinite(g2) & (stuck < _PROBE_STEPS))
+    if r.size:
+        a, b, c = lo[r], x2[r], x3[r]
+        first, p, p_mult, q, q_mult, _ = _pole_terms(lam, a, hi[r], scale[r])
+
+        def smooth(x, g):
+            return g * np.abs(p - x) ** p_mult * np.abs(x - q) ** q_mult
+
+        ga, gb, gc = smooth(a, g_lo[r]), smooth(b, g2[r]), smooth(c, g3[r])
+        d1 = (ga - gb) / (a - b)
+        a2 = (d1 - (gb - gc) / (b - c)) / (a - c)
+        b1 = d1 + a2 * (a - b)
+        disc = b1 * b1 - 4.0 * a2 * ga
+        # the parabola's root above a, or its vertex where it has none
+        step = np.where(disc >= 0.0, -2.0 * ga / (b1 - np.sqrt(disc)), -b1 / (2.0 * a2))
+        quad = np.isfinite(step) & (step > 0.0) & (np.searchsorted(lam, c, side="right") >= first - q_mult)
+        ext = np.where(quad, a + (1.0 + _QUADRATIC_OVERSHOOT) * step, a + (1.0 + _LINEAR_OVERSHOOT) * (_secant(a, ga, b, gb) - a))
+        ok = np.isfinite(ga) & np.isfinite(gb) & (ext > a) & (np.searchsorted(lam, b, side="right") >= first - q_mult)
+        mu[r] = np.where(ok, ext, mu[r])
+    mu = np.minimum(np.maximum(mu, lo + 0.5 * scale), hi - 0.5 * scale)
+    return _off_poles(lam, mu, lo, hi, scale), run
+
+
+def _end_values(m, below, inv_rho, shift, got):
+    """``(det, sigma_k)`` at one point per problem, from the ascending eigenvalues ``m`` of ``M(mu)``.
+
+    ``det = (-1)^below det(I - rho M(mu))`` is positive where the count
+    ``got`` is 2 and negative where it is 3 (``nan`` otherwise); ``sigma_k``,
+    ``k = 2 - below + shift``, is ``nan`` where k is outside S's order.
+    """
+    width = m.shape[1]
+    k = 2 - below + shift
+    sigma = inv_rho - m[np.arange(len(m)), width - 1 - np.minimum(np.maximum(k, 0), width - 1)]
+    sigma[(k < 0) | (k >= width)] = np.nan
+    terms = 1.0 - m / inv_rho[:, None]
+    det = terms[:, 0] * (1.0 - 2.0 * (below % 2))
+    for j in range(1, width):  # a product along rows of a few columns
+        det *= terms[:, j]
+    det[(got != 2) & (got != 3)] = np.nan
+    return det, sigma
+
+
+def _shrink_brackets(lam, schur_eigenvalues, node, inv_rho, shift, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
+    """Narrow every bracket ``[lo, hi]`` around lambda3 to width ``scale``.
+
+    One entry per problem of :func:`_lambda3_batched`, on chunk-local nodes;
+    ``schur_eigenvalues(node, mu)`` gives the ascending eigenvalues ``m`` of
+    ``M(mu)``, one stacked ``eigvalsh`` per step. Every count is exact
+    (``#{lam < mu} + #{m > 1 / rho} - shift``): ``hi`` moves to a point
+    counting at least 3, ``lo`` to one counting fewer, so every bracket
+    holds lambda3 whatever the points are. Only their choice is heuristic.
+
+    The value interpolated is the determinant ``D(mu) = det(I - rho
+    M(mu))``, the ratio of the characteristic polynomials of ``L_i(eps)``
+    and ``L``: its zeros are the eigenvalues of ``L_i(eps)`` and its poles
+    those of L. ``(-1)^#{lam < mu} D`` is positive where the count is 2
+    and negative where it is 3; times ``|p - mu|^a |mu - q|^b``, with p and
+    q the eigenvalues of L next to ``lo`` and a, b their multiplicities, it
+    has no pole there, and a bracket between counts 2 and 3 holds its one
+    zero. The eigenvalue ``sigma_k`` of ``S(mu)`` whose sign decides the
+    count, ``k = 2 - #{lam < mu} + shift``, follows one branch of S's
+    spectrum and can jump where branches nearly cross, but it has a simple
+    zero at lambda3 even where lambda3 is multiple. Per bracket and step:
+
+    - no verified end yet, or several eps of a node sharing the bracket:
+      the midpoint, or the lower-median eps's point for the whole run;
+    - only ``hi`` verified: the point ``sqrt(width * scale)`` above ``lo``,
+      since lambda2 and lambda3 of a cut vertex pile up at 0 at small eps;
+    - only ``lo`` verified (``hi`` the interlacing bound ``lam_3``, often
+      a pole just above lambda3): the root of the parabola through the
+      last three points of the pole-free determinant, or of the line
+      through two, placed ``_QUADRATIC_OVERSHOOT`` or ``_LINEAR_OVERSHOOT``
+      of its step beyond, so that the count there verifies ``hi``; where
+      that has not halved the bracket in ``_PROBE_STEPS`` steps (a multiple
+      root, which those models approach slowly), the point
+      ``sqrt(width * scale)`` below ``hi``;
+    - both verified: regula falsi on the pole-free determinant with the
+      Anderson-Bjorck scaling of an end that stays put, or, where it has
+      no value (counts other than 2 and 3, a further eigenvalue of L inside
+      the bracket), on ``sigma_k``, in the pole coordinate ``1 / (mu - q)``
+      or ``1 / (p - mu)`` toward the end where it is larger;
+    - a bracket that has not halved in ``_HALVING_STEPS`` steps: the
+      midpoint.
+
+    A point keeps ``scale / 2`` from both ends, and :func:`_off_poles`
+    keeps it ``scale`` from every eigenvalue of L, where counts lose their
+    accuracy. Problems come sorted by node and eps, so that a node's
+    problems sharing a bracket form a run: one solve per run, whose count
+    each of them reads. Only problems still wider than ``scale`` are
+    evaluated. Returns the bracket midpoints and which brackets converged
+    within ``_MAX_STEPS`` steps.
+    """
+    count = len(lo)
+    mid = np.empty(count)
+    converged = np.zeros(count, dtype=bool)
+    # by node, then eps: the problems of a node that share a bracket sit together
+    idx = np.lexsort((inv_rho, hi, lo, node))
+    node, inv_rho, shift, lo, hi, scale = (x[idx] for x in (node, inv_rho, shift, lo, hi, scale))
+    single = bool(np.all(np.diff(node) != 0))  # no two problems of one node
+    # rows: det and sigma at lo and hi, the two points lo held before and
+    # their det, whether lo and hi are verified, steps since the bracket
+    # last halved, the end the last step moved (-1 lo, +1 hi), the width then
+    state = np.full((13, count), np.nan)
+    state[8:12] = 0.0
+    state[12] = hi - lo
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for _ in range(_MAX_STEPS):
+            wide = hi - lo > scale
+            if not wide.all():
+                mid[idx[~wide]] = 0.5 * (lo[~wide] + hi[~wide])
+                converged[idx[~wide]] = True
+                idx, node, inv_rho, shift, lo, hi, scale = (x[wide] for x in (idx, node, inv_rho, shift, lo, hi, scale))
+                state = state[:, wide]
+            if not idx.size:
                 break
-            mu[tie] = np.nextafter(mu[tie], np.inf)
-        sigma = schur_spectrum(idx, mu)
-        width = sigma.shape[1]
-        above = below + (sigma < 0.0).sum(axis=1) - shift >= 3
-        k = 2 - below + shift
-        f = sigma[np.arange(len(k)), np.minimum(np.maximum(k, 0), width - 1)]
-        f = np.where(k < 0, -np.inf, np.where(k >= width, np.inf, f))
-        # Anderson-Bjorck: an end that stays put twice running has its f
-        # scaled by 1 - f(mu) / f(moved end), or halved if that is not > 0.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            m = 1.0 - f / np.where(above, f_hi, f_lo)
-        m = np.where(m > 0.0, m, 0.5)
-        side = np.where(above, 1.0, -1.0)
-        f_lo = np.where(above, np.where(last == side, m * f_lo, f_lo), f)
-        f_hi = np.where(above, f, np.where(last == side, m * f_hi, f_hi))
-        lo = np.where(above, lo, mu)
-        hi = np.where(above, mu, hi)
-        last = side
+            mu, run = _trial_points(lam, node, lo, hi, scale, state, single)
+            # one solve per run of problems that share a point; each of them
+            # reads its own count from it
+            heads = run if single else np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
+            m = schur_eigenvalues(node[heads], mu[heads])
+            if not single:
+                m = m[run]
+            below = np.searchsorted(lam, mu)
+            got = below + (m > inv_rho[:, None]).sum(axis=1) - shift
+            up = got >= 3
+            down = ~up
+            # at the moved end: the det, where the count is 2 or 3, and
+            # sigma_k, the eigenvalue of S(mu) whose sign decides the count
+            end = np.array(_end_values(m, below, inv_rho, shift, got))
+            ends = np.where(up, np.nan, end), np.where(up, end, np.nan)  # (det, sigma) at lo, at hi
+            g_lo, g_hi, s_lo, s_hi, x2, g2, x3, g3, v_lo, v_hi, stuck, last, ref = state
+            side = np.where(up, 1.0, -1.0)
+            # Anderson-Bjorck: an end that stays put while the other moves
+            # twice running has its values scaled by 1 - v(new) / v(replaced),
+            # or halved if that is not > 0
+            again = last == side
+            old_lo, old_hi = state[0:4:2], state[1:4:2]  # (det, sigma) at lo and at hi
+            f = 1.0 - np.where(up, ends[1] / old_hi, ends[0] / old_lo)
+            f = np.where(f > 0.0, f, 0.5)
+            new_lo = np.where(down, ends[0], np.where(again, f * old_lo, old_lo))
+            new_hi = np.where(up, ends[1], np.where(again, f * old_hi, old_hi))
+            rows = [new_lo[0], new_hi[0], new_lo[1], new_hi[1]]
+            # the points lo held, for extrapolating toward an unverified hi
+            x3, g3 = np.where(down, x2, x3), np.where(down, g2, g3)
+            x2, g2 = np.where(down, lo, x2), np.where(down, g_lo, g2)
+            lo = np.where(down, mu, lo)
+            hi = np.where(up, mu, hi)
+            halved = hi - lo <= 0.5 * ref
+            state = np.array(rows + [x2, g2, x3, g3, np.maximum(v_lo, down), np.maximum(v_hi, up),
+                                     np.where(halved, 0.0, stuck + 1.0), side, np.where(halved, hi - lo, ref)])
     mid[idx] = 0.5 * (lo + hi)
     converged[idx] = hi - lo <= scale
     return mid, converged

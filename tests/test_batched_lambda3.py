@@ -294,17 +294,19 @@ def test_one_eigendecomposition_per_command(tmp_path, monkeypatch, argv):
 
 
 def count_schur_matrices(monkeypatch):
-    """Count the ``eigvalsh`` calls, and the matrices of every stacked (3-D) one."""
-    original = np.linalg.eigvalsh
+    """Count the ``eigvalsh`` calls, and the matrices of every stacked (3-D) ``eigvalsh`` or ``eigh`` call."""
     counted = Counter()
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
 
-    def spy(m, *args, **kwargs):
-        counted["calls"] += 1
-        if np.ndim(m) == 3:
-            counted["matrices"] += len(m)
-        return original(m, *args, **kwargs)
+        def spy(m, *args, _original=original, _name=name, **kwargs):
+            if _name == "eigvalsh":
+                counted["calls"] += 1
+            if np.ndim(m) == 3:
+                counted["matrices"] += len(m)
+            return _original(m, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(np.linalg, name, spy)
     return counted
 
 
@@ -326,8 +328,10 @@ def test_sweep_needs_at_most_20_inertia_counts_per_problem(sweep_counts):
 
 def test_sweep_solves_one_schur_complement_per_node_and_trial_point(sweep_counts):
     # 144 nodes x 13 epsilons; one solve per problem and step took 23,801,
-    # one per distinct (node, mu) of a step takes 14,089
-    assert sweep_counts["matrices"] <= 9 * 144 * 13
+    # one per distinct (node, mu) of a step 14,089 (7.53 per problem), and
+    # one per run of problems sharing a point, each count read by every
+    # problem of the node whose bracket holds it, takes 10,536 (5.63)
+    assert sweep_counts["matrices"] <= 10_536
 
 
 def test_sweep_makes_one_stacked_inertia_solve_per_step(sweep_counts):
@@ -351,6 +355,72 @@ def test_repeated_problems_share_every_schur_solve(monkeypatch, graph, epsilons)
     assert counted["matrices"] == 2 * once
     assert lam3_twice.tobytes() == lam3[twice].tobytes()
     assert tau_twice.tobytes() == tau[twice].tobytes()
+
+
+@pytest.mark.parametrize("k", [12, 16])
+def test_check_needs_at_most_11_solves_per_problem_on_grids(tmp_path, monkeypatch, k):
+    # 13.6 and 15.0 per problem when the step rule halved toward the pole
+    # at lam_3; every node of a grid needs a lambda3
+    path = grid_file(tmp_path, k)
+    counted = count_schur_matrices(monkeypatch)
+    assert main(["check", "--input", str(path), "--epsilon", "1e-4", "--output", str(tmp_path / "c")]) == 0
+    assert counted["matrices"] <= 11 * k * k
+
+
+def per_problem_solves(monkeypatch, graph, nodes, epsilons):
+    counted = count_schur_matrices(monkeypatch)
+    probe_nodes = np.repeat(nodes, len(epsilons))
+    lam3, tau = _lambda3_batched(graph, probe_nodes, np.tile(epsilons, len(nodes)))
+    assert np.all(np.isfinite(tau))
+    return counted["matrices"] / len(probe_nodes)
+
+
+def test_disk_graph_needs_no_more_solves_than_halving_toward_poles(monkeypatch):
+    # the nodes check solves on this n = 200 disk graph, at its default eps:
+    # 18.1 solves per problem before the pole-free det
+    g = disk_graph(2)
+    nodes = [i for i in range(g.n) if not bicon.locally_biconnected(g, i)]
+    assert len(nodes) == 9
+    assert per_problem_solves(monkeypatch, g, nodes, [0.05]) <= 18.1
+
+
+def test_a_hub_does_not_multiply_the_solves(monkeypatch):
+    # 20 x 20 grid plus a degree-40 hub, every node: 40.0 solves per problem
+    # before, more than the 39 of pure bisection
+    assert per_problem_solves(monkeypatch, HUB, range(HUB.n), [1e-4]) <= 40.0
+
+
+def test_no_trial_point_comes_within_scale_of_an_eigenvalue_of_l(monkeypatch):
+    """A trial point 1e-26 above lam_4 of L, where the count read 2 instead of 3, is moved off it.
+
+    The graph is the n = 23 one of ``test_scaled_random_graphs_match_dense[-12]``,
+    node 11 at eps = 3, whose scale is about 5e-26. A bracket planted around
+    lambda3 with its midpoint 1e-26 above lam_4 makes the first trial point
+    land there unless the guard moves it.
+    """
+    rng = np.random.default_rng(300 - 12)
+    graphs = [random_connected_graph(rng, int(rng.integers(3, 30))) for _ in range(12)]
+    (g,) = [WeightedGraph(n=h.n, weights=h.weights * 1e-12) for h in graphs if h.n == 23]
+    trial = []
+    original = spectral._shrink_brackets
+
+    def plant(lam, schur_eigenvalues, node, inv_rho, shift, lo, hi, scale):
+        lo = np.full(1, lam[2])
+        hi = 2.0 * (lam[3] + 1e-26) - lo
+        assert 0.5 * (lo[0] + hi[0]) - lam[3] < scale[0]  # the midpoint is within scale of lam_4
+
+        def spy(nodes, mu):
+            trial.append((mu.copy(), np.abs(lam - mu[0]).min(), scale[0]))
+            return schur_eigenvalues(nodes, mu)
+
+        return original(lam, spy, node, inv_rho, shift, lo, hi, scale)
+
+    monkeypatch.setattr(spectral, "_shrink_brackets", plant)
+    (lam3,), (tau,) = _lambda3_batched(g, np.array([11]), np.array([3.0]))
+    # the guard moved the first point off lam_4, to lam_k -+ scale rounded
+    assert trial[0][1] >= 0.99 * trial[0][2]
+    assert all(distance >= 0.99 * scale for _, distance, scale in trial)
+    assert abs(lam3 - dense_lambda3(g, 11, 3.0)) <= tau
 
 
 def test_call_without_problems_solves_nothing(monkeypatch):
