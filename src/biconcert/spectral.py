@@ -63,19 +63,18 @@ _BATCH_BYTES = 1 << 20
 # chunks that fit, each with its own bracket loop. 4 MiB keeps the 16 x 16
 # grid (2 MiB) in one loop; 1 MiB split it and lost most of the gain.
 _FACTOR_BYTES = 4 << 20
-# A bracket of width at most about ||L_i(eps)|| shrinks to n u ||L|| in some
-# 60 halvings, and secant steps need fewer; the cap only stops a loop that
-# no longer shrinks.
-_MAX_STEPS = 200
 # The step rule of :func:`_shrink_brackets`: a bracket that has not halved
-# in this many steps takes its midpoint, or, with only lo verified, first a
-# probe below hi; a one-sided trial point goes this share of its step past
-# the linear and the quadratic model's root. Fitted on the benchmark grids,
-# n = 200 disk graphs and the test families (complete graphs, stars).
-_HALVING_STEPS = 6
-_PROBE_STEPS = 4
+# in _HALVING_STEPS steps takes its midpoint (on the 12 x 12 benchmark grid's
+# sweep, six took 23 steps, eight and more 21), and a one-sided trial point
+# goes this share of its step past the linear and the quadratic model's
+# root, fitted on the benchmark grids and n = 200 disk graphs.
+_HALVING_STEPS = 8
 _LINEAR_OVERSHOOT = 0.5
 _QUADRATIC_OVERSHOOT = 0.05
+# Every bracket halves at least once per _HALVING_STEPS + 1 steps, and one
+# of width at most about ||L_i(eps)|| shrinks to n u ||L|| in at most 53
+# halvings for n >= 3; the cap only stops a loop that no longer shrinks.
+_MAX_STEPS = 60 * (_HALVING_STEPS + 1)
 # The crossover of :func:`_batched_pays`, measured on unit grids and disk
 # graphs (n = 64 to 400) with 2 cores and OpenBLAS.
 BATCH_MIN_ORDER = 64
@@ -389,85 +388,58 @@ def _pole_terms(lam, lo, hi, scale):
     never ``lam_1 = 0``, whose term of ``M`` vanishes on a connected graph.
     """
     n = len(lam)
-    first = np.searchsorted(lam, lo, side="right")
+    first = lam.searchsorted(lo, side="right")
     p = lam[np.minimum(first, n - 1)]
-    p_mult = np.where(first < n, np.searchsorted(lam, p + scale, side="right") - first, 0)
+    p_mult = np.where(first < n, lam.searchsorted(p + scale, side="right") - first, 0)
     q = lam[np.maximum(first - 1, 0)]
-    q_mult = np.maximum(first - np.maximum(np.searchsorted(lam, q - scale, side="left"), 1), 0)
-    inner = np.searchsorted(lam, hi, side="left") - first
+    q_mult = np.maximum(first - np.maximum(lam.searchsorted(q - scale, side="left"), 1), 0)
+    inner = lam.searchsorted(hi, side="left") - first
     return first, p, p_mult, q, q_mult, inner
 
 
-def _trial_points(lam, node, lo, hi, scale, state, single) -> tuple[np.ndarray, np.ndarray]:
-    """One trial point per open bracket of :func:`_shrink_brackets`, which describes the rule.
+def _trial_points(lam, lo, hi, scale, state) -> np.ndarray:
+    """The model's trial point in each bracket of :func:`_shrink_brackets`, which describes the rule; ``nan`` where none."""
+    mu = np.full(len(lo), np.nan)
+    # a model needs lo verified, and hi verified or a point lo held before
+    r = ((state[8] > 0.0) & ((state[9] > 0.0) | ~np.isnan(state[5]))).nonzero()[0]
+    if not r.size:
+        return mu
+    lo, hi, scale = lo[r], hi[r], scale[r]
+    det_lo, sigma_lo, det_hi, sigma_hi, x2, g2, x3, g3, _, v_hi = state[:10, r]
+    first, p, p_mult, q, q_mult, inner = _pole_terms(lam, lo, hi, scale)
 
-    Problems come sorted by node, then eps. Returns the points and the
-    first problem of each run that shares one: the problems of one node
-    next to each other that share a bracket take the point of their
-    lower-median eps.
-    """
-    run = np.arange(len(lo))
-    if not single:
-        new = np.ones(len(lo), dtype=bool)
-        new[1:] = (np.diff(node) != 0) | (np.diff(lo) != 0) | (np.diff(hi) != 0) | (np.diff(scale) != 0)
-        start = np.flatnonzero(new)
-        if len(start) < len(lo):
-            run = np.cumsum(new) - 1
-            pick = start + (np.diff(np.r_[start, len(lo)]) - 1) // 2
-            mu, _ = _trial_points(lam, node[pick], lo[pick], hi[pick], scale[pick], state[:, pick], True)
-            return mu[run], run
-    n = len(lam)
-    g_lo, g_hi, s_lo, s_hi, x2, g2, x3, g3, v_lo, v_hi, stuck = state[:11]
-    mu = 0.5 * (lo + hi)
-    # only hi verified: probe at the geometric mean of width and scale above lo
-    r = np.flatnonzero((v_hi > v_lo) & (stuck < _HALVING_STEPS))
-    mu[r] = lo[r] + np.sqrt((hi[r] - lo[r]) * scale[r])
-    # both ends verified: regula falsi on the pole-free det, else on sigma
-    r = np.flatnonzero((v_lo + v_hi == 2.0) & (stuck < _HALVING_STEPS))
-    if r.size:
-        a, b, sc = lo[r], hi[r], scale[r]
-        first, p, p_mult, q, q_mult, inner = _pole_terms(lam, a, b, sc)
-        det = _secant(a, g_lo[r] * np.abs(p - a) ** p_mult * np.abs(a - q) ** q_mult,
-                      b, g_hi[r] * np.abs(p - b) ** p_mult * np.abs(b - q) ** q_mult)
-        det_ok = np.isfinite(det) & (inner <= np.where(p < b, p_mult, 0))
-        mu[r[det_ok]] = det[det_ok]
-        w = np.flatnonzero(~det_ok)
-        if w.size:
-            a, b, p, q, first, inner, fa, fb = a[w], b[w], p[w], q[w], first[w], inner[w], s_lo[r[w]], s_hi[r[w]]
-            at_q = (np.abs(fa) > np.abs(fb)) & (first >= 2)
-            t = np.where(at_q, _secant(1.0 / (a - q), fa, 1.0 / (b - q), fb), _secant(1.0 / (p - a), fa, 1.0 / (p - b), fb))
-            sigma = np.where((inner <= 0) & (first < n), np.where(at_q, q + 1.0 / t, p - 1.0 / t), _secant(a, fa, b, fb))
-            mu[r[w]] = np.where(np.isfinite(sigma), sigma, mu[r[w]])
-    # only lo verified: extrapolate the pole-free det through the last points
-    # below the root toward hi, by a parabola through three or a line through
-    # two; where that has not halved the bracket in _PROBE_STEPS steps (a
-    # multiple root), probe below hi as above lo
-    r = np.flatnonzero((v_lo > v_hi) & (stuck >= _PROBE_STEPS) & (stuck < _HALVING_STEPS))
-    mu[r] = hi[r] - np.sqrt((hi[r] - lo[r]) * scale[r])
-    r = np.flatnonzero((v_lo > v_hi) & np.isfinite(g2) & (stuck < _PROBE_STEPS))
-    if r.size:
-        a, b, c = lo[r], x2[r], x3[r]
-        first, p, p_mult, q, q_mult, _ = _pole_terms(lam, a, hi[r], scale[r])
+    def smooth(x, g):  # the det at x times the powers of |p - x| and |x - q|
+        return g * np.abs(p - x) ** p_mult * np.abs(x - q) ** q_mult
 
-        def smooth(x, g):
-            return g * np.abs(p - x) ** p_mult * np.abs(x - q) ** q_mult
-
-        ga, gb, gc = smooth(a, g_lo[r]), smooth(b, g2[r]), smooth(c, g3[r])
-        d1 = (ga - gb) / (a - b)
-        a2 = (d1 - (gb - gc) / (b - c)) / (a - c)
-        b1 = d1 + a2 * (a - b)
-        disc = b1 * b1 - 4.0 * a2 * ga
-        # the parabola's root above a, or its vertex where it has none
-        step = np.where(disc >= 0.0, -2.0 * ga / (b1 - np.sqrt(disc)), -b1 / (2.0 * a2))
-        quad = np.isfinite(step) & (step > 0.0) & (np.searchsorted(lam, c, side="right") >= first - q_mult)
-        ext = np.where(quad, a + (1.0 + _QUADRATIC_OVERSHOOT) * step, a + (1.0 + _LINEAR_OVERSHOOT) * (_secant(a, ga, b, gb) - a))
-        ok = np.isfinite(ga) & np.isfinite(gb) & (ext > a) & (np.searchsorted(lam, b, side="right") >= first - q_mult)
-        mu[r] = np.where(ok, ext, mu[r])
-    mu = np.minimum(np.maximum(mu, lo + 0.5 * scale), hi - 0.5 * scale)
-    return _off_poles(lam, mu, lo, hi, scale), run
+    # the line through the pole-free det at lo and at hi where verified, else
+    # at the point lo held before
+    two = v_hi > 0.0
+    b = np.where(two, hi, x2)
+    ga, gb = smooth(lo, det_lo), smooth(b, np.where(two, det_hi, g2))
+    line = _secant(lo, ga, b, gb)
+    # both ends verified: regula falsi on the pole-free det, else on sigma_k
+    # in t = 1 / (p - mu) where no eigenvalue of L lies inside
+    t = _secant(1.0 / (p - lo), sigma_lo, 1.0 / (p - hi), sigma_hi)
+    det_ok = np.isfinite(line) & (inner <= np.where(p < hi, p_mult, 0))
+    two_sided = np.where(det_ok, line, np.where((inner <= 0) & (first < len(lam)), p - 1.0 / t, np.nan))
+    # only lo verified: extrapolate toward hi by the parabola through the
+    # last three points below the root, or the line through two, past the
+    # model's root
+    gc = smooth(x3, g3)
+    d1 = (ga - gb) / (lo - x2)
+    a2 = (d1 - (gb - gc) / (x2 - x3)) / (lo - x3)
+    b1 = d1 + a2 * (lo - x2)
+    disc = b1 * b1 - 4.0 * a2 * ga
+    # the parabola's root above lo, or its vertex where it has none
+    step = np.where(disc >= 0.0, -2.0 * ga / (b1 - np.sqrt(disc)), -b1 / (2.0 * a2))
+    quad = np.isfinite(step) & (step > 0.0) & (lam.searchsorted(x3, side="right") >= first - q_mult)
+    ext = lo + np.where(quad, (1.0 + _QUADRATIC_OVERSHOOT) * step, (1.0 + _LINEAR_OVERSHOOT) * (line - lo))
+    ok = np.isfinite(ga) & np.isfinite(gb) & (ext > lo) & (lam.searchsorted(x2, side="right") >= first - q_mult)
+    mu[r] = np.where(two, two_sided, np.where(ok, ext, np.nan))
+    return mu
 
 
-def _end_values(m, below, inv_rho, shift, got):
+def _end_values(m, below, inv_rho, shift, got) -> np.ndarray:
     """``(det, sigma_k)`` at one point per problem, from the ascending eigenvalues ``m`` of ``M(mu)``.
 
     ``det = (-1)^below det(I - rho M(mu))`` is positive where the count
@@ -476,14 +448,14 @@ def _end_values(m, below, inv_rho, shift, got):
     """
     width = m.shape[1]
     k = 2 - below + shift
-    sigma = inv_rho - m[np.arange(len(m)), width - 1 - np.minimum(np.maximum(k, 0), width - 1)]
+    values = np.empty((2, len(m)))
+    det, sigma = values
+    np.multiply.reduce(1.0 - m / inv_rho[:, None], axis=1, out=det)
+    np.negative(det, out=det, where=below % 2 == 1)
+    det[(got < 2) | (got > 3)] = np.nan
+    np.subtract(inv_rho, m[np.arange(len(m)), width - 1 - np.minimum(np.maximum(k, 0), width - 1)], out=sigma)
     sigma[(k < 0) | (k >= width)] = np.nan
-    terms = 1.0 - m / inv_rho[:, None]
-    det = terms[:, 0] * (1.0 - 2.0 * (below % 2))
-    for j in range(1, width):  # a product along rows of a few columns
-        det *= terms[:, j]
-    det[(got != 2) & (got != 3)] = np.nan
-    return det, sigma
+    return values
 
 
 def _shrink_brackets(lam, schur_eigenvalues, node, inv_rho, shift, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
@@ -504,37 +476,35 @@ def _shrink_brackets(lam, schur_eigenvalues, node, inv_rho, shift, lo, hi, scale
     q the eigenvalues of L next to ``lo`` and a, b their multiplicities, it
     has no pole there, and a bracket between counts 2 and 3 holds its one
     zero. The eigenvalue ``sigma_k`` of ``S(mu)`` whose sign decides the
-    count, ``k = 2 - #{lam < mu} + shift``, follows one branch of S's
-    spectrum and can jump where branches nearly cross, but it has a simple
-    zero at lambda3 even where lambda3 is multiple. Per bracket and step:
+    count, ``k = 2 - #{lam < mu} + shift``, has a simple pole at p, near
+    which it is close to linear in ``t = 1 / (p - mu)``, and a simple zero
+    at lambda3 even where lambda3 is multiple. Per bracket and step,
+    :func:`_trial_points` places:
 
-    - no verified end yet, or several eps of a node sharing the bracket:
-      the midpoint, or the lower-median eps's point for the whole run;
-    - only ``hi`` verified: the point ``sqrt(width * scale)`` above ``lo``,
-      since lambda2 and lambda3 of a cut vertex pile up at 0 at small eps;
     - only ``lo`` verified (``hi`` the interlacing bound ``lam_3``, often
       a pole just above lambda3): the root of the parabola through the
       last three points of the pole-free determinant, or of the line
       through two, placed ``_QUADRATIC_OVERSHOOT`` or ``_LINEAR_OVERSHOOT``
-      of its step beyond, so that the count there verifies ``hi``; where
-      that has not halved the bracket in ``_PROBE_STEPS`` steps (a multiple
-      root, which those models approach slowly), the point
-      ``sqrt(width * scale)`` below ``hi``;
+      of its step beyond, so that the count there verifies ``hi``;
     - both verified: regula falsi on the pole-free determinant with the
       Anderson-Bjorck scaling of an end that stays put, or, where it has
       no value (counts other than 2 and 3, a further eigenvalue of L inside
-      the bracket), on ``sigma_k``, in the pole coordinate ``1 / (mu - q)``
-      or ``1 / (p - mu)`` toward the end where it is larger;
-    - a bracket that has not halved in ``_HALVING_STEPS`` steps: the
-      midpoint.
+      the bracket), on ``sigma_k`` in t, where no eigenvalue of L lies
+      inside.
 
-    A point keeps ``scale / 2`` from both ends, and :func:`_off_poles`
-    keeps it ``scale`` from every eigenvalue of L, where counts lose their
-    accuracy. Problems come sorted by node and eps, so that a node's
-    problems sharing a bracket form a run: one solve per run, whose count
-    each of them reads. Only problems still wider than ``scale`` are
-    evaluated. Returns the bracket midpoints and which brackets converged
-    within ``_MAX_STEPS`` steps.
+    Every other bracket takes its midpoint: one with no verified end or
+    only ``hi`` verified, one where the model has no point, and one that
+    has not halved in ``_HALVING_STEPS`` steps, so that every bracket
+    halves at least once per ``_HALVING_STEPS + 1`` steps. A point keeps
+    ``scale / 2`` from both ends, and :func:`_off_poles` keeps it ``scale``
+    from every eigenvalue of L, where counts lose their accuracy.
+
+    Problems come sorted by node and eps, so that a node's problems sharing
+    a bracket form a run: one trial point and one solve per run, the point
+    of the run's lower-median eps, whose count each problem of the run
+    reads. Only problems still wider than ``scale`` are evaluated. Returns
+    the bracket midpoints and which brackets converged within
+    ``_MAX_STEPS`` steps.
     """
     count = len(lo)
     mid = np.empty(count)
@@ -542,60 +512,67 @@ def _shrink_brackets(lam, schur_eigenvalues, node, inv_rho, shift, lo, hi, scale
     # by node, then eps: the problems of a node that share a bracket sit together
     idx = np.lexsort((inv_rho, hi, lo, node))
     node, inv_rho, shift, lo, hi, scale = (x[idx] for x in (node, inv_rho, shift, lo, hi, scale))
-    single = bool(np.all(np.diff(node) != 0))  # no two problems of one node
-    # rows: det and sigma at lo and hi, the two points lo held before and
+    # rows: det and sigma at lo, at hi, the two points lo held before and
     # their det, whether lo and hi are verified, steps since the bracket
     # last halved, the end the last step moved (-1 lo, +1 hi), the width then
     state = np.full((13, count), np.nan)
     state[8:12] = 0.0
     state[12] = hi - lo
+    # where a run of a node's problems that share a bracket starts; runs only
+    # split, where a count parts them, and converge whole
+    new = np.ones(count, dtype=bool)
+    new[1:] = (np.diff(node) != 0) | (np.diff(lo) != 0) | (np.diff(hi) != 0) | (np.diff(scale) != 0)
+    width = hi - lo
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for _ in range(_MAX_STEPS):
-            wide = hi - lo > scale
+            wide = width > scale
             if not wide.all():
                 mid[idx[~wide]] = 0.5 * (lo[~wide] + hi[~wide])
                 converged[idx[~wide]] = True
-                idx, node, inv_rho, shift, lo, hi, scale = (x[wide] for x in (idx, node, inv_rho, shift, lo, hi, scale))
+                idx, node, inv_rho, shift, lo, hi, width, scale, new = (
+                    x[wide] for x in (idx, node, inv_rho, shift, lo, hi, width, scale, new)
+                )
                 state = state[:, wide]
             if not idx.size:
                 break
-            mu, run = _trial_points(lam, node, lo, hi, scale, state, single)
-            # one solve per run of problems that share a point; each of them
-            # reads its own count from it
-            heads = run if single else np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
-            m = schur_eigenvalues(node[heads], mu[heads])
-            if not single:
-                m = m[run]
-            below = np.searchsorted(lam, mu)
+            # one trial point and one solve per run, each of whose problems
+            # reads its own count there
+            start = new.nonzero()[0]
+            run = new.cumsum() - 1
+            pick = (start + np.concatenate((start[1:], [len(lo)])) - 1) // 2
+            a, b, sc, at = lo[pick], hi[pick], scale[pick], state[:, pick]
+            mu = _trial_points(lam, a, b, sc, at)
+            mu = np.where(np.isfinite(mu) & (at[10] < _HALVING_STEPS), mu, 0.5 * (a + b))
+            mu = _off_poles(lam, np.minimum(np.maximum(mu, a + 0.5 * sc), b - 0.5 * sc), a, b, sc)
+            m = schur_eigenvalues(node[start], mu)[run]
+            mu = mu[run]
+            below = lam.searchsorted(mu)
             got = below + (m > inv_rho[:, None]).sum(axis=1) - shift
             up = got >= 3
-            down = ~up
-            # at the moved end: the det, where the count is 2 or 3, and
-            # sigma_k, the eigenvalue of S(mu) whose sign decides the count
-            end = np.array(_end_values(m, below, inv_rho, shift, got))
-            ends = np.where(up, np.nan, end), np.where(up, end, np.nan)  # (det, sigma) at lo, at hi
-            g_lo, g_hi, s_lo, s_hi, x2, g2, x3, g3, v_lo, v_hi, stuck, last, ref = state
+            new[1:] |= up[1:] != up[:-1]
+            # (det, sigma_k) at mu, sigma_k the eigenvalue of S(mu) whose sign
+            # decides the count; Anderson-Bjorck: an end that stays put while
+            # the other moves twice running has its values scaled by
+            # 1 - v(mu) / v(replaced end), or halved if that is not > 0
+            values = _end_values(m, below, inv_rho, shift, got)
+            ab = 1.0 - values / np.where(up, state[2:4], state[0:2])
             side = np.where(up, 1.0, -1.0)
-            # Anderson-Bjorck: an end that stays put while the other moves
-            # twice running has its values scaled by 1 - v(new) / v(replaced),
-            # or halved if that is not > 0
-            again = last == side
-            old_lo, old_hi = state[0:4:2], state[1:4:2]  # (det, sigma) at lo and at hi
-            f = 1.0 - np.where(up, ends[1] / old_hi, ends[0] / old_lo)
-            f = np.where(f > 0.0, f, 0.5)
-            new_lo = np.where(down, ends[0], np.where(again, f * old_lo, old_lo))
-            new_hi = np.where(up, ends[1], np.where(again, f * old_hi, old_hi))
-            rows = [new_lo[0], new_hi[0], new_lo[1], new_hi[1]]
+            ab = np.where(state[11] == side, np.where(ab > 0.0, ab, 0.5), 1.0)
+            at_lo = np.where(up, ab * state[0:2], values)
+            at_hi = np.where(up, values, ab * state[2:4])
             # the points lo held, for extrapolating toward an unverified hi
+            x2, g2, x3, g3, v_lo, v_hi, stuck, _, ref = state[4:]
+            down = ~up
             x3, g3 = np.where(down, x2, x3), np.where(down, g2, g3)
-            x2, g2 = np.where(down, lo, x2), np.where(down, g_lo, g2)
-            lo = np.where(down, mu, lo)
+            x2, g2 = np.where(down, lo, x2), np.where(down, state[0], g2)
+            lo = np.where(up, lo, mu)
             hi = np.where(up, mu, hi)
-            halved = hi - lo <= 0.5 * ref
-            state = np.array(rows + [x2, g2, x3, g3, np.maximum(v_lo, down), np.maximum(v_hi, up),
-                                     np.where(halved, 0.0, stuck + 1.0), side, np.where(halved, hi - lo, ref)])
+            width = hi - lo
+            halved = width <= 0.5 * ref
+            state = np.concatenate((at_lo, at_hi, [x2, g2, x3, g3, np.maximum(v_lo, down), np.maximum(v_hi, up),
+                                                   np.where(halved, 0.0, stuck + 1.0), side, np.where(halved, width, ref)]))
     mid[idx] = 0.5 * (lo + hi)
-    converged[idx] = hi - lo <= scale
+    converged[idx] = width <= scale
     return mid, converged
 
 

@@ -330,8 +330,8 @@ def test_sweep_solves_one_schur_complement_per_node_and_trial_point(sweep_counts
     # 144 nodes x 13 epsilons; one solve per problem and step took 23,801,
     # one per distinct (node, mu) of a step 14,089 (7.53 per problem), and
     # one per run of problems sharing a point, each count read by every
-    # problem of the node whose bracket holds it, takes 10,536 (5.63)
-    assert sweep_counts["matrices"] <= 10_536
+    # problem of the node whose bracket holds it, takes 10,438 (5.58)
+    assert sweep_counts["matrices"] <= 10_438
 
 
 def test_sweep_makes_one_stacked_inertia_solve_per_step(sweep_counts):
@@ -421,6 +421,21 @@ def test_no_trial_point_comes_within_scale_of_an_eigenvalue_of_l(monkeypatch):
     assert trial[0][1] >= 0.99 * trial[0][2]
     assert all(distance >= 0.99 * scale for _, distance, scale in trial)
     assert abs(lam3 - dense_lambda3(g, 11, 3.0)) <= tau
+
+
+def test_a_bracket_the_model_never_halves_still_converges(monkeypatch):
+    # every model point at lo, clamped to scale / 2 above it: only the
+    # halving rule shrinks the brackets, by one midpoint per
+    # _HALVING_STEPS + 1 steps, and they still converge within the cap
+    g = grid(12, seed=1)
+    nodes = np.arange(0, g.n, 12)
+    monkeypatch.setattr(spectral, "_trial_points", lambda lam, lo, hi, scale, state: lo)
+    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    lam3, tau = _lambda3_batched(g, nodes, np.full(len(nodes), 1e-4))
+    assert np.all(np.isfinite(tau))
+    assert 200 < calls["eigvalsh"] <= spectral._MAX_STEPS
+    for i, lam3_i, tau_i in zip(nodes, lam3, tau):
+        assert abs(lam3_i - dense_lambda3(g, i, 1e-4)) <= tau_i
 
 
 def test_call_without_problems_solves_nothing(monkeypatch):
