@@ -56,30 +56,6 @@ from .spectral import (
     symmetric_eigen,
 )
 
-_VERIFY_NAMES = frozenset({
-    "CheckOutcome",
-    "CombinationParams",
-    "check_combination_realness",
-    "check_eigenvalue_gap_bound",
-    "check_intermediate_spectrum",
-    "check_null_drift_derivative",
-    "check_rank_one_update_spectrum",
-    "counterexample_search",
-    "random_connected_graph",
-    "random_graph",
-    "run_suite",
-    "suite_passed",
-})
-
-
-def __getattr__(name: str):
-    if name in _VERIFY_NAMES:
-        from . import verify
-
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "__version__",
     "BiconnectivityReport",
@@ -134,3 +110,12 @@ __all__ = [
     "suite_passed",
     "symmetric_eigen",
 ]
+
+
+def __getattr__(name: str):
+    # every name of __all__ not bound above belongs to biconcert.verify
+    if name in __all__:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

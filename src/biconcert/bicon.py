@@ -173,10 +173,11 @@ def spectral_tests_many(cases) -> list[list[SpectralTest]]:
     :func:`biconcert.spectral.perturbed_lambda3_many`, which solves the dense
     problems of all cases of one order in shared stacks; a test's values do
     not depend on the other cases. Weights whose weighted degree
-    (``g.degrees``), or twice the largest one (``||L||_1``), overflows, and
-    an epsilon or a weight so large that a bound, a lambda3 or a tau
-    overflows, raise :class:`GraphInputError`: the degrees and the bounds of
-    every case are checked before any solve.
+    (``g.degrees``), or twice the largest one (``||L||_1``), overflows, a
+    tested node whose sum of squared weights underflows (its bounds would
+    read 0), and an epsilon or a weight so large that a bound, a lambda3 or
+    a tau overflows, raise :class:`GraphInputError`: the degrees and the
+    bounds of every case are checked before any solve.
     """
     problems, bounds = [], []
     for g, nodes, epsilons in cases:
@@ -196,6 +197,8 @@ def spectral_tests_many(cases) -> list[list[SpectralTest]]:
         for start in range(0, len(nodes), rows):
             block = np.array(nodes[start : start + rows])
             a = g.weights[block][np.arange(g.n) != block[:, None]].reshape(len(block), 1, g.n - 1)
+            if (np.sum(a * a, axis=-1) < np.finfo(float).tiny).any():
+                raise GraphInputError("a tested node's sum of squared weights underflows; rescale the weights")
             with np.errstate(over="ignore"):  # an overflow is reported below
                 simple[start : start + rows] = simplified_bound(eps, g.n, a)
                 exact[start : start + rows] = exact_norm_bound(eps, a)

@@ -380,13 +380,23 @@ def _secant(a, fa, b, fb):
     return a - fa * (a - b) / (fa - fb)
 
 
-def _pole_terms(lam, lo, hi, scale):
-    """Per bracket: the eigenvalues ``p`` and ``q`` of L next to ``lo``, their multiplicities, and how many lie inside.
+def _trial_points(lam, lo, hi, scale, state) -> np.ndarray:
+    """The model's trial point in each bracket of :func:`_shrink_brackets`, which describes the rule.
 
-    ``p`` is the lowest eigenvalue above ``lo``, ``q`` the highest at or
-    below it; each counts the eigenvalues within ``scale`` of it. ``q`` is
-    never ``lam_1 = 0``, whose term of ``M`` vanishes on a connected graph.
+    ``nan`` where no model applies; a point may also be infinite or outside
+    ``[lo, hi]``, which the caller replaces by the midpoint or clamps.
     """
+    mu = np.full(len(lo), np.nan)
+    # a model needs lo verified, that is, a point lo held before, and hi
+    # verified or the det at that point
+    r = (~np.isnan(state[4]) & ((state[8] > 0.0) | ~np.isnan(state[5]))).nonzero()[0]
+    if not r.size:
+        return mu
+    lo, hi, scale = lo[r], hi[r], scale[r]
+    det_lo, sigma_lo, det_hi, sigma_hi, x2, g2, x3, g3, v_hi = state[:9, r]
+    # p, the lowest eigenvalue of L above lo, and q, the highest at or below
+    # it, each with the eigenvalues within scale of it; q is never lam_1 = 0,
+    # whose term of M vanishes on a connected graph
     n = len(lam)
     first = lam.searchsorted(lo, side="right")
     p = lam[np.minimum(first, n - 1)]
@@ -394,19 +404,6 @@ def _pole_terms(lam, lo, hi, scale):
     q = lam[np.maximum(first - 1, 0)]
     q_mult = np.maximum(first - np.maximum(lam.searchsorted(q - scale, side="left"), 1), 0)
     inner = lam.searchsorted(hi, side="left") - first
-    return first, p, p_mult, q, q_mult, inner
-
-
-def _trial_points(lam, lo, hi, scale, state) -> np.ndarray:
-    """The model's trial point in each bracket of :func:`_shrink_brackets`, which describes the rule; ``nan`` where none."""
-    mu = np.full(len(lo), np.nan)
-    # a model needs lo verified, and hi verified or a point lo held before
-    r = ((state[8] > 0.0) & ((state[9] > 0.0) | ~np.isnan(state[5]))).nonzero()[0]
-    if not r.size:
-        return mu
-    lo, hi, scale = lo[r], hi[r], scale[r]
-    det_lo, sigma_lo, det_hi, sigma_hi, x2, g2, x3, g3, _, v_hi = state[:10, r]
-    first, p, p_mult, q, q_mult, inner = _pole_terms(lam, lo, hi, scale)
 
     def smooth(x, g):  # the det at x times the powers of |p - x| and |x - q|
         return g * np.abs(p - x) ** p_mult * np.abs(x - q) ** q_mult
@@ -421,41 +418,18 @@ def _trial_points(lam, lo, hi, scale, state) -> np.ndarray:
     # in t = 1 / (p - mu) where no eigenvalue of L lies inside
     t = _secant(1.0 / (p - lo), sigma_lo, 1.0 / (p - hi), sigma_hi)
     det_ok = np.isfinite(line) & (inner <= np.where(p < hi, p_mult, 0))
-    two_sided = np.where(det_ok, line, np.where((inner <= 0) & (first < len(lam)), p - 1.0 / t, np.nan))
+    two_sided = np.where(det_ok, line, np.where((inner <= 0) & (first < n), p - 1.0 / t, np.nan))
     # only lo verified: extrapolate toward hi by the parabola through the
     # last three points below the root, or the line through two, past the
     # model's root
-    gc = smooth(x3, g3)
     d1 = (ga - gb) / (lo - x2)
-    a2 = (d1 - (gb - gc) / (x2 - x3)) / (lo - x3)
+    a2 = (d1 - (gb - smooth(x3, g3)) / (x2 - x3)) / (lo - x3)
     b1 = d1 + a2 * (lo - x2)
-    disc = b1 * b1 - 4.0 * a2 * ga
-    # the parabola's root above lo, or its vertex where it has none
-    step = np.where(disc >= 0.0, -2.0 * ga / (b1 - np.sqrt(disc)), -b1 / (2.0 * a2))
-    quad = np.isfinite(step) & (step > 0.0) & (lam.searchsorted(x3, side="right") >= first - q_mult)
+    step = -2.0 * ga / (b1 - np.sqrt(b1 * b1 - 4.0 * a2 * ga))  # the parabola's root above lo
+    quad = np.isfinite(step) & (step > 0.0)
     ext = lo + np.where(quad, (1.0 + _QUADRATIC_OVERSHOOT) * step, (1.0 + _LINEAR_OVERSHOOT) * (line - lo))
-    ok = np.isfinite(ga) & np.isfinite(gb) & (ext > lo) & (lam.searchsorted(x2, side="right") >= first - q_mult)
-    mu[r] = np.where(two, two_sided, np.where(ok, ext, np.nan))
+    mu[r] = np.where(two, two_sided, np.where(ext > lo, ext, np.nan))
     return mu
-
-
-def _end_values(m, below, inv_rho, shift, got) -> np.ndarray:
-    """``(det, sigma_k)`` at one point per problem, from the ascending eigenvalues ``m`` of ``M(mu)``.
-
-    ``det = (-1)^below det(I - rho M(mu))`` is positive where the count
-    ``got`` is 2 and negative where it is 3 (``nan`` otherwise); ``sigma_k``,
-    ``k = 2 - below + shift``, is ``nan`` where k is outside S's order.
-    """
-    width = m.shape[1]
-    k = 2 - below + shift
-    values = np.empty((2, len(m)))
-    det, sigma = values
-    np.multiply.reduce(1.0 - m / inv_rho[:, None], axis=1, out=det)
-    np.negative(det, out=det, where=below % 2 == 1)
-    det[(got < 2) | (got > 3)] = np.nan
-    np.subtract(inv_rho, m[np.arange(len(m)), width - 1 - np.minimum(np.maximum(k, 0), width - 1)], out=sigma)
-    sigma[(k < 0) | (k >= width)] = np.nan
-    return values
 
 
 def _shrink_brackets(lam, schur_eigenvalues, node, inv_rho, shift, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
@@ -482,18 +456,19 @@ def _shrink_brackets(lam, schur_eigenvalues, node, inv_rho, shift, lo, hi, scale
     :func:`_trial_points` places:
 
     - only ``lo`` verified (``hi`` the interlacing bound ``lam_3``, often
-      a pole just above lambda3): the root of the parabola through the
-      last three points of the pole-free determinant, or of the line
-      through two, placed ``_QUADRATIC_OVERSHOOT`` or ``_LINEAR_OVERSHOOT``
-      of its step beyond, so that the count there verifies ``hi``;
+      a pole just above lambda3): the root above ``lo`` of the parabola
+      through the last three points of the pole-free determinant, or where
+      it has none, of the line through two, placed
+      ``_QUADRATIC_OVERSHOOT`` or ``_LINEAR_OVERSHOOT`` of its step beyond,
+      so that the count there verifies ``hi``;
     - both verified: regula falsi on the pole-free determinant with the
       Anderson-Bjorck scaling of an end that stays put, or, where it has
       no value (counts other than 2 and 3, a further eigenvalue of L inside
       the bracket), on ``sigma_k`` in t, where no eigenvalue of L lies
       inside.
 
-    Every other bracket takes its midpoint: one with no verified end or
-    only ``hi`` verified, one where the model has no point, and one that
+    Every other bracket takes its midpoint: one whose ``lo`` is not
+    verified, one where the model has no finite point, and one that
     has not halved in ``_HALVING_STEPS`` steps, so that every bracket
     halves at least once per ``_HALVING_STEPS + 1`` steps. A point keeps
     ``scale / 2`` from both ends, and :func:`_off_poles` keeps it ``scale``
@@ -513,15 +488,16 @@ def _shrink_brackets(lam, schur_eigenvalues, node, inv_rho, shift, lo, hi, scale
     idx = np.lexsort((inv_rho, hi, lo, node))
     node, inv_rho, shift, lo, hi, scale = (x[idx] for x in (node, inv_rho, shift, lo, hi, scale))
     # rows: det and sigma at lo, at hi, the two points lo held before and
-    # their det, whether lo and hi are verified, steps since the bracket
-    # last halved, the end the last step moved (-1 lo, +1 hi), the width then
-    state = np.full((13, count), np.nan)
-    state[8:12] = 0.0
-    state[12] = hi - lo
+    # their det (nan until lo is verified), whether hi is verified, steps
+    # since the bracket last halved, the end the last step moved (-1 lo, +1
+    # hi), the width then
+    state = np.full((12, count), np.nan)
+    state[8:11] = 0.0
+    state[11] = hi - lo
     # where a run of a node's problems that share a bracket starts; runs only
     # split, where a count parts them, and converge whole
     new = np.ones(count, dtype=bool)
-    new[1:] = (np.diff(node) != 0) | (np.diff(lo) != 0) | (np.diff(hi) != 0) | (np.diff(scale) != 0)
+    new[1:] = (np.diff(node) != 0) | (np.diff(lo) != 0) | (np.diff(hi) != 0)
     width = hi - lo
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for _ in range(_MAX_STEPS):
@@ -542,7 +518,7 @@ def _shrink_brackets(lam, schur_eigenvalues, node, inv_rho, shift, lo, hi, scale
             pick = (start + np.concatenate((start[1:], [len(lo)])) - 1) // 2
             a, b, sc, at = lo[pick], hi[pick], scale[pick], state[:, pick]
             mu = _trial_points(lam, a, b, sc, at)
-            mu = np.where(np.isfinite(mu) & (at[10] < _HALVING_STEPS), mu, 0.5 * (a + b))
+            mu = np.where(np.isfinite(mu) & (at[9] < _HALVING_STEPS), mu, 0.5 * (a + b))
             mu = _off_poles(lam, np.minimum(np.maximum(mu, a + 0.5 * sc), b - 0.5 * sc), a, b, sc)
             m = schur_eigenvalues(node[start], mu)[run]
             mu = mu[run]
@@ -550,18 +526,28 @@ def _shrink_brackets(lam, schur_eigenvalues, node, inv_rho, shift, lo, hi, scale
             got = below + (m > inv_rho[:, None]).sum(axis=1) - shift
             up = got >= 3
             new[1:] |= up[1:] != up[:-1]
-            # (det, sigma_k) at mu, sigma_k the eigenvalue of S(mu) whose sign
-            # decides the count; Anderson-Bjorck: an end that stays put while
-            # the other moves twice running has its values scaled by
-            # 1 - v(mu) / v(replaced end), or halved if that is not > 0
-            values = _end_values(m, below, inv_rho, shift, got)
+            # (det, sigma_k) at mu: det = (-1)^below det(I - rho M(mu)), nan
+            # where the count is neither 2 nor 3, and sigma_k, k = 2 - below +
+            # shift, the eigenvalue of S(mu) whose sign decides the count, nan
+            # where k is outside S's order
+            d = m.shape[1]
+            k = 2 - below + shift
+            values = np.empty((2, len(m)))
+            np.multiply.reduce(1.0 - m / inv_rho[:, None], axis=1, out=values[0])
+            np.negative(values[0], out=values[0], where=below % 2 == 1)
+            values[0, (got < 2) | (got > 3)] = np.nan
+            np.subtract(inv_rho, m[np.arange(len(m)), d - 1 - np.clip(k, 0, d - 1)], out=values[1])
+            values[1, (k < 0) | (k >= d)] = np.nan
+            # Anderson-Bjorck: an end that stays put while the other moves
+            # twice running has its values scaled by 1 - v(mu) / v(replaced
+            # end), or halved if that is not > 0
             ab = 1.0 - values / np.where(up, state[2:4], state[0:2])
             side = np.where(up, 1.0, -1.0)
-            ab = np.where(state[11] == side, np.where(ab > 0.0, ab, 0.5), 1.0)
+            ab = np.where(state[10] == side, np.where(ab > 0.0, ab, 0.5), 1.0)
             at_lo = np.where(up, ab * state[0:2], values)
             at_hi = np.where(up, values, ab * state[2:4])
             # the points lo held, for extrapolating toward an unverified hi
-            x2, g2, x3, g3, v_lo, v_hi, stuck, _, ref = state[4:]
+            x2, g2, x3, g3, v_hi, stuck, _, ref = state[4:]
             down = ~up
             x3, g3 = np.where(down, x2, x3), np.where(down, g2, g3)
             x2, g2 = np.where(down, lo, x2), np.where(down, state[0], g2)
@@ -569,8 +555,8 @@ def _shrink_brackets(lam, schur_eigenvalues, node, inv_rho, shift, lo, hi, scale
             hi = np.where(up, mu, hi)
             width = hi - lo
             halved = width <= 0.5 * ref
-            state = np.concatenate((at_lo, at_hi, [x2, g2, x3, g3, np.maximum(v_lo, down), np.maximum(v_hi, up),
-                                                   np.where(halved, 0.0, stuck + 1.0), side, np.where(halved, width, ref)]))
+            state = np.concatenate((at_lo, at_hi, [x2, g2, x3, g3, np.maximum(v_hi, up), np.where(halved, 0.0, stuck + 1.0),
+                                                   side, np.where(halved, width, ref)]))
     mid[idx] = 0.5 * (lo + hi)
     converged[idx] = width <= scale
     return mid, converged

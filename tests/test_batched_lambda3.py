@@ -438,6 +438,49 @@ def test_a_bracket_the_model_never_halves_still_converges(monkeypatch):
         assert abs(lam3_i - dense_lambda3(g, i, 1e-4)) <= tau_i
 
 
+def adversary(seed):
+    """A ``_trial_points`` stand-in: per bracket, a seeded draw of the points a step rule could return.
+
+    A point uniform in the bracket, ``nan``, the eigenvalue of L nearest
+    above ``lo`` or below ``hi`` (poles of ``S(mu)``, often inside the
+    bracket), or a point below ``lo`` or above ``hi``.
+    """
+    rng = np.random.default_rng(seed)
+
+    def trial_points(lam, lo, hi, scale, state):
+        n, width = len(lam), hi - lo
+        choices = np.stack(
+            (
+                lo + rng.random(len(lo)) * width,
+                np.full(len(lo), np.nan),
+                lam[np.minimum(lam.searchsorted(lo, side="right"), n - 1)],
+                lam[np.maximum(lam.searchsorted(hi, side="left") - 1, 0)],
+                lo - rng.random(len(lo)) * width,
+                hi + rng.random(len(lo)) * width,
+            )
+        )
+        return choices[rng.integers(len(choices), size=len(lo)), np.arange(len(lo))]
+
+    return trial_points
+
+
+@pytest.mark.parametrize(
+    "graph, nodes",
+    [
+        (grid(9), range(81)),
+        (random_connected_graph(np.random.default_rng(23), 23), range(23)),
+        (disk_graph(2), np.random.default_rng(2).choice(200, 8, replace=False)),
+    ],
+    ids=["grid9", "random23", "disk200"],
+)
+def test_the_bracket_not_the_step_rule_carries_the_error_bound(monkeypatch, graph, nodes):
+    # whatever points the step rule returns, the counts keep lambda3 in the
+    # bracket and the halving rule shrinks it: every problem converges to
+    # within tau of the dense lambda3
+    monkeypatch.setattr(spectral, "_trial_points", adversary(graph.n))
+    assert_matches_dense(graph, nodes)
+
+
 def test_call_without_problems_solves_nothing(monkeypatch):
     calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
     lam3, tau = _lambda3_batched(grid(8), np.array([], dtype=int), np.array([]))

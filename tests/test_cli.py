@@ -500,6 +500,13 @@ class TestNonFiniteInput:
         write_graph(g, P3_DOC)
         assert run(["sweep", "--input", str(g), "--eps-grid", grid]) == 4
 
+    @pytest.mark.parametrize("grid", ["a:1:3", "1e-4:1:1.5", "1e-4,x"])
+    def test_non_numeric_eps_grid_exit_four(self, tmp_path, capsys, grid):
+        g = tmp_path / "p3.json"
+        write_graph(g, P3_DOC)
+        assert run(["sweep", "--input", str(g), "--eps-grid", grid]) == 4
+        assert f"{grid!r}" in one_error_line(capsys)
+
     # On the unit 4-cycle, 1e308 overflows the bounds; at 5e307 they stay
     # finite, but ||L_i(eps)||_1 = 4 eps, and with it tau, overflows.
     @pytest.mark.parametrize("eps", ["1e308", "5e307"])
@@ -544,6 +551,45 @@ class TestNonFiniteInput:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run([command, "--input", str(g), "--output", str(tmp_path / "out")]) == 0
+
+    # Weights so small that a tested node's sum of squared weights underflows
+    # would give both bounds 0, and so certify any node: node 1 of this path
+    # is a cut vertex.
+    TINY_PATH = {"n": 3, "edges": [[0, 1, 1e-200], [1, 2, 1e-200]]}
+
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    def test_underflowing_bound_exit_four(self, tmp_path, capsys, command):
+        g = tmp_path / "tiny.json"
+        write_graph(g, self.TINY_PATH)
+        assert run([command, "--input", str(g), "--output", str(tmp_path / "out")]) == 4
+        assert one_error_line(capsys).endswith("rescale the weights")
+        assert list(tmp_path.iterdir()) == [g]
+        o = tmp_path / "o.json"
+        assert run(["oracle", "--input", str(g), "--output", str(o)]) == 0
+        assert json.loads(o.read_text())["articulation_points"] == [1]
+
+    # CI's scale-invariance recipe with every weight times 2^k: down to 2^-500
+    # the verdicts are those of unit weights; at 2^-540 the squared weights
+    # underflow and check refuses.
+    @staticmethod
+    def check_scaled(tmp_path, power):
+        doc = json.loads(gen_disk200(tmp_path, 1).read_text())
+        doc["edges"] = [[i, j, w * 2.0**power] for i, j, w in doc["edges"]]
+        g = tmp_path / f"scaled{power}.json"
+        write_graph(g, doc)
+        return run(["check", "--input", str(g), "--epsilon", "1e-4", "--output", str(tmp_path / f"{power}.json")])
+
+    def test_weights_times_2_to_the_minus_500_keep_their_verdicts(self, tmp_path):
+        assert self.check_scaled(tmp_path, 0) == self.check_scaled(tmp_path, -500) == 2
+
+        def certified(power):  # the CSV's certified column
+            return [row.split(",")[5] for row in (tmp_path / f"{power}.csv").read_text().splitlines()]
+
+        assert certified(-500) == certified(0)
+
+    def test_weights_times_2_to_the_minus_540_exit_four(self, tmp_path, capsys):
+        assert self.check_scaled(tmp_path, -540) == 4
+        assert one_error_line(capsys).endswith("rescale the weights")
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
     @pytest.mark.parametrize("name", [name.replace("_", "-") for name in SUITE_TOLERANCES])

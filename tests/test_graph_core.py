@@ -29,7 +29,7 @@ from biconcert import (
     proximity_graph,
     reduced_graph,
 )
-from biconcert.graph_core import reduced_laplacians
+from biconcert.graph_core import perturbed_laplacians, reduced_laplacians
 
 
 def path3():
@@ -113,6 +113,21 @@ class TestConstruction:
             with pytest.raises(GraphInputError, match="finite"):
                 PerturbationConfig(bad)
 
+    @pytest.mark.parametrize(
+        "n, weights, positions, message",
+        [
+            (0, np.zeros((0, 0)), None, "node count must be >= 1"),
+            (3, np.zeros((2, 2)), None, r"shape \(2, 2\) does not match n=3"),
+            (2, np.eye(2), None, "nonzero diagonal"),
+            (2, [[0.0, -1.0], [-1.0, 0.0]], None, "nonnegative"),
+            (2, [[0.0, 1.0], [1.0, 0.0]], [["a", "b"], [0.0, 0.0]], "positions must be numbers"),
+        ],
+        ids=["empty", "shape", "diagonal", "negative", "positions"],
+    )
+    def test_bad_graph_rejected(self, n, weights, positions, message):
+        with pytest.raises(GraphInputError, match=message):
+            WeightedGraph(n=n, weights=weights, positions=positions)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_positions_rejected(self, bad):
         pts = [[0.0, 0.0], [1.0, bad], [2.0, 0.0]]
@@ -148,6 +163,11 @@ class TestProximity:
             assert np.array_equal(g.weights, g.weights.T)
             assert np.all(np.diag(g.weights) == 0.0)
             assert np.all(g.weights >= 0.0)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 2, 2)])
+    def test_positions_not_n_by_2_rejected(self, shape):
+        with pytest.raises(GraphInputError, match=r"must be an \(n, 2\) array"):
+            proximity_graph(np.zeros(shape), self.MODEL)
 
     def test_bad_model_rejected(self):
         with pytest.raises(GraphInputError):
@@ -248,6 +268,25 @@ class TestReducedGraph:
             sub = w[np.ix_(keep, keep)]
             expected = np.diag(sub.sum(axis=1)) - sub
             assert np.array_equal(laplacian(reduced_graph(g, i)), expected)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g: perturbed_laplacian(g, 0, PerturbationConfig(0.5)),
+        lambda g: reduced_laplacians(g, [0]),
+        lambda g: intermediate_matrix(g, 0, PerturbationConfig(0.5)),
+    ],
+    ids=["perturbed_laplacian", "reduced_laplacians", "intermediate_matrix"],
+)
+def test_matrix_builders_reject_a_single_node(build):
+    with pytest.raises(PreconditionError):
+        build(from_edge_list(1, []))
+
+
+def test_perturbed_laplacians_reject_unequal_lengths():
+    with pytest.raises(ValueError, match="2 nodes but 1 perturbations"):
+        perturbed_laplacians(path3(), [0, 1], [PerturbationConfig(0.5)])
 
 
 class TestPerturbedLaplacian:

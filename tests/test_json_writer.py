@@ -7,6 +7,7 @@ encoder byte for byte, and it must raise ``TypeError`` on the same inputs.
 """
 
 import json
+from enum import IntEnum
 
 import numpy as np
 import pytest
@@ -16,6 +17,12 @@ from biconcert.cli import _dump_json, main
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 given, settings = hypothesis.given, hypothesis.settings
+
+
+class Code(IntEnum):  # an int subclass: json writes int.__repr__ of it
+    OK = 0
+    FAILED = 2
+
 
 # Characters that would break a writer splitting or replacing JSON text.
 AWKWARD = st.text(alphabet=st.sampled_from(list(',[]{}":\\/\n\t\x00\x1f\x7f é☃\U0001f600')))
@@ -93,6 +100,8 @@ def test_matches_json_dumps_on_rows_and_flat_lists(obj):
         np.float64(2.5),
         "top-level string",
         None,
+        Code.FAILED,
+        {"code": Code.OK, "codes": [Code.FAILED, 1]},
     ],
 )
 def test_matches_json_dumps_on_edge_cases(obj):

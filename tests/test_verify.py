@@ -387,6 +387,22 @@ def test_random_graph_matches_the_per_pair_stream(n):
             assert rng.random() == ref.random() and rng.integers(1 << 30) == ref.integers(1 << 30)
 
 
+@pytest.mark.parametrize("draw", [lambda rng, n: verify.random_graph(rng, n, 0.5), verify.random_connected_graph])
+@pytest.mark.parametrize("n", [0, -1])
+def test_random_graphs_reject_fewer_than_one_node(draw, n):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        draw(np.random.default_rng(0), n)
+
+
+def test_random_connected_graph_styles():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="unknown style 'tree'"):
+        verify.random_connected_graph(rng, 5, style="tree")
+    for style in ("er", "geometric"):
+        g = verify.random_connected_graph(rng, 1, style=style)
+        assert g.n == 1 and g.weights.tolist() == [[0.0]]
+
+
 @pytest.mark.parametrize("p", [math.nan, -0.1, 1.5, 2.0, -math.inf, math.inf])
 def test_random_graph_rejects_p_outside_the_unit_interval(p):
     with pytest.raises(ValueError, match="0 <= p <= 1"):
