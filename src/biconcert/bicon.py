@@ -42,6 +42,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,8 +127,7 @@ def exact_norm_bound(eps: float | np.ndarray, a: np.ndarray) -> float | np.ndarr
     return bound if isinstance(bound, np.ndarray) else float(bound)
 
 
-@dataclass(frozen=True)
-class SpectralTest:
+class SpectralTest(NamedTuple):
     """lambda3 of ``L_i(eps)``, its error bound ``tau`` and both bounds, for one node at one epsilon."""
 
     node: NodeId
@@ -197,9 +197,9 @@ def spectral_tests_many(cases) -> list[list[SpectralTest]]:
         for start in range(0, len(nodes), rows):
             block = np.array(nodes[start : start + rows])
             a = g.weights[block][np.arange(g.n) != block[:, None]].reshape(len(block), 1, g.n - 1)
-            if (np.sum(a * a, axis=-1) < np.finfo(float).tiny).any():
-                raise GraphInputError("a tested node's sum of squared weights underflows; rescale the weights")
             with np.errstate(over="ignore"):  # an overflow is reported below
+                if (np.sum(a * a, axis=-1) < np.finfo(float).tiny).any():
+                    raise GraphInputError("a tested node's sum of squared weights underflows; rescale the weights")
                 simple[start : start + rows] = simplified_bound(eps, g.n, a)
                 exact[start : start + rows] = exact_norm_bound(eps, a)
         simple, exact = simple.ravel(), exact.ravel()
@@ -212,14 +212,8 @@ def spectral_tests_many(cases) -> list[list[SpectralTest]]:
         problems, bounds, perturbed_lambda3_many(problems)
     ):
         _require_finite("lambda3 or its error bound", eps, lam3, tau)
-        tests.append(
-            [
-                SpectralTest(i, cfg.epsilon, lam, s, e, t)
-                for i, cfg, lam, s, e, t in zip(
-                    nodes, cfgs, lam3.tolist(), simple.tolist(), exact.tolist(), tau.tolist()
-                )
-            ]
-        )
+        values = zip(nodes, [c.epsilon for c in cfgs], lam3.tolist(), simple.tolist(), exact.tolist(), tau.tolist())
+        tests.append(list(map(SpectralTest._make, values)))
     return tests
 
 
@@ -453,11 +447,14 @@ def report_to_dict(r: BiconnectivityReport) -> dict:
             {
                 "node": c.node,
                 "locally_biconnected": c.locally_biconnected,
-                **dict(zip(("lambda3", "simplified_bound", "exact_norm_bound"), _test_values(c.test))),
+                "lambda3": lam3,
+                "simplified_bound": simple,
+                "exact_norm_bound": exact,
                 "certified": c.certified,
                 "oracle_is_articulation": c.oracle_is_articulation,
             }
             for c in r.nodes
+            for lam3, simple, exact in [_test_values(c.test)]
         ],
     }
 
@@ -466,12 +463,11 @@ def _csv_num(x: float | None) -> str:
     return "" if x is None else format(x, ".6g")
 
 
-def _csv_flag(x: bool | None) -> str:
-    return "" if x is None else ("true" if x else "false")
+_CSV_FLAG = {True: "true", False: "false", None: ""}
 
 
 def _test_values(t: SpectralTest | None) -> tuple[float | None, ...]:
-    """lambda3 and both bounds of a test, or three ``None``: the report's and both CSVs' columns for it."""
+    """lambda3 and both bounds of a test, or three ``None``: the report's and ``check``'s CSV columns for it."""
     return (None,) * 3 if t is None else (t.lambda3, t.simplified_bound, t.exact_norm_bound)
 
 
@@ -480,10 +476,10 @@ def report_csv_rows(r: BiconnectivityReport) -> list[list[str]]:
     return [list(CSV_COLUMNS)] + [
         [
             str(c.node),
-            _csv_flag(c.locally_biconnected),
+            _CSV_FLAG[c.locally_biconnected],
             *map(_csv_num, _test_values(c.test)),
-            _csv_flag(c.certified),
-            _csv_flag(c.oracle_is_articulation),
+            _CSV_FLAG[c.certified],
+            _CSV_FLAG[c.oracle_is_articulation],
         ]
         for c in r.nodes
     ]
@@ -491,13 +487,16 @@ def report_csv_rows(r: BiconnectivityReport) -> list[list[str]]:
 
 def sweep_csv_rows(tests: list[SpectralTest]) -> list[list[str]]:
     """``sweep``'s CSV: header plus one row per test with both verdicts, cells as for ``check``."""
+    simplified, exact = BoundMode.SIMPLIFIED, BoundMode.EXACT_NORM
     return [list(SWEEP_COLUMNS)] + [
         [
             str(t.node),
-            _csv_num(t.epsilon),
-            *map(_csv_num, _test_values(t)),
-            _csv_flag(t.certified(BoundMode.SIMPLIFIED)),
-            _csv_flag(t.certified(BoundMode.EXACT_NORM)),
+            f"{t.epsilon:.6g}",
+            f"{t.lambda3:.6g}",
+            f"{t.simplified_bound:.6g}",
+            f"{t.exact_norm_bound:.6g}",
+            _CSV_FLAG[t.certified(simplified)],
+            _CSV_FLAG[t.certified(exact)],
         ]
         for t in tests
     ]

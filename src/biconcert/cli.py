@@ -30,16 +30,15 @@ Identical invocations (including ``--seed``) produce byte-identical output
 files; randomness comes from numpy's seeded PCG64 generator, which is
 recorded in generated file metadata. Every JSON file is byte-identical to
 ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline; the writer
-hands lists of numbers, such as a graph's edges and positions, to json's C
-encoder instead of its pure-Python indenting one.
+hands lists of numbers, such as a graph's edges and positions, and lists of
+flat dicts, such as ``check``'s nodes, to json's C encoder instead of its
+pure-Python indenting one.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -198,13 +197,14 @@ def _dump_json(obj) -> str:
 
     Raises ``TypeError`` where ``json.dumps`` does; a container that holds
     itself raises ``RecursionError``, where ``json.dumps`` raises
-    ``ValueError``. A list of scalars, or of non-empty rows of scalars (a
-    graph's ``edges`` and ``positions``), is written by json's C encoder,
-    which ignores ``indent`` but writes numbers as the pure-Python encoder
-    does (``int.__repr__``, ``float.__repr__``, ``NaN``, ``Infinity``): its
-    item separator carries the indent, and one replacement indents the rows'
-    brackets. Dicts and lists that hold strings, dicts or deeper lists
-    recurse.
+    ``ValueError``. A list of scalars, of non-empty rows of scalars (a
+    graph's ``edges`` and ``positions``), or of non-empty flat dicts, whose
+    values are all scalars (``check``'s nodes), is written by json's C
+    encoder, which ignores ``indent`` but writes numbers and keys as the
+    pure-Python encoder does (``int.__repr__``, ``float.__repr__``, ``NaN``,
+    ``Infinity``, keys sorted): its item separator carries the indent, and
+    one replacement indents the rows' brackets or the dicts' braces. Dicts
+    and lists that hold strings, dicts or deeper lists recurse.
     """
     return _indented(obj, "\n") + "\n"
 
@@ -231,6 +231,12 @@ def _indented(o, nl: str) -> str:
             if text.count("[") == len(o) + 1 and '"' not in text:
                 rows = text[2:-2].replace(f"],{cell}[", f"{inner}],{inner}[{cell}")
                 return f"[{inner}[{cell}{rows}{inner}]{nl}]"
+        if kinds == {dict} and all(o) and all(set(map(type, d.values())) <= _SCALAR_TEXT.keys() for d in o):
+            # Flat dicts: the separator parts their items and the dicts alike,
+            # and no encoded key holds its newline, so the braces are found.
+            cell = inner + "  "
+            items = _c_encode(o, cell)[2:-2].replace(f"}},{cell}{{", f"{inner}}},{inner}{{{cell}")
+            return f"[{inner}{{{cell}{items}{inner}}}{nl}]"
         items = f",{inner}".join([_indented(v, inner) for v in o])
         return f"[{inner}{items}{nl}]"
     if isinstance(o, dict):
@@ -247,8 +253,8 @@ def _indented(o, nl: str) -> str:
 
 
 def _c_encode(o: list | tuple, indent: str) -> str:
-    """``o`` by json's C encoder, items separated by a comma and ``indent``."""
-    return json.JSONEncoder(separators=("," + indent, ":"), check_circular=False).encode(o)
+    """``o`` by json's C encoder, items separated by a comma and ``indent``, keys sorted."""
+    return json.JSONEncoder(separators=("," + indent, ": "), sort_keys=True, check_circular=False).encode(o)
 
 
 def _key(k) -> str:
@@ -272,10 +278,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _csv_text(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+    """One line per row, cells joined by commas: no cell the CLI writes needs quoting."""
+    return "".join([",".join(row) + "\n" for row in rows])
 
 
 def _load_graph(path: str) -> WeightedGraph:

@@ -256,8 +256,9 @@ def _lambda3_batched(
     rows of ``Q`` and the node's neighbours (``g.adjacency``) and weights,
     d x n floats per node. The call's distinct nodes are split into chunks
     whose ``U^T`` fits in ``_FACTOR_BYTES``, and each chunk runs its own
-    loop over its own problems; a step gathers ``U^T`` by node and forms M
-    for ``_BATCH_BYTES`` of n x d arrays at a time. Besides arrays of at
+    loop over its own problems; a step gathers ``U^T`` by node, or slices it
+    where it solves for each node of the chunk once and in order, and forms
+    M for ``_BATCH_BYTES`` of n x d arrays at a time. Besides arrays of at
     most n x n entries, like ``Q``, memory is those two budgets plus O(d^2)
     floats per solve of one chunk's step. How the problems are split or
     repeated never changes a problem's arithmetic, since d stays the call's
@@ -298,9 +299,10 @@ def _lambda3_batched(
 
     def schur_eigenvalues(ut, node, mu):
         """Ascending eigenvalues of M(mu[h]) with U^T ``ut[node[h]]``, one per (node, mu) pair ``h``."""
+        whole = len(node) == len(ut) and (np.diff(node) == 1).all()
         m = np.empty((len(node), width, width))
         for c in range(0, len(node), per):
-            x = ut[node[c : c + per]]
+            x = ut[c : c + per] if whole else ut[node[c : c + per]]
             m[c : c + per] = (x / (lam - mu[c : c + per, None])[:, None, :]) @ x.transpose(0, 2, 1)
         try:
             return np.linalg.eigvalsh(m)
@@ -380,20 +382,8 @@ def _secant(a, fa, b, fb):
     return a - fa * (a - b) / (fa - fb)
 
 
-def _trial_points(lam, lo, hi, scale, state) -> np.ndarray:
-    """The model's trial point in each bracket of :func:`_shrink_brackets`, which describes the rule.
-
-    ``nan`` where no model applies; a point may also be infinite or outside
-    ``[lo, hi]``, which the caller replaces by the midpoint or clamps.
-    """
-    mu = np.full(len(lo), np.nan)
-    # a model needs lo verified, that is, a point lo held before, and hi
-    # verified or the det at that point
-    r = (~np.isnan(state[4]) & ((state[8] > 0.0) | ~np.isnan(state[5]))).nonzero()[0]
-    if not r.size:
-        return mu
-    lo, hi, scale = lo[r], hi[r], scale[r]
-    det_lo, sigma_lo, det_hi, sigma_hi, x2, g2, x3, g3, v_hi = state[:9, r]
+def _pole_free(lam, lo, scale):
+    """``first``, the index of p, p, its multiplicity and the pole-free det ``smooth(x, g)`` at each ``lo``."""
     # p, the lowest eigenvalue of L above lo, and q, the highest at or below
     # it, each with the eigenvalues within scale of it; q is never lam_1 = 0,
     # whose term of M vanishes on a connected graph
@@ -403,32 +393,53 @@ def _trial_points(lam, lo, hi, scale, state) -> np.ndarray:
     p_mult = np.where(first < n, lam.searchsorted(p + scale, side="right") - first, 0)
     q = lam[np.maximum(first - 1, 0)]
     q_mult = np.maximum(first - np.maximum(lam.searchsorted(q - scale, side="left"), 1), 0)
-    inner = lam.searchsorted(hi, side="left") - first
 
     def smooth(x, g):  # the det at x times the powers of |p - x| and |x - q|
         return g * np.abs(p - x) ** p_mult * np.abs(x - q) ** q_mult
 
-    # the line through the pole-free det at lo and at hi where verified, else
-    # at the point lo held before
-    two = v_hi > 0.0
-    b = np.where(two, hi, x2)
-    ga, gb = smooth(lo, det_lo), smooth(b, np.where(two, det_hi, g2))
-    line = _secant(lo, ga, b, gb)
-    # both ends verified: regula falsi on the pole-free det, else on sigma_k
-    # in t = 1 / (p - mu) where no eigenvalue of L lies inside
-    t = _secant(1.0 / (p - lo), sigma_lo, 1.0 / (p - hi), sigma_hi)
-    det_ok = np.isfinite(line) & (inner <= np.where(p < hi, p_mult, 0))
-    two_sided = np.where(det_ok, line, np.where((inner <= 0) & (first < n), p - 1.0 / t, np.nan))
-    # only lo verified: extrapolate toward hi by the parabola through the
-    # last three points below the root, or the line through two, past the
-    # model's root
-    d1 = (ga - gb) / (lo - x2)
-    a2 = (d1 - (gb - smooth(x3, g3)) / (x2 - x3)) / (lo - x3)
-    b1 = d1 + a2 * (lo - x2)
-    step = -2.0 * ga / (b1 - np.sqrt(b1 * b1 - 4.0 * a2 * ga))  # the parabola's root above lo
-    quad = np.isfinite(step) & (step > 0.0)
-    ext = lo + np.where(quad, (1.0 + _QUADRATIC_OVERSHOOT) * step, (1.0 + _LINEAR_OVERSHOOT) * (line - lo))
-    mu[r] = np.where(two, two_sided, np.where(ext > lo, ext, np.nan))
+    return first, p, p_mult, smooth
+
+
+def _trial_points(lam, lo, hi, scale, state) -> np.ndarray:
+    """The model's trial point in each bracket of :func:`_shrink_brackets`, which describes the rule.
+
+    ``nan`` where no model applies; a point may also be infinite or outside
+    ``[lo, hi]``, which the caller replaces by the midpoint or clamps.
+    """
+    mu = np.full(len(lo), np.nan)
+    # a model needs lo verified, that is, a point lo held before, and hi
+    # verified or the det at that point
+    verified = ~np.isnan(state[4])
+    two = verified & (state[8] > 0.0)
+    r = two.nonzero()[0]
+    if r.size:
+        # both ends verified: regula falsi on the pole-free det, else on
+        # sigma_k in t = 1 / (p - mu) where no eigenvalue of L lies inside
+        a, b = lo[r], hi[r]
+        det_lo, sigma_lo, det_hi, sigma_hi = state[:4, r]
+        first, p, p_mult, smooth = _pole_free(lam, a, scale[r])
+        inner = lam.searchsorted(b, side="left") - first
+        line = _secant(a, smooth(a, det_lo), b, smooth(b, det_hi))
+        t = _secant(1.0 / (p - a), sigma_lo, 1.0 / (p - b), sigma_hi)
+        det_ok = np.isfinite(line) & (inner <= np.where(p < b, p_mult, 0))
+        mu[r] = np.where(det_ok, line, np.where((inner <= 0) & (first < len(lam)), p - 1.0 / t, np.nan))
+    r = (verified & ~two & ~np.isnan(state[5])).nonzero()[0]
+    if r.size:
+        # only lo verified: extrapolate toward hi by the parabola through the
+        # last three points below the root, or the line through two, past
+        # the model's root
+        a, det_lo = lo[r], state[0, r]
+        x2, g2, x3, g3 = state[4:8, r]
+        smooth = _pole_free(lam, a, scale[r])[3]
+        ga, gb = smooth(a, det_lo), smooth(x2, g2)
+        line = _secant(a, ga, x2, gb)
+        d1 = (ga - gb) / (a - x2)
+        a2 = (d1 - (gb - smooth(x3, g3)) / (x2 - x3)) / (a - x3)
+        b1 = d1 + a2 * (a - x2)
+        step = -2.0 * ga / (b1 - np.sqrt(b1 * b1 - 4.0 * a2 * ga))  # the parabola's root above lo
+        quad = np.isfinite(step) & (step > 0.0)
+        ext = a + np.where(quad, (1.0 + _QUADRATIC_OVERSHOOT) * step, (1.0 + _LINEAR_OVERSHOOT) * (line - a))
+        mu[r] = np.where(ext > a, ext, np.nan)
     return mu
 
 
@@ -515,28 +526,32 @@ def _shrink_brackets(lam, schur_eigenvalues, node, inv_rho, shift, lo, hi, scale
             # reads its own count there
             start = new.nonzero()[0]
             run = new.cumsum() - 1
-            pick = (start + np.concatenate((start[1:], [len(lo)])) - 1) // 2
+            # a run's point is its lower-median problem's; views if all runs are one
+            pick = (start + np.concatenate((start[1:], [len(lo)])) - 1) // 2 if len(start) < len(lo) else slice(None)
             a, b, sc, at = lo[pick], hi[pick], scale[pick], state[:, pick]
             mu = _trial_points(lam, a, b, sc, at)
             mu = np.where(np.isfinite(mu) & (at[9] < _HALVING_STEPS), mu, 0.5 * (a + b))
             mu = _off_poles(lam, np.minimum(np.maximum(mu, a + 0.5 * sc), b - 0.5 * sc), a, b, sc)
-            m = schur_eigenvalues(node[start], mu)[run]
+            # one row per eigenvalue of M, one column per problem: numpy
+            # reduces over the rows of a few long ones faster than along them
+            m = schur_eigenvalues(node[start], mu).T.take(run, axis=1)
             mu = mu[run]
             below = lam.searchsorted(mu)
-            got = below + (m > inv_rho[:, None]).sum(axis=1) - shift
+            got = below + (m > inv_rho).sum(axis=0) - shift
             up = got >= 3
+            down = ~up
             new[1:] |= up[1:] != up[:-1]
             # (det, sigma_k) at mu: det = (-1)^below det(I - rho M(mu)), nan
             # where the count is neither 2 nor 3, and sigma_k, k = 2 - below +
             # shift, the eigenvalue of S(mu) whose sign decides the count, nan
             # where k is outside S's order
-            d = m.shape[1]
+            d = len(m)
             k = 2 - below + shift
-            values = np.empty((2, len(m)))
-            np.multiply.reduce(1.0 - m / inv_rho[:, None], axis=1, out=values[0])
+            values = np.empty((2, len(mu)))
+            np.multiply.reduce(1.0 - m / inv_rho, axis=0, out=values[0])
             np.negative(values[0], out=values[0], where=below % 2 == 1)
             values[0, (got < 2) | (got > 3)] = np.nan
-            np.subtract(inv_rho, m[np.arange(len(m)), d - 1 - np.clip(k, 0, d - 1)], out=values[1])
+            np.subtract(inv_rho, m[d - 1 - np.minimum(np.maximum(k, 0), d - 1), np.arange(len(mu))], out=values[1])
             values[1, (k < 0) | (k >= d)] = np.nan
             # Anderson-Bjorck: an end that stays put while the other moves
             # twice running has its values scaled by 1 - v(mu) / v(replaced
@@ -544,19 +559,20 @@ def _shrink_brackets(lam, schur_eigenvalues, node, inv_rho, shift, lo, hi, scale
             ab = 1.0 - values / np.where(up, state[2:4], state[0:2])
             side = np.where(up, 1.0, -1.0)
             ab = np.where(state[10] == side, np.where(ab > 0.0, ab, 0.5), 1.0)
-            at_lo = np.where(up, ab * state[0:2], values)
-            at_hi = np.where(up, values, ab * state[2:4])
             # the points lo held, for extrapolating toward an unverified hi
-            x2, g2, x3, g3, v_hi, stuck, _, ref = state[4:]
-            down = ~up
-            x3, g3 = np.where(down, x2, x3), np.where(down, g2, g3)
-            x2, g2 = np.where(down, lo, x2), np.where(down, state[0], g2)
-            lo = np.where(up, lo, mu)
-            hi = np.where(up, mu, hi)
-            width = hi - lo
-            halved = width <= 0.5 * ref
-            state = np.concatenate((at_lo, at_hi, [x2, g2, x3, g3, np.maximum(v_hi, up), np.where(halved, 0.0, stuck + 1.0),
-                                                   side, np.where(halved, width, ref)]))
+            np.copyto(state[4:8], [lo, state[0], state[4], state[5]], where=down)
+            np.multiply(ab, state[0:2], out=state[0:2], where=up)
+            np.copyto(state[0:2], values, where=down)
+            np.multiply(ab, state[2:4], out=state[2:4], where=down)
+            np.copyto(state[2:4], values, where=up)
+            np.copyto(lo, mu, where=down)
+            np.copyto(hi, mu, where=up)
+            np.subtract(hi, lo, out=width)
+            halved = width <= 0.5 * state[11]
+            np.copyto(state[8], 1.0, where=up)
+            state[9] = np.where(halved, 0.0, state[9] + 1.0)
+            state[10] = side
+            np.copyto(state[11], width, where=halved)
     mid[idx] = 0.5 * (lo + hi)
     converged[idx] = width <= scale
     return mid, converged

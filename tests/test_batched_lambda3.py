@@ -357,6 +357,41 @@ def test_repeated_problems_share_every_schur_solve(monkeypatch, graph, epsilons)
     assert tau_twice.tobytes() == tau[twice].tobytes()
 
 
+def schur_nodes(monkeypatch):
+    """The chunk-local nodes of every Schur solve of ``_shrink_brackets``, one array per step."""
+    seen = []
+    shrink = spectral._shrink_brackets
+
+    def spy(lam, schur_eigenvalues, *args):
+        def solve(node, mu):
+            seen.append(node.copy())
+            return schur_eigenvalues(node, mu)
+
+        return shrink(lam, solve, *args)
+
+    monkeypatch.setattr(spectral, "_shrink_brackets", spy)
+    return seen
+
+
+@pytest.mark.parametrize("graph", [grid(12), disk_graph(2)], ids=["grid12", "disk200"])
+def test_slicing_u_t_gives_the_lambda3_and_tau_of_gathering_it(monkeypatch, graph):
+    # every node once: the first step of a node chunk solves for each of its
+    # nodes in order, so it slices U^T; node 0 at a second eps starts a
+    # second run of node 0, so that step gathers U^T, with the problems in
+    # order or shuffled
+    nodes, eps = np.arange(graph.n), np.full(graph.n, 1e-4)
+    seen = schur_nodes(monkeypatch)
+    lam3, tau = _lambda3_batched(graph, nodes, eps)
+    assert np.array_equal(seen[0], np.arange(len(seen[0])))
+    for order in (np.arange(graph.n + 1), np.random.default_rng(0).permutation(graph.n + 1)):
+        seen.clear()
+        more_lam3, more_tau = _lambda3_batched(graph, np.append(nodes, 0)[order], np.append(eps, 3.0)[order])
+        assert np.count_nonzero(seen[0] == 0) == 2
+        keep = order < graph.n
+        assert more_lam3[keep].tobytes() == lam3[order[keep]].tobytes()
+        assert more_tau[keep].tobytes() == tau[order[keep]].tobytes()
+
+
 @pytest.mark.parametrize("k", [12, 16])
 def test_check_needs_at_most_11_solves_per_problem_on_grids(tmp_path, monkeypatch, k):
     # 13.6 and 15.0 per problem when the step rule halved toward the pole

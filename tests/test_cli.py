@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, file formats, determinism, round trips."""
 
+import csv
 import hashlib
+import io
 import json
 import warnings
 
@@ -9,8 +11,8 @@ import pytest
 
 import biconcert.spectral
 import biconcert.cli
-from biconcert import graph_from_dict, is_connected_bfs
-from biconcert.bicon import spectral_tests, sweep_csv_rows
+from biconcert import PerturbationConfig, certify_graph, graph_from_dict, is_connected_bfs
+from biconcert.bicon import report_csv_rows, spectral_tests, sweep_csv_rows
 from biconcert.cli import DEFAULT_EPS_GRID, EXIT_NUMERICAL, main, parse_eps_grid
 from biconcert.errors import EigenConvergenceError, GraphInputError
 from biconcert.verify import SUITE_TOLERANCES
@@ -235,6 +237,18 @@ class TestSweep:
         graph = graph_from_dict(K4_DOC)
         rows = sweep_csv_rows(spectral_tests(graph, range(graph.n), parse_eps_grid(DEFAULT_EPS_GRID)))
         assert out.read_text() == biconcert.cli._csv_text(rows)
+
+    def test_csv_text_is_csv_writers(self, tmp_path):
+        # check's rows of locally biconnected nodes hold empty cells
+        graph = graph_from_dict(json.loads(gen_disk200(tmp_path, 1).read_text()))
+        report = certify_graph(graph, PerturbationConfig(0.05), with_oracle=True)
+        tests = spectral_tests(graph, range(0, graph.n, 10), parse_eps_grid("1e-4,0.05,1,2.5"))
+        for rows in (report_csv_rows(report), sweep_csv_rows(tests)):
+            assert not any(c in cell for row in rows for cell in row for c in ',"\r\n')
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(rows)
+            assert biconcert.cli._csv_text(rows) == buf.getvalue()
+        assert any(row[2] == "" for row in report_csv_rows(report))
 
     def test_path3_rows(self, tmp_path):
         g = tmp_path / "p3.json"
@@ -542,6 +556,20 @@ class TestNonFiniteInput:
             assert run([command, "--input", str(g), "--output", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "weighted degree" in err
+        assert list(tmp_path.iterdir()) == [g]
+
+    # Weights whose squares overflow while every degree is finite: the
+    # underflow guard on the sums of squares must not warn before the error.
+    OVERFLOWING_SQUARES = {"n": 4, "edges": [[0, 1, 1e300], [1, 2, 1e300], [2, 3, 1e300], [3, 0, 1e300]]}
+
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    def test_overflowing_squared_weights_exit_four(self, tmp_path, capsys, command):
+        g = tmp_path / "big.json"
+        write_graph(g, self.OVERFLOWING_SQUARES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--input", str(g), "--output", str(tmp_path / "out")]) == 4
+        assert "overflows" in one_error_line(capsys)
         assert list(tmp_path.iterdir()) == [g]
 
     @pytest.mark.parametrize("command", ["oracle", "export"])

@@ -1,8 +1,8 @@
 """The CLI's JSON writer against ``json.dumps(indent=2, sort_keys=True)``.
 
-``cli._dump_json`` writes lists of numbers and rows of numbers with json's C
-encoder and indents them by string replacement; everything else recurses in
-Python. Its text must equal the standard library's pure-Python indented
+``cli._dump_json`` writes lists of numbers, rows of numbers and flat dicts
+(non-empty, every value a scalar other than a string) with json's C encoder
+and indents them by string replacement; everything else recurses in Python. Its text must equal the standard library's pure-Python indented
 encoder byte for byte, and it must raise ``TypeError`` on the same inputs.
 """
 
@@ -53,6 +53,10 @@ JSON_VALUES = st.recursive(SCALARS, containers, max_leaves=40)
 ROWS = st.lists(st.one_of(st.lists(NUMBERS, max_size=4), st.lists(SCALARS, max_size=4).map(tuple)), max_size=6)
 
 
+# Lists of dicts, most of them flat, the shape of check's per-node records.
+FLAT_DICTS = st.lists(st.dictionaries(KEYS, st.one_of(st.none(), st.booleans(), NUMBERS), max_size=4), max_size=5)
+
+
 def assert_same_as_json(obj):
     try:
         want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -70,7 +74,8 @@ def test_matches_json_dumps_on_recursive_values(obj):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(ROWS, st.lists(SCALARS, max_size=8), st.dictionaries(TEXT, ROWS, max_size=3)))
+@given(st.one_of(ROWS, st.lists(SCALARS, max_size=8), st.dictionaries(TEXT, ROWS, max_size=3), FLAT_DICTS,
+                 st.dictionaries(TEXT, FLAT_DICTS, max_size=3)))
 def test_matches_json_dumps_on_rows_and_flat_lists(obj):
     assert_same_as_json(obj)
 
@@ -102,6 +107,16 @@ def test_matches_json_dumps_on_rows_and_flat_lists(obj):
         None,
         Code.FAILED,
         {"code": Code.OK, "codes": [Code.FAILED, 1]},
+        # lists of flat dicts, as check's nodes, and dicts that must recurse
+        [{"b": float("nan"), "a": float("inf"), "c": float("-inf")}, {"n": None, "t": True, "f": False, "i": 2**70}],
+        {"nodes": [{"node": 0, "lambda3": 0.5}, {"node": 1, "lambda3": None}], "epsilon": 1e-4},
+        [{"a": 1, "rows": [1, 2]}, {"b": 2}],
+        [{}],
+        [{"a": 1}, {}],
+        [{1: 1, 2.5: 2, True: 3, None: 4}, {"k": -0.0}],
+        [{"a\n},\n    {": 1, '"}': 2}],
+        [{"x": np.float64(0.5)}],
+        [{"s": "text"}],
     ],
 )
 def test_matches_json_dumps_on_edge_cases(obj):
@@ -122,6 +137,8 @@ def test_matches_json_dumps_on_edge_cases(obj):
         {1: "a", "b": 2},
         {(1, 2): 3},
         [object()],
+        [{"flag": np.bool_(True)}],
+        [{1: 1, "b": 2}],  # flat: the C encoder sorts the keys
     ],
 )
 def test_raises_type_error_where_json_dumps_does(obj):
